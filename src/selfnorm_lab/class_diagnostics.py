@@ -11,7 +11,6 @@ distance used throughout the acceptance checks.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -212,8 +211,8 @@ def atom_scan(sample: EmpiricalSample, eps: float) -> list:
 def ks_distance(sample: EmpiricalSample, cdf: Callable) -> float:
     """One-sample Kolmogorov-Smirnov distance, both one-sided gaps.
 
-    ``cdf`` should accept a vector; scalar-only callables are applied
-    pointwise (slow for large samples).
+    ``cdf`` must map the sorted sample to an array of the same shape; any
+    other result raises :class:`ParameterError` (see :func:`vec_eval`).
     """
     v = sample.values
     reps = len(v)

@@ -15,7 +15,6 @@ error.  Thread count never changes numerical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -36,6 +35,7 @@ from .distributions import (
     make_multiplier_law,
     make_weight_law,
 )
+from .scenarios import _write_json
 
 
 class UsageError(Exception):
@@ -180,17 +180,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
-def _write_csv(path: Path, header: list, columns: list) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format(float(c), ".17g") for c in row) + "\n")
-
-
 def _meta(cfg: ExperimentConfig, command: str, extra: Optional[dict] = None) -> dict:
     payload = {"command": command, "config": cfg.resolved()}
     if extra:
@@ -212,9 +201,8 @@ def run_simulate(cfg: ExperimentConfig) -> int:
                        threads=cfg.get_int("threads"))
     out = _outdir(cfg)
     sample = mc.simulate_tn(x, y, sim)
-    _write_csv(out / "tn_sample.csv", ["tn"], [sample.values])
-    _write_json(out / "tn_sample.meta.json",
-                _meta(cfg, "simulate", {"law_meta": sample.law_meta}))
+    scenarios._write_sample_csv(out / "tn_sample.csv", ["tn"], [sample.values],
+                                meta=_meta(cfg, "simulate", {"law_meta": sample.law_meta}))
     return 0
 
 
@@ -231,9 +219,9 @@ def run_limit(cfg: ExperimentConfig) -> int:
     tails = np.asarray([ll.breiman_tail(lim, t) if t > 0.0 else math.nan
                         for t in grid])
     out = _outdir(cfg)
-    _write_csv(out / "limit_table.csv", ["x", "breiman_cdf", "breiman_tail"],
-               [grid, cdf_vals, tails])
-    _write_json(out / "limit_table.meta.json", _meta(cfg, "limit", {"beta": beta}))
+    scenarios._write_sample_csv(out / "limit_table.csv", ["x", "breiman_cdf", "breiman_tail"],
+                                [grid, cdf_vals, tails],
+                                meta=_meta(cfg, "limit", {"beta": beta}))
     return 0
 
 
@@ -249,8 +237,8 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     _write_json(out / "class_verdict.json",
                 _meta(cfg, "diagnose", {"verdict": verdict.__dict__}))
-    _write_csv(out / "ratio_scan.csv", ["x", "feller", "centered", "griffin"],
-               [grid, fel, cen, gri])
+    scenarios._write_sample_csv(out / "ratio_scan.csv", ["x", "feller", "centered", "griffin"],
+                                [grid, fel, cen, gri])
     return 0
 
 

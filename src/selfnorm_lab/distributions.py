@@ -15,6 +15,7 @@ independent of thread count or call order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -25,6 +26,14 @@ from scipy.integrate import quad
 
 class ParameterError(ValueError):
     """A law or operation parameter is outside its admissible range."""
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; numpy integers pass, floats (even 10.0) raise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 class QuadratureError(RuntimeError):
@@ -94,7 +103,9 @@ class WeightLaw:
     negative half line.  ``pdf`` is the density of the continuous part, zero
     outside ``support``; ``pdf_breaks`` lists points where the density is
     kinked or discontinuous (quadrature split points).  ``atoms`` holds the
-    discrete part as (location, mass) pairs.
+    discrete part as (location, mass) pairs.  ``cdf`` maps a float or an
+    ndarray to the same shape; ``pdf`` is a scalar integrand (QUADPACK calls
+    it once per node).
     """
 
     label: str
@@ -125,16 +136,17 @@ class WeightLaw:
 
 
 def vec_eval(fn: Callable, arr: np.ndarray) -> np.ndarray:
-    """Evaluate fn over an array, falling back to a scalar loop when the
-    callable is not vectorized."""
+    """Evaluate a law callable over an array in one call.
+
+    A law callable must map an ndarray to an array of the same shape; any
+    other result raises :class:`ParameterError` naming the callable.
+    """
     arr = np.asarray(arr, dtype=float)
-    try:
-        out = np.asarray(fn(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except Exception:
-        pass
-    return np.asarray([float(fn(t)) for t in arr.ravel()]).reshape(arr.shape)
+    out = np.asarray(fn(arr), dtype=float)
+    if out.shape != arr.shape:
+        raise ParameterError(f"law callable {getattr(fn, '__qualname__', fn)} is not "
+                             f"vectorized: shape {out.shape} for input shape {arr.shape}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,8 @@ class MultiplierLaw:
     raw draws overflow a double still sum correctly.  ``tail_sampler(stream,
     count, y0)`` draws from the conditional law of Y given Y > y0 exactly; it
     powers low-variance estimators of rare product-tail events.
+    ``survival``, ``survival_logarg``, ``trunc_mean`` and ``trunc_second`` map
+    a float to a float and an ndarray to one of the same shape.
     """
 
     label: str
@@ -206,7 +220,10 @@ def _piece(f: Callable[[float], float], a: float, b: float, tol: float) -> float
 
 def quad_segments(f: Callable[[float], float], lo: float, hi: float,
                   points: Sequence[float] = (), tol: float = 1e-10) -> float:
-    """Adaptive quadrature of ``f`` over (lo, hi), split at interior points."""
+    """Adaptive quadrature of ``f`` over (lo, hi), split at interior points.
+    Each piece is accepted when QUADPACK's error estimate is at most
+    max(tol, 1e-9 * |piece|) (only ``tol`` if QUADPACK flags a problem), else
+    :class:`QuadratureError` is raised; a large piece may thus miss ``tol``."""
     if hi <= lo:
         return 0.0
     inner = sorted({p for p in points if lo < p < hi and math.isfinite(p)})
@@ -222,7 +239,8 @@ def expect_weight(law: WeightLaw, g: Callable[[float], float],
 
     Atom endpoints enter according to ``include_lo`` / ``include_hi``; the
     continuous part is integrated with splits at declared density breaks and
-    any caller-supplied points (integrand kinks).
+    any caller-supplied points (integrand kinks) under the tolerance rule of
+    :func:`quad_segments`.
     """
     total = 0.0
     for loc, m in law.atoms:
@@ -412,15 +430,15 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
     b = float(beta)
 
     def survival(y):
-        return 1.0 if y <= 1.0 else y ** (-b)
+        return np.maximum(y, 1.0) ** (-b)
 
     def trunc_mean(x):
-        if x <= 1.0:
-            return 0.0
-        return math.log(x) if b == 1.0 else b * (x ** (1.0 - b) - 1.0) / (1.0 - b)
+        xm = np.maximum(x, 1.0)
+        mean = np.log(xm) if b == 1.0 else b * (xm ** (1.0 - b) - 1.0) / (1.0 - b)
+        return np.where(x <= 1.0, 0.0, mean)[()]  # no -0.0 below the support
 
     def trunc_second(x):
-        return 0.0 if x <= 1.0 else b * (x ** (2.0 - b) - 1.0) / (2.0 - b)
+        return b * (np.maximum(x, 1.0) ** (2.0 - b) - 1.0) / (2.0 - b)
 
     def tail_sampler(stream, count, y0):
         lo = max(1.0, y0)
@@ -436,7 +454,7 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
         mean=b / (b - 1.0) if b > 1.0 else math.inf,
         tail_class=TailClass("pareto", b),
         log_norming=lambda n: math.log(n) / b,
-        survival_logarg=lambda t: 1.0 if t <= 0.0 else math.exp(-b * t),
+        survival_logarg=lambda t: np.exp(-b * np.maximum(t, 0.0)),
         tail_sampler=tail_sampler,
     )
 
@@ -453,18 +471,18 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
     e = math.e
 
     def survival(y):
-        return 1.0 if y <= e else 1.0 / math.log(y)
+        return 1.0 / np.log(np.maximum(y, e))
 
     def trunc_mean(x):
-        if x <= e:
-            return 0.0
-        return float(special.expi(math.log(x))) - x / math.log(x) + e - float(special.expi(1.0))
+        xm = np.maximum(x, e)
+        lx = np.log(xm)
+        return np.where(x <= e, 0.0, special.expi(lx) - xm / lx + e - special.expi(1.0))[()]
 
     def trunc_second(x):
-        if x <= e:
-            return 0.0
-        return (2.0 * float(special.expi(2.0 * math.log(x))) - x * x / math.log(x)
-                + e * e - 2.0 * float(special.expi(2.0)))
+        xm = np.maximum(x, e)
+        lx = np.log(xm)
+        return np.where(x <= e, 0.0, 2.0 * special.expi(2.0 * lx) - xm * xm / lx
+                        + e * e - 2.0 * special.expi(2.0))[()]
 
     def sampler(stream, count):
         u = 1.0 - stream.generator().random(count)  # (0, 1]
@@ -491,7 +509,7 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
         mean=math.inf,
         tail_class=TailClass("slowly_varying"),
         log_norming=lambda n: float(n),
-        survival_logarg=lambda t: 1.0 if t <= 1.0 else 1.0 / t,
+        survival_logarg=lambda t: 1.0 / np.maximum(t, 1.0),
         log_sampler=log_sampler,
         tail_sampler=tail_sampler,
     )
@@ -510,18 +528,16 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
         r = float(rate)
 
         def trunc_mean(x):
-            if x <= 0.0:
-                return 0.0
-            return (1.0 - math.exp(-r * x)) / r - x * math.exp(-r * x)
+            x = np.maximum(x, 0.0)
+            return (1.0 - np.exp(-r * x)) / r - x * np.exp(-r * x)
 
         def trunc_second(x):
-            if x <= 0.0:
-                return 0.0
-            return 2.0 * trunc_mean(x) / r - x * x * math.exp(-r * x)
+            x = np.maximum(x, 0.0)
+            return 2.0 * trunc_mean(x) / r - x * x * np.exp(-r * x)
 
         return MultiplierLaw(
             label=f"exponential(rate={r:g})",
-            survival=lambda y: 1.0 if y <= 0.0 else math.exp(-r * y),
+            survival=lambda y: np.exp(-r * np.maximum(y, 0.0)),
             sampler=lambda stream, count: stream.generator().standard_exponential(count) / r,
             trunc_mean=trunc_mean,
             trunc_second=trunc_second,
@@ -538,10 +554,10 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
 
         return MultiplierLaw(
             label="uniform01",
-            survival=lambda y: float(np.clip(1.0 - y, 0.0, 1.0)),
+            survival=lambda y: np.clip(1.0 - y, 0.0, 1.0),
             sampler=lambda stream, count: stream.generator().random(count),
-            trunc_mean=lambda x: 0.5 * min(max(x, 0.0), 1.0) ** 2,
-            trunc_second=lambda x: min(max(x, 0.0), 1.0) ** 3 / 3.0,
+            trunc_mean=lambda x: 0.5 * np.clip(x, 0.0, 1.0) ** 2,
+            trunc_second=lambda x: np.clip(x, 0.0, 1.0) ** 3 / 3.0,
             norming=lambda n: 0.5 * n,
             mean=0.5,
             tail_class=TailClass("finite_mean"),
@@ -596,9 +612,5 @@ def levy_cdf(z, c: float):
     a_n = n^2 follows Levy(0, pi/2).
     """
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    out[pos] = 2.0 * (1.0 - _norm_cdf(np.sqrt(c / z[pos])))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    tail = 2.0 * (1.0 - _norm_cdf(np.sqrt(c / np.where(z > 0.0, z, 1.0))))
+    return np.where(z > 0.0, tail, 0.0)[()]

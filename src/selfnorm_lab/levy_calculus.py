@@ -22,6 +22,7 @@ from .distributions import (
     ParameterError,
     SeedStream,
     WeightLaw,
+    as_int,
     expect_weight,
     quad_segments,
     vec_eval,
@@ -45,7 +46,9 @@ class LevyTail:
     infinitely divisible limit.  ``drift_alpha`` is the non-negative drift of
     the zero-truncation representation.  ``tail_inverse(w)`` inverts the tail
     (generalized inverse); ``small_mean_below(eps)`` is the integral of s
-    over (0, eps], used for jump-truncation bias bounds.
+    over (0, eps], used for jump-truncation bias bounds.  ``tail_inverse``
+    maps an ndarray to one of the same shape (without it jumps are drawn by
+    bisection on ``tail``); the other callables need only take floats.
     """
 
     label: str
@@ -134,7 +137,7 @@ class ConvergenceReport:
 
 def lambda_bar(levy: LevyTail, v: float) -> float:
     """Tail mass of the jump measure beyond v (v > 0)."""
-    if v <= 0.0:
+    if not v > 0.0:
         raise ParameterError("v must be positive")
     return float(levy.tail(v))
 
@@ -145,9 +148,9 @@ def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     Evaluated in log space when the law provides the hooks, so it stays
     finite even when a_n itself overflows (slowly varying law, large n).
     """
-    if n < 1:
+    if as_int(n, "n") < 1:
         raise ParameterError("n must be at least 1")
-    if v <= 0.0:
+    if not v > 0.0:
         raise ParameterError("v must be positive")
     if y.survival_logarg is not None and y.log_norming is not None:
         return n * y.survival_logarg(y.log_norming(n) + math.log(v))
@@ -214,6 +217,10 @@ def pi_neg(view: BivariateLevyView, u: float, v: float,
 # ---------------------------------------------------------------------------
 
 
+def _mean_se(vals: np.ndarray) -> tuple:
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
 def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
                   stream: SeedStream, draws: int = 1_000_000):
     """Estimate n P{XY > a_n u, Y > a_n v} (u > 0) or
@@ -258,10 +265,7 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     with np.errstate(divide="ignore"):
         ratio = np.where(ys > 0.0, au / np.maximum(ys, 1e-300), math.inf)
     vals = weight_tail(ratio) * (ys > a_n * v)
-    vals = scale * vals
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return est, se
+    return _mean_se(scale * vals)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +424,7 @@ def prelimit_truncated_first_moments(x: WeightLaw, y: MultiplierLaw, n: int,
     scale = n / a_n
     vals_y = scale * tm
     vals_xy = scale * xs * tm
-    return ((float(vals_y.mean()), float(vals_y.std(ddof=1) / math.sqrt(len(vals_y)))),
-            (float(vals_xy.mean()), float(vals_xy.std(ddof=1) / math.sqrt(len(vals_xy)))))
+    return _mean_se(vals_y), _mean_se(vals_xy)
 
 
 def prelimit_truncated_second_moments(x: WeightLaw, y: MultiplierLaw, n: int,
@@ -445,12 +448,7 @@ def prelimit_truncated_second_moments(x: WeightLaw, y: MultiplierLaw, n: int,
     cap = a_n * h / np.sqrt(1.0 + xs * xs)
     t2 = vec_eval(y.trunc_second, cap)
     scale = n / (a_n * a_n)
-    out = []
-    for weight in (xs * xs, np.ones_like(xs), xs):
-        vals = scale * weight * t2
-        out.append((float(vals.mean()),
-                    float(vals.std(ddof=1) / math.sqrt(len(vals)))))
-    return tuple(out)
+    return tuple(_mean_se(scale * weight * t2) for weight in (xs * xs, np.ones_like(xs), xs))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ class BreimanLimit:
 
     Requires a fractional absolute moment of X one notch above beta
     (checked at beta + moment_margin).  ``quad_tol`` is the absolute
-    tolerance of the moment quadratures.
+    tolerance of each moment quadrature piece, whose error estimate may reach
+    max(quad_tol, 1e-9 * |piece|) (see :func:`quad_segments`).
     """
 
     beta: float

@@ -21,6 +21,7 @@ from .distributions import (
     ParameterError,
     SeedStream,
     WeightLaw,
+    as_int,
 )
 from .levy_calculus import BivariateLevyView
 
@@ -41,14 +42,13 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError("n must be at least 1")
-        if self.reps < 1:
-            raise ParameterError("reps must be at least 1")
+        for name in ("n", "reps", "threads"):
+            value = as_int(getattr(self, name), name)
+            if value < 1:
+                raise ParameterError(f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
         if self.cutoff is not None and not 0.0 < self.cutoff < 1.0:
             raise ParameterError("cutoff must lie in (0, 1)")
-        if self.threads < 1:
-            raise ParameterError("threads must be at least 1")
 
 
 @dataclass(frozen=True)

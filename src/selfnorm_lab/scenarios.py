@@ -23,6 +23,7 @@ S6  classification table, max-share statistics, and the infinite-mean weight
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 from typing import Optional
@@ -69,17 +70,20 @@ def _eq(name, value, expected, detail=""):
     return _check(name, value, expected, "==", value == expected, detail)
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
 def _write_sample_csv(path: Path, header: list, columns: list,
                       meta: Optional[dict] = None) -> None:
-    rows = zip(*columns)
+    """CSV of equal-length columns at 17 significant digits, plus a
+    ``.meta.json`` sidecar when ``meta`` is given."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in zip(*columns):
             fh.write(",".join(format(float(c), ".17g") for c in row) + "\n")
     if meta is not None:
-        import json
-        path.with_suffix(".meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=1) + "\n")
+        _write_json(path.with_suffix(".meta.json"), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,6 @@ def suite_s3(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) 
     checks.append(_le("second_moment_smallh_ratio", worst, 1e-3,
                       detail=f"h=2^-10 vs h=1 componentwise, uu/vv/uv={bottom}"))
     if outdir is not None:
-        import json
         (outdir / "s3_smallh_scan.json").write_text(json.dumps(
             {format(h, ".10g"): list(v) for h, v in scan.items()}, sort_keys=True))
     return checks
@@ -242,7 +245,6 @@ def suite_s5(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) 
     checks.append(_le("control_slope_abs", abs(control.loglog_slope), 0.15,
                       detail=f"slope={control.loglog_slope:.4f}"))
     if outdir is not None:
-        import json
         (outdir / "s5_divergence.json").write_text(json.dumps(
             {"medians": {str(k): v for k, v in probe.medians.items()},
              "slope": probe.loglog_slope,
@@ -294,7 +296,6 @@ def suite_s6(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) 
                       0.10, detail=f"x*={x_star:.2f}, ratio={tail_ratio:.5f}, "
                                    f"const={const:.5f}"))
     if outdir is not None:
-        import json
         (outdir / "s6_classification.json").write_text(
             json.dumps(verdicts, sort_keys=True))
     return checks

@@ -14,6 +14,7 @@ from selfnorm_lab.distributions import (
     make_slowly_varying_multiplier,
     make_weight_law,
     sample_positive_stable,
+    vec_eval,
 )
 
 DKW_BAND_1E6 = math.sqrt(math.log(2.0 / 0.001) / (2.0 * 1_000_000))  # 99.9% band
@@ -188,6 +189,60 @@ def test_empirical_survival_within_dkw_band(maker, args):
     emp = 1.0 - np.searchsorted(draws, grid, side="right") / len(draws)
     ana = np.asarray([y.survival(g) for g in grid])
     assert np.max(np.abs(emp - ana)) <= DKW_BAND_1E6
+
+
+# ---------------------------------------------------------------------------
+# Vectorized law interface
+# ---------------------------------------------------------------------------
+
+BUILTIN_MULTIPLIERS = [
+    make_pareto_multiplier(0.5),
+    make_pareto_multiplier(1.0),
+    make_pareto_multiplier(1.5),
+    make_slowly_varying_multiplier(),
+    make_finite_mean_multiplier("exponential", rate=2.0),
+    make_finite_mean_multiplier("uniform01"),
+]
+# support edges (0, 1, e), points below the support and an extreme argument
+EDGE_GRID = np.array([-1e3, -1.0, -0.0, 0.0, 0.25, 1.0, 1.5, math.e, 3.0, 10.0,
+                      1e3, 1e300])
+
+
+POINT_CALLABLES = [pytest.param(y, name, id=f"{y.label}-{name}")
+                   for y in BUILTIN_MULTIPLIERS
+                   for name in ("survival", "survival_logarg", "trunc_mean", "trunc_second")
+                   if getattr(y, name) is not None]
+
+
+@pytest.mark.parametrize("y,name", POINT_CALLABLES)
+def test_multiplier_callable_array_matches_scalar(y, name):
+    fn = getattr(y, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scalar = [fn(float(t)) for t in EDGE_GRID]
+        arr = fn(EDGE_GRID)
+        through_vec_eval = vec_eval(fn, EDGE_GRID)
+    assert all(isinstance(v, float) for v in scalar)  # never a 0-d array
+    assert isinstance(arr, np.ndarray) and arr.shape == EDGE_GRID.shape
+    np.testing.assert_allclose(arr, scalar, rtol=1e-15, atol=0.0)
+    assert np.array_equal(through_vec_eval, arr, equal_nan=True)
+
+
+@pytest.mark.parametrize("y", BUILTIN_MULTIPLIERS, ids=lambda y: y.label)
+def test_multiplier_callables_vanish_below_support(y):
+    below = np.array([-1e3, -1.0, 0.0])
+    assert np.all(y.survival(below) == 1.0)
+    for fn in (y.trunc_mean, y.trunc_second):
+        vals = fn(below)
+        assert np.all(vals == 0.0) and not np.any(np.signbit(vals))
+
+
+def test_vec_eval_rejects_scalar_only_callable():
+    # a callable that ignores the array shape used to be looped silently
+    with pytest.raises(ParameterError, match="not vectorized"):
+        vec_eval(lambda t: 0.0, np.linspace(0.5, 2.0, 4))
+    # one that branches on its argument fails loudly instead of being looped
+    with pytest.raises(ValueError, match="ambiguous"):
+        vec_eval(lambda t: 1.0 if t <= 1.0 else t ** -0.5, np.linspace(0.5, 2.0, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,23 @@ def test_lambda_bar_stable_values(stable_half):
         lambda_bar(stable_half, 0.0)
 
 
+def test_lambda_bar_rejects_nan(stable_half):
+    with pytest.raises(ParameterError):
+        lambda_bar(stable_half, math.nan)
+
+
+def test_prelimit_lambda_rejects_nan_v():
+    with pytest.raises(ParameterError):
+        prelimit_lambda_n(make_pareto_multiplier(0.5), 10, math.nan)
+
+
+def test_prelimit_lambda_rejects_non_integer_n():
+    y = make_pareto_multiplier(0.5)
+    with pytest.raises(ParameterError):
+        prelimit_lambda_n(y, 10.5, 1.0)
+    assert prelimit_lambda_n(y, np.int64(100), 4.0) == pytest.approx(0.5, rel=1e-12)
+
+
 def test_prelimit_lambda_pareto_exact():
     y = make_pareto_multiplier(0.5)
     for n in (10, 10_000):

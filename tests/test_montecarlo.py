@@ -117,6 +117,20 @@ def test_sim_config_validation():
         SimConfig(n=1, reps=1, seed=SeedStream(1), cutoff=1.5)
 
 
+@pytest.mark.parametrize("field", ["n", "reps", "threads"])
+@pytest.mark.parametrize("bad", [10.5, 10.0, math.nan, "10"])
+def test_sim_config_rejects_non_integer_sizes(field, bad):
+    sizes = {"n": 10, "reps": 10, "threads": 1, field: bad}
+    with pytest.raises(ParameterError, match=field):
+        SimConfig(seed=SeedStream(1), **sizes)
+
+
+def test_sim_config_accepts_numpy_integers():
+    c = SimConfig(n=np.int64(10), reps=np.int32(5), seed=SeedStream(1), threads=np.uint8(2))
+    assert (c.n, c.reps, c.threads) == (10, 5, 2)
+    assert all(type(v) is int for v in (c.n, c.reps, c.threads))
+
+
 # ---------------------------------------------------------------------------
 # simulate_normed_pair
 # ---------------------------------------------------------------------------
