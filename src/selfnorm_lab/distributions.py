@@ -8,7 +8,7 @@ fractional moments, norming sequence) together with an exact inverse-transform
 style sampler driven by a :class:`SeedStream`.
 
 All built-in samplers are pure functions of ``(master_seed, stream_index,
-count)``: the same stream always reproduces the same draws bit for bit,
+path, count)``: the same stream always reproduces the same draws bit for bit,
 independent of thread count or call order.
 """
 
@@ -54,30 +54,36 @@ class QuadratureError(RuntimeError):
 class SeedStream:
     """Named, splittable random stream.
 
-    ``(master_seed, stream_index)`` maps to a generator state through
-    :class:`numpy.random.SeedSequence`, so distinct stream indices give
-    statistically independent streams and the mapping is a pure function.
+    The generator is seeded by :class:`numpy.random.SeedSequence` with
+    entropy ``master_seed`` and spawn key ``(stream_index, *path)``;
+    ``child(k)`` appends ``k`` to the path.  Every key element is below
+    2**32, so it takes exactly one word of the key and distinct paths of any
+    depth give distinct keys: a child never aliases its parent or a stream
+    with a different path.
     """
 
     master_seed: int
     stream_index: int = 0
+    path: tuple = ()
 
     def __post_init__(self) -> None:
         if not (0 <= int(self.master_seed) < 2**64):
             raise ParameterError("master_seed must be a 64-bit unsigned integer")
-        if int(self.stream_index) < 0:
-            raise ParameterError("stream_index must be non-negative")
+        for k in (self.stream_index, *self.path):
+            if not 0 <= as_int(k, "stream index") < 2**32:
+                raise ParameterError("stream_index and substream indices must be in [0, 2**32)")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=int(self.master_seed),
-                                     spawn_key=(int(self.stream_index),))
+        # one uint32 array contributes the same key words as the tuple
+        # (stream_index, *path) of one-word ints, and numpy coerces it in one step
+        key = np.array((self.stream_index, *self.path), dtype=np.uint32)
+        seq = np.random.SeedSequence(entropy=int(self.master_seed), spawn_key=(key,))
         return np.random.Generator(np.random.PCG64(seq))
 
     def child(self, k: int) -> "SeedStream":
         """Derive substream ``k`` (k < 2**32) without state sharing."""
-        if k < 0 or k >= 2**32:
-            raise ParameterError("substream index must be in [0, 2**32)")
-        return SeedStream(self.master_seed, (int(self.stream_index) << 32) + int(k))
+        return SeedStream(self.master_seed, self.stream_index,
+                          (*self.path, as_int(k, "substream index")))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +318,14 @@ def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> Wei
     def bmn(b):
         return sum(m * (-loc) ** b for loc, m in atoms if loc < 0)
 
+    locs = np.array([loc for loc, _ in atoms])
+    # atom j takes U in [cum[j-1], cum[j]); searching all but the last
+    # cumulative mass sends U >= cum[-2] to the last atom, rounding included
+    inner_cum = np.cumsum([m for _, m in atoms])[:-1]
+
     def sampler(stream, count):
-        gen = stream.generator()
-        locs = np.array([loc for loc, _ in atoms])
-        probs = np.array([m for _, m in atoms])
-        return locs[gen.choice(len(atoms), size=count, p=probs)]
+        u = stream.generator().random(count)
+        return locs[np.searchsorted(inner_cum, u, side="right")]
 
     return WeightLaw(
         label=label, cdf=cdf, sampler=sampler, mean=mean, abs_mean=abs_mean,
@@ -481,8 +490,18 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
     def trunc_second(x):
         xm = np.maximum(x, e)
         lx = np.log(xm)
-        return np.where(x <= e, 0.0, 2.0 * special.expi(2.0 * lx) - xm * xm / lx
-                        + e * e - 2.0 * special.expi(2.0))[()]
+        z = 2.0 * lx
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = 2.0 * special.expi(z) - xm * xm / lx + e * e - 2.0 * special.expi(2.0)
+            # past z = 700 both terms overflow; their difference is
+            # (x^2 / log x) sum_{k>=1} k!/z^k (asymptotic series of Ei, ten
+            # terms reach 1e-19 there), overflowing only with the value
+            term, series = 1.0, 0.0
+            for k in range(1, 11):
+                term = term * k / z
+                series = series + term
+            far = xm * (xm * (series / lx))
+        return np.where(x <= e, 0.0, np.where(z > 700.0, far, direct))[()]
 
     def sampler(stream, count):
         u = 1.0 - stream.generator().random(count)  # (0, 1]
@@ -533,7 +552,7 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
 
         def trunc_second(x):
             x = np.maximum(x, 0.0)
-            return 2.0 * trunc_mean(x) / r - x * x * np.exp(-r * x)
+            return 2.0 * trunc_mean(x) / r - x * (x * np.exp(-r * x))  # no inf * 0
 
         return MultiplierLaw(
             label=f"exponential(rate={r:g})",

@@ -142,14 +142,21 @@ def lambda_bar(levy: LevyTail, v: float) -> float:
     return float(levy.tail(v))
 
 
+def _sample_size(n) -> int:
+    """``n`` as an int of at least 1; anything else raises ParameterError."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ParameterError("n must be at least 1")
+    return n
+
+
 def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     """n P{Y > a_n v}, the row tail of the triangular array.
 
     Evaluated in log space when the law provides the hooks, so it stays
     finite even when a_n itself overflows (slowly varying law, large n).
     """
-    if as_int(n, "n") < 1:
-        raise ParameterError("n must be at least 1")
+    n = _sample_size(n)
     if not v > 0.0:
         raise ParameterError("v must be positive")
     if y.survival_logarg is not None and y.log_norming is not None:
@@ -232,8 +239,7 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     sampling restricts to the sub-event where the integrand can be non-zero,
     which removes the rare-event variance entirely.
     """
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    n = _sample_size(n)
     if u == 0.0 and v == 0.0:
         raise ParameterError("(u, v) must differ from (0, 0)")
     if v < 0.0:
@@ -291,6 +297,7 @@ def alpha_h(obj, h: float, n: Optional[int] = None,
     if isinstance(obj, MultiplierLaw):
         if n is None:
             raise ParameterError("prelimit alpha_h requires n")
+        n = _sample_size(n)
         a_n = obj.norming(n)
         if not math.isfinite(a_n):
             raise ParameterError("norming overflows a double at this n")
@@ -415,6 +422,7 @@ def prelimit_truncated_first_moments(x: WeightLaw, y: MultiplierLaw, n: int,
     """
     if h <= 0.0:
         raise ParameterError("h must be positive")
+    n = _sample_size(n)
     a_n = y.norming(n)
     if not math.isfinite(a_n):
         raise ParameterError("norming overflows a double at this n")
@@ -441,6 +449,7 @@ def prelimit_truncated_second_moments(x: WeightLaw, y: MultiplierLaw, n: int,
     """
     if h <= 0.0:
         raise ParameterError("h must be positive")
+    n = _sample_size(n)
     a_n = y.norming(n)
     if not math.isfinite(a_n):
         raise ParameterError("norming overflows a double at this n")

@@ -2,9 +2,13 @@
 
 Simulates the self-normalized ratio, the normed pair of partial sums, and the
 limit pair through a compound-Poisson cut of its jump representation.  Every
-engine is a pure function of its :class:`SimConfig`: replication r draws from
-substreams derived from ``(seed, r)``, results are written by replication
-index and sorted at the end, so output is bit-identical for any thread count.
+engine is a pure function of its :class:`SimConfig`.  Replications are drawn
+in blocks of ``rows`` consecutive replications, with ``rows`` fixed by the
+input alone (``BLOCK_ELEMS`` values per block array): block b covers
+replications ``[b * rows, min((b + 1) * rows, reps))`` and draws all its
+multipliers from ``seed.child(b).child(0)`` and all its weights from
+``seed.child(b).child(1)``, as one array each, then reduces per row.  Blocks
+are stacked in block order, so output is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ from .distributions import (
 )
 from .levy_calculus import BivariateLevyView
 
-_Y_SUB = 0   # substream for multiplier draws within a replication
+_Y_SUB = 0   # substream for multiplier draws (and Poisson counts) within a block
 _X_SUB = 1   # substream for weight draws
+
+# Values in one block array: 2**14 doubles (128 KiB) keep a block in cache;
+# from n = 2**14 on, a block is a single replication.
+BLOCK_ELEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -79,33 +87,42 @@ class PairSample:
         return out
 
 
-def _run_replications(fn: Callable[[int], tuple], reps: int, width: int,
+def _block_layout(reps: int, values_per_rep: int) -> tuple:
+    """Rows per block and number of blocks for ``reps`` replications that
+    draw about ``values_per_rep`` values each."""
+    rows = max(1, BLOCK_ELEMS // max(1, values_per_rep))
+    return rows, -(-reps // rows)
+
+
+def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], blocks: int, width: int,
                       threads: int) -> np.ndarray:
-    """Evaluate fn(r) for r in range(reps) into a (reps, width) array.
+    """Evaluate fn(b) for b in range(blocks) into a (width, reps) array.
 
-    Work is partitioned by replication index, so scheduling cannot change
-    the result.
+    fn(b) returns ``width`` statistics, each an array with one value per
+    replication of block b; blocks are joined in block order.  Threads take
+    contiguous chunks of blocks and every block depends only on its index,
+    so scheduling cannot change the result.
     """
-    out = np.empty((reps, width))
+    step = max(1, math.ceil(blocks / (threads * 8)))
 
-    def block(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            out[r, :] = fn(r)
+    def chunk(lo: int) -> np.ndarray:
+        return np.concatenate([np.asarray(fn(b)).reshape(width, -1)
+                               for b in range(lo, min(lo + step, blocks))], axis=1)
 
+    starts = range(0, blocks, step)
     if threads <= 1:
-        block(0, reps)
+        parts = [chunk(lo) for lo in starts]
     else:
-        step = max(1, math.ceil(reps / (threads * 8)))
-        bounds = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: block(*b), bounds))
-    return out
+            parts = list(pool.map(chunk, starts))
+    return np.concatenate(parts, axis=1)
 
 
 def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
     meta = {"n": cfg.n, "reps": cfg.reps,
             "seed": {"master_seed": cfg.seed.master_seed,
-                     "stream_index": cfg.seed.stream_index}}
+                     "stream_index": cfg.seed.stream_index,
+                     "path": list(cfg.seed.path)}}
     if x is not None:
         meta["x_law"] = x.label
     if y is not None:
@@ -118,33 +135,45 @@ def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig
 # ---------------------------------------------------------------------------
 
 
-def _scalefree_weights(y: MultiplierLaw, stream: SeedStream, n: int):
-    """Multiplier draws for scale-free functionals, plus the argmax index.
+def _draw_block(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig, rows: int, b: int,
+                scale_free: bool) -> tuple:
+    """Weights and multipliers of block b as (rows_b, n) arrays, plus the
+    first argmax of each multiplier row when ``scale_free``.
 
-    Laws exposing a log sampler are rescaled by their maximum (exactly
-    neutral for ratios of sums), which keeps the weights representable even
-    when raw draws overflow a double.  Ties resolve to the smallest index.
+    Scale-free draws of a law with a log sampler are rescaled by the row
+    maximum (exactly neutral for ratios of sums), which keeps the weights
+    representable even when raw draws overflow a double.
     """
-    if y.log_sampler is not None:
-        ls = y.log_sampler(stream, n)
-        m = int(np.argmax(ls))
-        return np.exp(ls - ls[m]), m
-    ys = y.sampler(stream, n)
-    return ys, int(np.argmax(ys))
+    shape = (min(rows, cfg.reps - b * rows), cfg.n)
+    size = shape[0] * shape[1]
+    block = cfg.seed.child(b)
+    if scale_free and y.log_sampler is not None:
+        ls = y.log_sampler(block.child(_Y_SUB), size).reshape(shape)
+        m = ls.argmax(axis=1)
+        ys = np.exp(ls - ls[np.arange(m.size), m][:, None])
+    else:
+        ys = y.sampler(block.child(_Y_SUB), size).reshape(shape)
+        m = ys.argmax(axis=1) if scale_free else None
+    xs = x.sampler(block.child(_X_SUB), size).reshape(shape)
+    return xs, ys, m
+
+
+def _ratios(den: np.ndarray, *nums: np.ndarray) -> list:
+    """num / den for each numerator where den > 0, else 0 (0/0 := 0)."""
+    pos = den > 0.0
+    safe = np.where(pos, den, 1.0)
+    return [np.where(pos, num / safe, 0.0) for num in nums]
 
 
 def simulate_tn(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> EmpiricalSample:
     """Draws of the self-normalized ratio sum(X Y) / sum(Y), with 0/0 := 0."""
-    n = cfg.n
+    rows, blocks = _block_layout(cfg.reps, cfg.n)
 
-    def one(r: int):
-        rep = cfg.seed.child(r)
-        ys, _ = _scalefree_weights(y, rep.child(_Y_SUB), n)
-        xs = x.sampler(rep.child(_X_SUB), n)
-        sy = ys.sum()
-        return ((xs * ys).sum() / sy if sy > 0.0 else 0.0,)
+    def block(b: int) -> list:
+        xs, ys, _ = _draw_block(x, y, cfg, rows, b, scale_free=True)
+        return _ratios(ys.sum(axis=1), (xs * ys).sum(axis=1))
 
-    vals = _run_replications(one, cfg.reps, 1, cfg.threads)[:, 0]
+    (vals,) = _run_replications(block, blocks, 1, cfg.threads)
     return EmpiricalSample(vals, cfg.n, _law_meta(x, y, cfg))
 
 
@@ -153,18 +182,16 @@ def simulate_normed_pair(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> Pair
     a_n = y.norming(cfg.n)
     if not math.isfinite(a_n) or a_n <= 0.0:
         raise ParameterError("norming must be finite and positive at this n")
-    n = cfg.n
+    rows, blocks = _block_layout(cfg.reps, cfg.n)
 
-    def one(r: int):
-        rep = cfg.seed.child(r)
-        ys = y.sampler(rep.child(_Y_SUB), n)
-        xs = x.sampler(rep.child(_X_SUB), n)
-        return (xs * ys).sum() / a_n, ys.sum() / a_n
+    def block(b: int) -> tuple:
+        xs, ys, _ = _draw_block(x, y, cfg, rows, b, scale_free=False)
+        return (xs * ys).sum(axis=1) / a_n, ys.sum(axis=1) / a_n
 
-    vals = _run_replications(one, cfg.reps, 2, cfg.threads)
+    w1, w2 = _run_replications(block, blocks, 2, cfg.threads)
     meta = _law_meta(x, y, cfg)
     meta["norming"] = a_n
-    return PairSample(vals[:, 0], vals[:, 1], meta)
+    return PairSample(w1, w2, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +249,9 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
 
     Each replication draws a Poisson number of jump heights from the
     normalized tail beyond the cutoff, multiplies each by an independent
-    weight draw, and adds the drift (alpha * E X, alpha).  Jumps below the
+    weight draw, and adds the drift (alpha * E X, alpha).  A block draws its
+    rows' counts, then all their jumps and weights as flat arrays, and sums
+    them per row; rows per block follow from the Poisson mean.  Jumps below the
     cutoff are dropped without compensation, which is legitimate because the
     jump measure integrates s near zero; the discarded mass has mean total at
     most small_mean_below(cutoff) * (E|X|, 1), reported in the metadata.
@@ -236,17 +265,19 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     invert = _jump_inverse(view, eps)
     x = view.weight
 
-    def one(r: int):
-        rep = cfg.seed.child(r)
-        gen = rep.child(_Y_SUB).generator()
-        count = int(gen.poisson(lam))
-        if count == 0:
-            return drift1, alpha
-        jumps = invert(1.0 - gen.random(count))
-        xs = x.sampler(rep.child(_X_SUB), count)
-        return drift1 + float((xs * jumps).sum()), alpha + float(jumps.sum())
+    rows, blocks = _block_layout(cfg.reps, math.ceil(lam))
 
-    vals = _run_replications(one, cfg.reps, 2, cfg.threads)
+    def block(b: int) -> tuple:
+        stream = cfg.seed.child(b)
+        gen = stream.child(_Y_SUB).generator()
+        counts = gen.poisson(lam, min(rows, cfg.reps - b * rows))
+        jumps = invert(1.0 - gen.random(int(counts.sum())))
+        xs = x.sampler(stream.child(_X_SUB), jumps.size)
+        owner = np.repeat(np.arange(counts.size), counts)
+        return (drift1 + np.bincount(owner, xs * jumps, counts.size),
+                alpha + np.bincount(owner, jumps, counts.size))
+
+    w1, w2 = _run_replications(block, blocks, 2, cfg.threads)
     bias_y = view.levy.small_mean_below(eps) if view.levy.small_mean_below else math.nan
     meta = _law_meta(x, None, cfg)
     meta.update({
@@ -256,7 +287,7 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
         "bias_bound_w2": bias_y,
         "bias_bound_w1": bias_y * x.abs_mean if math.isfinite(x.abs_mean) else math.inf,
     })
-    return PairSample(vals[:, 0], vals[:, 1], meta)
+    return PairSample(w1, w2, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +317,17 @@ def max_share_stats(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     eps_list = [float(e) for e in eps_list]
     if any(not 0.0 < e < 1.0 for e in eps_list):
         raise ParameterError("eps values must lie in (0, 1)")
-    n = cfg.n
+    rows, blocks = _block_layout(cfg.reps, cfg.n)
 
-    def one(r: int):
-        rep = cfg.seed.child(r)
-        ys, m = _scalefree_weights(y, rep.child(_Y_SUB), n)  # first max index
-        xs = x.sampler(rep.child(_X_SUB), n)
-        sy = ys.sum()
-        share = ys[m] / sy if sy > 0.0 else 0.0
-        tn = (xs * ys).sum() / sy if sy > 0.0 else 0.0
-        rn = math.sqrt((ys * ys).sum()) / sy if sy > 0.0 else 0.0
-        return share, abs(tn - xs[m]), rn
+    def block(b: int) -> tuple:
+        xs, ys, m = _draw_block(x, y, cfg, rows, b, scale_free=True)  # first max index
+        at_max = np.arange(m.size), m
+        share, tn, rn = _ratios(ys.sum(axis=1), ys[at_max], (xs * ys).sum(axis=1),
+                                np.sqrt((ys * ys).sum(axis=1)))
+        return share, np.abs(tn - xs[at_max]), rn
 
-    vals = _run_replications(one, cfg.reps, 3, cfg.threads)
-    shares, deltas, rns = vals[:, 0], np.sort(vals[:, 1]), np.sort(vals[:, 2])
+    shares, deltas, rns = _run_replications(block, blocks, 3, cfg.threads)
+    deltas, rns = np.sort(deltas), np.sort(rns)
     probs = {e: float((shares > 1.0 - e).mean()) for e in eps_list}
     qs = {q: float(np.quantile(deltas, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)}
     return MaxShareStats(probs, qs, deltas, rns, _law_meta(x, y, cfg))

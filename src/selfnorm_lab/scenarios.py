@@ -313,7 +313,8 @@ def run_suite(suite: str, seed: SeedStream, threads: int = 1,
     checks = _SUITE_FNS[suite](seed, threads=threads, outdir=outdir)
     return {
         "suite": suite,
-        "seed": {"master_seed": seed.master_seed, "stream_index": seed.stream_index},
+        "seed": {"master_seed": seed.master_seed, "stream_index": seed.stream_index,
+                 "path": list(seed.path)},
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from selfnorm_lab.distributions import (
     ParameterError,
     SeedStream,
+    _atomic_weight,
     expect_weight,
     levy_cdf,
     make_finite_mean_multiplier,
@@ -48,6 +50,64 @@ def test_seed_stream_validation():
         SeedStream(-1)
     with pytest.raises(ParameterError):
         SeedStream(1, -2)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: SeedStream(1, 2**32), id="index_2**32"),  # one key word each
+    pytest.param(lambda: SeedStream(1, 0, (2**32,)), id="path_2**32"),
+    pytest.param(lambda: SeedStream(1).child(2**32), id="child_2**32"),
+    pytest.param(lambda: SeedStream(1).child(-1), id="child_negative"),
+    pytest.param(lambda: SeedStream(1).child(1.0), id="child_float"),
+    pytest.param(lambda: SeedStream(1, 1.5), id="index_float"),
+])
+def test_seed_stream_rejects_keys_outside_one_word(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
+def test_seed_stream_root_layout_and_path():
+    # root streams keep spawn key (stream_index,); child(k) appends k
+    ref = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(42, spawn_key=(7,)))).random(8)
+    assert np.array_equal(SeedStream(42, 7).generator().random(8), ref)
+    s = SeedStream(42, 7).child(3).child(0)
+    assert s == SeedStream(42, 7, (3, 0)) and s.path == (3, 0)
+    ref = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(42, spawn_key=(7, 3, 0)))).random(8)
+    assert np.array_equal(s.generator().random(8), ref)
+
+
+def test_seed_stream_children_do_not_alias():
+    root = SeedStream(42)
+    assert root.child(0) != root
+    a = root.child(0).child(5).generator().random(16)
+    b = root.child(5).generator().random(16)
+    c = root.generator().random(16)
+    d = root.child(0).generator().random(16)
+    assert not np.array_equal(a, b) and not np.array_equal(c, d)
+
+
+def _stream_state(index, path):
+    stream = SeedStream(20260808, index)
+    for k in path:
+        stream = stream.child(k)
+    return stream.generator().bit_generator.state["state"]["state"]
+
+
+_KEY = st.tuples(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 2**32 - 1), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KEY, _KEY)
+@example((0, []), (0, [0]))          # a child and its parent
+@example((0, [5]), (0, [0, 5]))      # child(5) against child(0).child(5)
+@example((1, []), (0, [1]))
+@example((0, [1, 0]), (0, [1]))
+def test_seed_stream_distinct_paths_give_distinct_states(a, b):
+    if a[0] == b[0] and list(a[1]) == list(b[1]):
+        assert _stream_state(*a) == _stream_state(*b)
+    else:
+        assert _stream_state(*a) != _stream_state(*b)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +266,21 @@ BUILTIN_MULTIPLIERS = [
 # support edges (0, 1, e), points below the support and an extreme argument
 EDGE_GRID = np.array([-1e3, -1.0, -0.0, 0.0, 0.25, 1.0, 1.5, math.e, 3.0, 10.0,
                       1e3, 1e300])
+# values at 1e300 where x * x overflows: exponential E[Y^2] = 2 / rate^2; the
+# slowly varying truncated second moment is about x^2 / (2 log^2 x)
+AT_1E300 = {"exponential(rate=2)-trunc_second": 0.5,
+            "slowly_varying-trunc_second": math.inf}
 
 
-POINT_CALLABLES = [pytest.param(y, name, id=f"{y.label}-{name}")
+POINT_CALLABLES = [pytest.param(y, name, AT_1E300.get(f"{y.label}-{name}"),
+                                id=f"{y.label}-{name}")
                    for y in BUILTIN_MULTIPLIERS
                    for name in ("survival", "survival_logarg", "trunc_mean", "trunc_second")
                    if getattr(y, name) is not None]
 
 
-@pytest.mark.parametrize("y,name", POINT_CALLABLES)
-def test_multiplier_callable_array_matches_scalar(y, name):
+@pytest.mark.parametrize("y,name,at_1e300", POINT_CALLABLES)
+def test_multiplier_callable_array_matches_scalar(y, name, at_1e300):
     fn = getattr(y, name)
     with np.errstate(over="ignore", invalid="ignore"):
         scalar = [fn(float(t)) for t in EDGE_GRID]
@@ -225,6 +290,9 @@ def test_multiplier_callable_array_matches_scalar(y, name):
     assert isinstance(arr, np.ndarray) and arr.shape == EDGE_GRID.shape
     np.testing.assert_allclose(arr, scalar, rtol=1e-15, atol=0.0)
     assert np.array_equal(through_vec_eval, arr, equal_nan=True)
+    assert not np.any(np.isnan(arr))
+    if at_1e300 is not None:
+        assert arr[-1] == pytest.approx(at_1e300, rel=1e-15)
 
 
 @pytest.mark.parametrize("y", BUILTIN_MULTIPLIERS, ids=lambda y: y.label)
@@ -322,6 +390,30 @@ def test_empirical_mean_within_five_se(kind, kwargs, var_known):
     draws = x.sampler(SeedStream(99, 5), 1_000_000)
     se = draws.std(ddof=1) / 1000.0
     assert abs(draws.mean() - x.mean) <= 5.0 * max(se, 1e-9)
+
+
+ATOM_LAWS = [
+    make_weight_law("bernoulli", p=0.3, x0=-1.0, x1=5.0),
+    make_weight_law("rademacher"),
+    _atomic_weight("three_atoms", [(0.0, 0.2), (1.0, 0.5), (2.0, 0.3)]),
+    _atomic_weight("ten_tenths", [(float(k), 0.1) for k in range(10)]),  # cumsum ends below 1
+]
+
+
+@pytest.mark.parametrize("x", ATOM_LAWS, ids=lambda x: x.label)
+def test_atomic_sampler_frequencies_within_4_89_se(x):
+    draws = x.sampler(SeedStream(77, 2), 1_000_000)
+    locs = np.array([loc for loc, _ in x.atoms])
+    assert np.all(np.isin(draws, locs))
+    for loc, m in x.atoms:
+        se = math.sqrt(m * (1.0 - m) / 1_000_000)
+        assert abs(float((draws == loc).mean()) - m) <= 4.89 * se
+
+
+def test_point_mass_sampler_returns_constant():
+    x = make_weight_law("point_mass", c=-2.5)
+    assert np.all(x.sampler(SeedStream(3), 10_000) == -2.5)
+    assert x.sampler(SeedStream(3), 0).shape == (0,)
 
 
 def test_weight_law_validation():

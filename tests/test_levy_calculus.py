@@ -77,6 +77,27 @@ def test_prelimit_lambda_rejects_non_integer_n():
     assert prelimit_lambda_n(y, np.int64(100), 4.0) == pytest.approx(0.5, rel=1e-12)
 
 
+_GAUSS, _PARETO = make_weight_law("standard_gaussian"), make_pareto_multiplier(0.5)
+PRELIMIT_N_CALLS = {
+    "alpha_h": lambda n: alpha_h(_PARETO, 1.0, n=n),
+    "prelimit_pi_n": lambda n: prelimit_pi_n(_GAUSS, _PARETO, n, 1.0, 0.0,
+                                             SeedStream(3), draws=100),
+    "prelimit_truncated_first_moments": lambda n: prelimit_truncated_first_moments(
+        _GAUSS, _PARETO, n, 1.0, SeedStream(3), draws=100),
+    "prelimit_truncated_second_moments": lambda n: prelimit_truncated_second_moments(
+        _GAUSS, _PARETO, n, 1.0, SeedStream(3), draws=100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRELIMIT_N_CALLS))
+@pytest.mark.parametrize("bad", [10.5, 10.0, 0, math.nan])
+def test_prelimit_routines_reject_non_integer_n(name, bad):
+    call = PRELIMIT_N_CALLS[name]
+    with pytest.raises(ParameterError, match="n must"):
+        call(bad)
+    call(np.int64(10))  # numpy integers pass
+
+
 def test_prelimit_lambda_pareto_exact():
     y = make_pareto_multiplier(0.5)
     for n in (10, 10_000):

@@ -16,6 +16,7 @@ from selfnorm_lab.distributions import (
 from selfnorm_lab.levy_calculus import BivariateLevyView, stable_levy_tail
 from selfnorm_lab.class_diagnostics import ks_distance, ks_two_sample
 from selfnorm_lab.montecarlo import (
+    BLOCK_ELEMS,
     EmpiricalSample,
     SimConfig,
     divergence_probe,
@@ -53,11 +54,14 @@ def test_tn_zero_multiplier_convention():
 def test_tn_deterministic_and_thread_invariant():
     x = make_weight_law("uniform01")
     y = make_pareto_multiplier(0.5)
-    a = simulate_tn(x, y, cfg(reps=300))
-    b = simulate_tn(x, y, cfg(reps=300))
-    c = simulate_tn(x, y, cfg(reps=300, threads=4))
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
+    # (n, reps, threads): 19 blocks of 16 rows with a partial last one; then
+    # 3 blocks (16, 16, 8) on more threads than blocks
+    for n, reps, threads in ((1000, 300, 4), (1000, 40, 8)):
+        a = simulate_tn(x, y, cfg(n=n, reps=reps))
+        b = simulate_tn(x, y, cfg(n=n, reps=reps))
+        c = simulate_tn(x, y, cfg(n=n, reps=reps, threads=threads))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, c.values)
 
 
 def test_tn_degenerate_limit_finite_mean_multiplier():
@@ -215,9 +219,12 @@ def test_limit_pair_cutoff_too_small_rejected():
 
 
 def test_limit_pair_deterministic_and_thread_invariant():
-    a = simulate_limit_pair(view_half(), cfg(n=1, reps=400, cutoff=0.01))
-    b = simulate_limit_pair(view_half(), cfg(n=1, reps=400, cutoff=0.01, threads=4))
-    assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
+    # Poisson mean 10 gives 1638 rows per block: 400 replications are one
+    # block; 5000 are four, the last partial, on more threads than blocks
+    for reps, threads in ((400, 4), (5000, 8)):
+        a = simulate_limit_pair(view_half(), cfg(n=1, reps=reps, cutoff=0.01))
+        b = simulate_limit_pair(view_half(), cfg(n=1, reps=reps, cutoff=0.01, threads=threads))
+        assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
 
 
 def test_limit_pair_generic_tail_bisection():
@@ -275,6 +282,87 @@ def test_max_share_validates_eps():
     with pytest.raises(ParameterError):
         max_share_stats(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
                         cfg(reps=10), (1.5,))
+
+
+# ---------------------------------------------------------------------------
+# block kernel against a per-replication loop on the same block draws
+# ---------------------------------------------------------------------------
+
+
+def _block_streams(c, values_per_rep):
+    """(rows_b, block stream) per block, in the layout the engines document."""
+    rows = max(1, BLOCK_ELEMS // values_per_rep)
+    return [(min(rows, c.reps - lo), c.seed.child(lo // rows))
+            for lo in range(0, c.reps, rows)]
+
+
+def _loop_rows(x, y, c, scale_free):
+    """Per replication, (T_n, sum XY, sum Y, max share, |T_n - X at argmax|,
+    r_n) computed one row at a time with scalar arithmetic."""
+    n, out = c.n, []
+    for rows, block in _block_streams(c, n):
+        if scale_free and y.log_sampler is not None:
+            ys_all = y.log_sampler(block.child(0), rows * n).reshape(rows, n)
+        else:
+            ys_all = y.sampler(block.child(0), rows * n).reshape(rows, n)
+        xs_all = x.sampler(block.child(1), rows * n).reshape(rows, n)
+        for ys, xs in zip(ys_all, xs_all):
+            m = int(np.argmax(ys))
+            if scale_free and y.log_sampler is not None:
+                ys = np.exp(ys - ys[m])
+            sy, sxy = ys.sum(), (xs * ys).sum()
+            tn = sxy / sy if sy > 0.0 else 0.0
+            share = ys[m] / sy if sy > 0.0 else 0.0
+            rn = math.sqrt((ys * ys).sum()) / sy if sy > 0.0 else 0.0
+            out.append((tn, sxy, sy, share, abs(tn - xs[m]), rn))
+    return np.array(out)
+
+
+KERNEL_CASES = [  # (weight, multiplier, n, reps): multi-row blocks and one-row blocks
+    ("uniform01", make_pareto_multiplier(0.5), 10, 3_500),
+    ("bernoulli", make_slowly_varying_multiplier(), 1_000, 40),  # log sampler
+    ("standard_gaussian", make_slowly_varying_multiplier(), 100, 400),
+    ("uniform01", make_finite_mean_multiplier("exponential"), BLOCK_ELEMS + 3, 3),
+]
+
+
+@pytest.mark.parametrize("kind,y,n,reps", KERNEL_CASES,
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_block_kernel_equals_per_replication_loop(kind, y, n, reps):
+    x = make_weight_law(kind)
+    c = cfg(n=n, reps=reps, seed=9, idx=4, threads=2)
+    ref = _loop_rows(x, y, c, scale_free=True)
+    assert np.array_equal(simulate_tn(x, y, c).values, np.sort(ref[:, 0]))
+    st = max_share_stats(x, y, c, (0.1, 0.5))
+    assert np.array_equal(st.delta_sample, np.sort(ref[:, 4]))
+    assert np.array_equal(st.r_n_sample, np.sort(ref[:, 5]))
+    assert st.a_n_eps_prob == {e: float((ref[:, 3] > 1.0 - e).mean()) for e in (0.1, 0.5)}
+    if y.log_sampler is None:  # the normed pair draws raw multipliers
+        p = simulate_normed_pair(x, y, c)
+        a_n = y.norming(n)
+        assert np.array_equal(p.w1, ref[:, 1] / a_n) and np.array_equal(p.w2, ref[:, 2] / a_n)
+
+
+@pytest.mark.parametrize("cutoff,reps", [(0.01, 5_000), (1e-4, 500)])
+def test_limit_pair_kernel_matches_per_replication_loop(cutoff, reps):
+    view = view_half()
+    c = cfg(n=1, reps=reps, seed=10, threads=2, cutoff=cutoff)
+    lam = view.levy.tail(cutoff)
+    alpha = view.levy.drift_alpha
+    ref = []
+    for rows, block in _block_streams(c, math.ceil(lam)):
+        gen = block.child(0).generator()
+        counts = gen.poisson(lam, rows)
+        jumps = view.levy.tail_inverse((1.0 - gen.random(counts.sum())) * lam)
+        xs = view.weight.sampler(block.child(1), jumps.size)
+        for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
+            ref.append((alpha * view.weight.mean + float((xs[lo:hi] * jumps[lo:hi]).sum()),
+                        alpha + float(jumps[lo:hi].sum())))
+    ref = np.array(ref)
+    p = simulate_limit_pair(view, c)
+    # bincount adds a row's jumps in order, the loop pairwise: float64 rounding
+    np.testing.assert_allclose(p.w1, ref[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(p.w2, ref[:, 1], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
