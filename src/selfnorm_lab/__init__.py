@@ -75,6 +75,8 @@ from .class_diagnostics import (
     ks_distance,
     ks_two_sample,
     product_feller_check,
+    ratio_scans,
+    verdict_from_scans,
 )
 
 __version__ = "0.1.0"

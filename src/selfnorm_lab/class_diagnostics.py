@@ -86,14 +86,11 @@ def _is_growing(grid: np.ndarray, vals: np.ndarray) -> bool:
     return last > _GROW_FACTOR * first and last > _GROW_ABS
 
 
-def classify(y: MultiplierLaw, x_grid: Sequence[float]) -> ClassVerdict:
-    """Assign the regime label from ratio scans over x_grid.
+def ratio_scans(y: MultiplierLaw, x_grid: Sequence[float]):
+    """The Feller, centered Feller and Griffin ratios over x_grid.
 
-    The grid must be increasing and span at least six decades.  Decision
-    order: a growing Griffin ratio fails Griffin's condition; otherwise a
-    bounded centered ratio keeps zero centering admissible; otherwise a
-    bounded plain ratio leaves only the centering obstruction; what remains
-    is the heavy-oscillation regime where Griffin's condition still holds.
+    The grid must be increasing and span at least six decades.  Returns
+    (grid, feller, centered, griffin) as float arrays.
     """
     grid = np.asarray(list(x_grid), dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
@@ -103,6 +100,25 @@ def classify(y: MultiplierLaw, x_grid: Sequence[float]) -> ClassVerdict:
     fel = np.asarray([feller_ratio(y, t) for t in grid])
     cen = np.asarray([centered_feller_ratio(y, t) for t in grid])
     gri = np.asarray([griffin_ratio(y, t) for t in grid])
+    return grid, fel, cen, gri
+
+
+def classify(y: MultiplierLaw, x_grid: Sequence[float]) -> ClassVerdict:
+    """Assign the regime label from ratio scans over x_grid (see
+    :func:`ratio_scans` and :func:`verdict_from_scans`)."""
+    return verdict_from_scans(*ratio_scans(y, x_grid))
+
+
+def verdict_from_scans(grid: np.ndarray, fel: np.ndarray, cen: np.ndarray,
+                       gri: np.ndarray) -> ClassVerdict:
+    """Regime label from the output of :func:`ratio_scans`.
+
+    Decision order: a growing Griffin ratio fails Griffin's condition;
+    otherwise a bounded centered ratio keeps zero centering admissible;
+    otherwise a bounded plain ratio leaves only the centering obstruction;
+    what remains is the heavy-oscillation regime where Griffin's condition
+    still holds.
+    """
     if _is_growing(grid, gri):
         label = "griffin_fails"
     elif not _is_growing(grid, cen):

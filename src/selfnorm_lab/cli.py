@@ -230,15 +230,13 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
     grid = np.logspace(math.log10(cfg.get_float("diag.lo")),
                        math.log10(cfg.get_float("diag.hi")),
                        cfg.get_int("diag.points"))
-    verdict = cd.classify(y, grid)
-    fel = [cd.feller_ratio(y, t) for t in grid]
-    cen = [cd.centered_feller_ratio(y, t) for t in grid]
-    gri = [cd.griffin_ratio(y, t) for t in grid]
+    scans = cd.ratio_scans(y, grid)
+    verdict = cd.verdict_from_scans(*scans)
     out = _outdir(cfg)
     _write_json(out / "class_verdict.json",
                 _meta(cfg, "diagnose", {"verdict": verdict.__dict__}))
     scenarios._write_sample_csv(out / "ratio_scan.csv", ["x", "feller", "centered", "griffin"],
-                                [grid, fel, cen, gri])
+                                list(scans))
     return 0
 
 

@@ -67,7 +67,7 @@ class SeedStream:
     path: tuple = ()
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.master_seed) < 2**64):
+        if not 0 <= as_int(self.master_seed, "master_seed") < 2**64:
             raise ParameterError("master_seed must be a 64-bit unsigned integer")
         for k in (self.stream_index, *self.path):
             if not 0 <= as_int(k, "stream index") < 2**32:
@@ -109,13 +109,17 @@ class WeightLaw:
     negative half line.  ``pdf`` is the density of the continuous part, zero
     outside ``support``; ``pdf_breaks`` lists points where the density is
     kinked or discontinuous (quadrature split points).  ``atoms`` holds the
-    discrete part as (location, mass) pairs.  ``cdf`` maps a float or an
-    ndarray to the same shape; ``pdf`` is a scalar integrand (QUADPACK calls
-    it once per node).
+    discrete part as (location, mass) pairs.  ``cdf`` is P{X <= x} and
+    ``sf`` is P{X > x}; both map a float to a float and an ndarray to one of
+    the same shape.  ``sf`` is its own closed form, not ``1 - cdf``, so it
+    keeps its relative accuracy in the far upper tail, where ``1 - cdf``
+    cancels to zero.  ``pdf`` stays a scalar integrand: QUADPACK calls it
+    once per node, and a float call is cheaper than an array call there.
     """
 
     label: str
     cdf: Callable[[float], float]
+    sf: Callable[[float], float]
     sampler: Callable[[SeedStream, int], np.ndarray]
     mean: float
     abs_mean: float
@@ -136,9 +140,6 @@ class WeightLaw:
     def cdf_left(self, x: float) -> float:
         """Left limit F(x-)."""
         return self.cdf(x) - self.atom_mass(x)
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
 
 
 def vec_eval(fn: Callable, arr: np.ndarray) -> np.ndarray:
@@ -276,6 +277,7 @@ def _uniform01_weight() -> WeightLaw:
     return WeightLaw(
         label="uniform01",
         cdf=cdf,
+        sf=lambda x: np.clip(1.0 - x, 0.0, 1.0),
         sampler=lambda stream, count: stream.generator().random(count),
         mean=0.5,
         abs_mean=0.5,
@@ -294,6 +296,7 @@ def _gaussian_weight() -> WeightLaw:
     return WeightLaw(
         label="standard_gaussian",
         cdf=_norm_cdf,
+        sf=lambda x: _norm_cdf(np.negative(x)),
         sampler=lambda stream, count: stream.generator().standard_normal(count),
         mean=0.0,
         abs_mean=math.sqrt(2.0 / math.pi),
@@ -312,6 +315,9 @@ def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> Wei
     def cdf(x):
         return sum(m * (np.asarray(x) >= loc) for loc, m in atoms)
 
+    def sf(x):
+        return sum(m * (np.asarray(x) < loc) for loc, m in atoms)
+
     def bmp(b):
         return sum(m * loc ** b for loc, m in atoms if loc > 0)
 
@@ -328,7 +334,7 @@ def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> Wei
         return locs[np.searchsorted(inner_cum, u, side="right")]
 
     return WeightLaw(
-        label=label, cdf=cdf, sampler=sampler, mean=mean, abs_mean=abs_mean,
+        label=label, cdf=cdf, sf=sf, sampler=sampler, mean=mean, abs_mean=abs_mean,
         beta_moment_pos=bmp, beta_moment_neg=bmn, atoms=atoms,
         degenerate=degenerate, pdf=None,
         support=(atoms[0][0], atoms[-1][0]),
@@ -337,11 +343,18 @@ def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> Wei
 
 def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
     # P{|X| > x} = x^-gamma on [1, inf), sign is an independent fair coin
+    def half_tail(x):
+        return 0.5 * np.maximum(np.abs(x), 1.0) ** (-gamma)  # 0.5 on (-1, 1)
+
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        mag = np.maximum(np.abs(x), 1.0)
-        return np.where(x <= -1.0, 0.5 * mag ** (-gamma),
-                        np.where(x < 1.0, 0.5, 1.0 - 0.5 * mag ** (-gamma)))
+        tail = half_tail(x)
+        return np.where(x < 1.0, tail, 1.0 - tail)[()]
+
+    def sf(x):
+        x = np.asarray(x, dtype=float)
+        tail = half_tail(x)
+        return np.where(x > -1.0, tail, 1.0 - tail)[()]
 
     def sampler(stream, count):
         gen = stream.generator()
@@ -356,6 +369,7 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
     return WeightLaw(
         label=f"symmetric_pareto({gamma:g})",
         cdf=cdf,
+        sf=sf,
         sampler=sampler,
         mean=0.0 if finite_mean else math.nan,
         abs_mean=gamma / (gamma - 1.0) if finite_mean else math.inf,
@@ -376,6 +390,7 @@ def _abs_pareto_weight(gamma: float) -> WeightLaw:
     return WeightLaw(
         label=f"abs_pareto({gamma:g})",
         cdf=cdf,
+        sf=lambda x: np.maximum(x, 1.0) ** (-gamma),
         sampler=lambda stream, count: (1.0 - stream.generator().random(count)) ** (-1.0 / gamma),
         mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
         abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,

@@ -321,9 +321,13 @@ def phi_psi(view: BivariateLevyView, v: float, h: float,
         raise ParameterError("need 0 < v <= h")
     law = view.weight
     r = _varphi(v, h)
-    phi = law.cdf(r) - law.cdf(-r) + law.atom_mass(-r)
     psi = v * expect_weight(law, lambda t: t, -r, r, tol=tol)
-    return phi, psi
+    return _slice_mass(law, r), psi
+
+
+def _slice_mass(law: WeightLaw, r: float) -> float:
+    """P{-r <= X <= r}, boundary atoms included."""
+    return law.cdf(r) - law.cdf(-r) + law.atom_mass(-r)
 
 
 def _slice_breaks(law: WeightLaw, h: float) -> list:
@@ -355,8 +359,7 @@ def truncated_first_moments(view: BivariateLevyView, h: float,
     breaks = _slice_breaks(law, h)
 
     def integrand_y(v):
-        phi, _ = phi_psi(view, v, h, tol=tol * 0.01)
-        return phi * v * dens(v)
+        return _slice_mass(law, _varphi(v, h)) * v * dens(v)
 
     def integrand_xy(v):
         _, psi = phi_psi(view, v, h, tol=tol * 0.01)
@@ -378,12 +381,16 @@ def truncated_second_moments(view: BivariateLevyView, h: float,
     dens = view._density_or_raise()
     breaks = _slice_breaks(law, h)
 
+    # the three outer quadratures share most of their nodes
+    seen = {}
+
     def moments(v):
-        r = _varphi(v, h)
-        m1 = expect_weight(law, lambda t: t, -r, r, tol=tol * 0.01)
-        m2 = expect_weight(law, lambda t: t * t, -r, r, tol=tol * 0.01)
-        phi = law.cdf(r) - law.cdf(-r) + law.atom_mass(-r)
-        return phi, m1, m2
+        if v not in seen:
+            r = _varphi(v, h)
+            m1 = expect_weight(law, lambda t: t, -r, r, tol=tol * 0.01)
+            m2 = expect_weight(law, lambda t: t * t, -r, r, tol=tol * 0.01)
+            seen[v] = (_slice_mass(law, r), m1, m2)
+        return seen[v]
 
     uu = quad_segments(lambda v: v * v * moments(v)[2] * dens(v), 0.0, h,
                        points=breaks, tol=tol)

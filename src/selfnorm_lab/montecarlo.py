@@ -350,7 +350,7 @@ def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     regime where the ratio escapes to infinity; bounded weights pin the
     slope at zero.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [as_int(n, "n_list entry") for n in n_list]
     if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ParameterError("n_list must be strictly increasing")
     medians = {}

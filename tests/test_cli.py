@@ -126,6 +126,25 @@ def test_diagnose_writes_verdict(tmp_path):
     assert scan[0] == "x,feller,centered,griffin"
 
 
+def test_diagnose_scans_each_ratio_once(tmp_path, monkeypatch):
+    # the verdict and ratio_scan.csv share one evaluation of each scan: three
+    # ratios, each reading the survival function once per grid point
+    import dataclasses
+    from selfnorm_lab import cli
+    calls = []
+    make = cli.make_multiplier_law
+
+    def counting_law(*args, **kwargs):
+        law = make(*args, **kwargs)
+        return dataclasses.replace(law, survival=lambda y: calls.append(y) or law.survival(y))
+
+    monkeypatch.setattr(cli, "make_multiplier_law", counting_law)
+    cfg = write_cfg(tmp_path, **{"diag.points": "29"})
+    assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 3 * 29
+    assert len((tmp_path / "out" / "ratio_scan.csv").read_text().splitlines()) == 1 + 29
+
+
 def test_levy_reports(tmp_path):
     cfg = write_cfg(tmp_path, **{"levy.n_list": "100,1000",
                                  "levy.v_grid": "0.5,1,2",

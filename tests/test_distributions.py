@@ -52,6 +52,15 @@ def test_seed_stream_validation():
         SeedStream(1, -2)
 
 
+def test_seed_stream_rejects_non_integer_master_seed():
+    for bad in (1.7, 1.0, "1", np.float64(3.0)):
+        with pytest.raises(ParameterError):
+            SeedStream(bad)
+    for ok in (np.int64(5), np.uint64(5)):
+        assert np.array_equal(SeedStream(ok).generator().random(4),
+                              SeedStream(5).generator().random(4))
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: SeedStream(1, 2**32), id="index_2**32"),  # one key word each
     pytest.param(lambda: SeedStream(1, 0, (2**32,)), id="path_2**32"),
@@ -377,6 +386,49 @@ def test_cdf_monotone_with_limits():
         vals = np.asarray([float(x.cdf(t)) for t in grid])
         assert np.all(np.diff(vals) >= -1e-15)
         assert vals[0] <= 0.01 and vals[-1] >= 0.99
+
+
+# (law, point, P{X > point} in closed form): far tails where 1 - cdf
+# cancels, points next to atoms and support edges, and points outside
+SF_CASES = [
+    (make_weight_law("symmetric_pareto", gamma=0.8), 1e30, 0.5 * 1e30 ** -0.8),
+    (make_weight_law("symmetric_pareto", gamma=0.8), 1e300, 0.5 * 1e300 ** -0.8),
+    (make_weight_law("symmetric_pareto", gamma=0.8), -1e30, 1.0 - 0.5 * 1e30 ** -0.8),
+    (make_weight_law("symmetric_pareto", gamma=0.8), 0.3, 0.5),
+    (make_weight_law("abs_pareto", gamma=0.4), 1e30, 1e30 ** -0.4),
+    (make_weight_law("abs_pareto", gamma=0.4), 0.5, 1.0),
+    (make_weight_law("standard_gaussian"), 30.0, 0.5 * math.erfc(30.0 / math.sqrt(2.0))),
+    (make_weight_law("standard_gaussian"), -3.0, 0.5 * math.erfc(-3.0 / math.sqrt(2.0))),
+    (make_weight_law("uniform01"), 1.0 - 2.0 ** -40, 2.0 ** -40),
+    (make_weight_law("uniform01"), -5.0, 1.0),
+    (make_weight_law("uniform01"), 1.5, 0.0),
+    (make_weight_law("bernoulli", p=0.3, x0=-1.0, x1=5.0), 5.0 - 1e-12, 0.3),
+    (make_weight_law("bernoulli", p=0.3, x0=-1.0, x1=5.0), 5.0, 0.0),
+    (make_weight_law("bernoulli", p=0.3, x0=-1.0, x1=5.0), -1.0, 0.3),
+    (make_weight_law("rademacher"), -1.0 - 1e-12, 1.0),
+]
+
+
+@pytest.mark.parametrize("x,t,want", SF_CASES,
+                         ids=[f"{x.label}@{t:g}" for x, t, _ in SF_CASES])
+def test_sf_matches_closed_form(x, t, want):
+    got = x.sf(t)
+    assert isinstance(got, float)  # np.float64 included, never a 0-d array
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0 if want else 1e-300)
+    arr = x.sf(np.array([t, t]))
+    assert arr.shape == (2,)
+    assert arr == pytest.approx([got, got], rel=1e-15, abs=0.0 if want else 1e-300)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("uniform01", {}), ("standard_gaussian", {}), ("rademacher", {}),
+    ("bernoulli", {"p": 0.3, "x0": -1.0, "x1": 5.0}), ("symmetric_pareto", {"gamma": 0.8}),
+    ("abs_pareto", {"gamma": 0.9}), ("point_mass", {"c": 2.0}),
+])
+def test_sf_complements_cdf(kind, kwargs):
+    x = make_weight_law(kind, **kwargs)
+    grid = np.concatenate([np.linspace(-6.0, 6.0, 241), [-1.0, 0.0, 1.0, 2.0, 5.0]])
+    assert np.max(np.abs(x.sf(grid) + x.cdf(grid) - 1.0)) <= 2e-16
 
 
 @pytest.mark.parametrize("kind,kwargs,var_known", [

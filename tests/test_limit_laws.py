@@ -7,7 +7,9 @@ from scipy.special import beta as beta_fn
 
 from selfnorm_lab.distributions import (
     ParameterError,
+    QuadratureError,
     SeedStream,
+    WeightLaw,
     make_pareto_multiplier,
     make_weight_law,
 )
@@ -76,6 +78,114 @@ def test_cdf_monotone_on_grid(kind, kwargs):
     vals = breiman_cdf_grid(lim, grid)
     assert np.all(np.diff(vals) >= -1e-10)
     assert vals[0] >= 0.0 and vals[-1] <= 1.0
+
+
+# Grid path (breiman_cdf_grid) against the adaptive reference and closed
+# forms; the grid holds atoms, density breaks, support edges, points next to
+# them, points beyond every support and +-1e4.
+EDGE_GRID = np.unique(np.concatenate([
+    [-1e4, -1e3, -20.0, -2.0, -1.0 - 1e-9, -1.0, -1.0 + 1e-12, -1e-13, 0.0, 1e-13,
+     0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, 2.0, 2.0 + 1e-7, 20.0, 1e3, 1e4],
+    np.linspace(-3.0, 3.0, 25),
+]))
+GRID_LAWS = [
+    ("uniform01", {}),
+    ("rademacher", {}),
+    ("bernoulli", {"p": 0.3, "x0": -1.0, "x1": 2.0}),
+    ("standard_gaussian", {}),
+    ("symmetric_pareto", {"gamma": 0.8}),
+]
+
+
+@pytest.mark.parametrize("kind,kwargs", GRID_LAWS)
+def test_grid_matches_adaptive_cdf(kind, kwargs):
+    lim = BreimanLimit(0.5, make_weight_law(kind, **kwargs))
+    want = np.array([breiman_cdf(lim, float(t)) for t in EDGE_GRID])
+    assert np.max(np.abs(breiman_cdf_grid(lim, EDGE_GRID) - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.3, 0.8])
+def test_grid_matches_adaptive_cdf_other_beta(beta):
+    for kind, kwargs in (("standard_gaussian", {}), ("symmetric_pareto", {"gamma": 0.95}),
+                         ("abs_pareto", {"gamma": 0.9})):
+        lim = BreimanLimit(beta, make_weight_law(kind, **kwargs))
+        want = np.array([breiman_cdf(lim, float(t)) for t in EDGE_GRID])
+        assert np.max(np.abs(breiman_cdf_grid(lim, EDGE_GRID) - want)) <= 1e-9
+
+
+def _arctan_cdf(i_s, i_a, b):
+    ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
+    cdf = 0.5 + np.arctan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
+    return np.where(i_a > 0.0, cdf, 0.5)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+def test_grid_matches_uniform_closed_form(beta):
+    # E[(X-x)^b; X>x] = ((1-x)^(b+1) - (-x)_+^(b+1)) / (b+1) for x < 1
+    x = EDGE_GRID
+    up = (np.maximum(1.0 - x, 0.0) ** (beta + 1.0) - np.maximum(-x, 0.0) ** (beta + 1.0))
+    down = (np.maximum(x, 0.0) ** (beta + 1.0) - np.maximum(x - 1.0, 0.0) ** (beta + 1.0))
+    want = _arctan_cdf(down - up, down + up, beta)
+    lim = BreimanLimit(beta, make_weight_law("uniform01"))
+    assert np.max(np.abs(breiman_cdf_grid(lim, x) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("rademacher", {}),
+    ("bernoulli", {"p": 0.3, "x0": -1.0, "x1": 2.0}),
+    ("point_mass", {"c": 1.0}),
+])
+def test_grid_matches_atomic_closed_form(kind, kwargs):
+    law = make_weight_law(kind, **kwargs)
+    x, b = EDGE_GRID, 0.5
+    i_s = sum(m * np.abs(loc - x) ** b * np.sign(x - loc) for loc, m in law.atoms)
+    i_a = sum(m * np.abs(loc - x) ** b for loc, m in law.atoms)
+    got = breiman_cdf_grid(BreimanLimit(b, law), x)
+    assert np.max(np.abs(got - _arctan_cdf(i_s, i_a, b))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,kwargs", GRID_LAWS + [("abs_pareto", {"gamma": 0.9})])
+def test_grid_cdf_monotone(kind, kwargs):
+    lim = BreimanLimit(0.5, make_weight_law(kind, **kwargs))
+    grid = np.unique(np.concatenate([EDGE_GRID, np.linspace(-4.0, 4.0, 2001),
+                                     -np.logspace(0.0, 5.0, 301), np.logspace(0.0, 5.0, 301)]))
+    vals = breiman_cdf_grid(lim, grid)
+    assert np.all(np.diff(vals) >= 0.0)
+    assert vals[0] >= 0.0 and vals[-1] <= 1.0
+
+
+def test_grid_chunks_are_independent():
+    # a grid over several evaluation chunks equals its two halves (cut off a
+    # chunk boundary) evaluated on their own, bit for bit
+    from selfnorm_lab.limit_laws import _CHUNK
+    lim = BreimanLimit(0.5, make_weight_law("symmetric_pareto", gamma=0.8))
+    grid = np.linspace(-30.0, 30.0, 2 * _CHUNK + 77)
+    cut = _CHUNK + 41
+    whole = breiman_cdf_grid(lim, grid)
+    halves = np.concatenate([breiman_cdf_grid(lim, grid[:cut]), breiman_cdf_grid(lim, grid[cut:])])
+    assert np.array_equal(whole, halves)
+
+
+def test_grid_raises_on_unresolved_tail():
+    # P{X > u} = 1/log u on [e, inf) has no fractional moment; a law that
+    # claims one gets past BreimanLimit, and the folded tail must refuse it
+    law = WeightLaw(
+        label="log_tail", cdf=lambda u: 1.0 - 1.0 / np.log(np.maximum(u, math.e)),
+        sf=lambda u: 1.0 / np.log(np.maximum(u, math.e)),
+        sampler=lambda stream, count: np.full(count, math.e), mean=math.inf,
+        abs_mean=math.inf, beta_moment_pos=lambda b: 1.0, beta_moment_neg=lambda b: 0.0,
+        pdf=lambda u: 1.0 / (u * math.log(u) ** 2) if u >= math.e else 0.0,
+        pdf_breaks=(math.e,), support=(math.e, math.inf))
+    with pytest.raises(QuadratureError):
+        breiman_cdf_grid(BreimanLimit(0.5, law), [0.0, 5.0])
+
+
+def test_grid_validation(lim_u01):
+    with pytest.raises(ParameterError):
+        breiman_cdf_grid(lim_u01, [0.1, math.nan])
+    with pytest.raises(ParameterError):
+        breiman_cdf_grid(lim_u01, [0.1, math.inf])
+    assert breiman_cdf_grid(lim_u01, np.array([[0.2, 0.5], [0.7, 2.0]])).shape == (2, 2)
 
 
 def test_symmetric_weight_reflection():

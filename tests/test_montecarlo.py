@@ -381,3 +381,12 @@ def test_divergence_probe_requires_increasing_n():
     with pytest.raises(ParameterError):
         divergence_probe(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
                          cfg(reps=10), (100, 100))
+
+
+def test_divergence_probe_rejects_non_integer_n():
+    x, y = make_weight_law("uniform01"), make_pareto_multiplier(0.5)
+    for n_list in ((10.5, 100.9), (10, 100.0)):
+        with pytest.raises(ParameterError):
+            divergence_probe(x, y, cfg(reps=10), n_list)
+    probe = divergence_probe(x, y, cfg(reps=10), (np.int64(10), 100))
+    assert list(probe.medians) == [10, 100]
