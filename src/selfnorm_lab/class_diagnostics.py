@@ -10,7 +10,6 @@ distance used throughout the acceptance checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -63,9 +62,6 @@ class ClassVerdict:
     griffin_limsup_proxy: float
     label: str
     x_grid: list
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 _GROW_FACTOR = 4.0

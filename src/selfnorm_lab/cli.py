@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -96,6 +96,22 @@ def parse_config_file(path: Path) -> dict:
     return out
 
 
+def _config_int(key: str, text: str) -> int:
+    """An integer config value; a float spelling of an integer (``1e4``)
+    passes, a fraction or a non-finite value raises ParameterError."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer()):
+        raise ParameterError(f"config field {key!r} must be an integer, got {text!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment settings plus the raw key-value record."""
@@ -106,11 +122,10 @@ class ExperimentConfig:
         return self.raw.get(key, _DEFAULTS.get(key, ""))
 
     def get_int(self, key: str) -> int:
-        try:
-            return int(float(self.get(key)))
-        except ValueError:
-            raise ParameterError(f"config field {key!r} must be an integer, "
-                                 f"got {self.get(key)!r}")
+        return _config_int(key, self.get(key))
+
+    def get_int_list(self, key: str) -> list:
+        return [_config_int(key, tok) for tok in self.get(key).split(",") if tok.strip()]
 
     def get_float(self, key: str) -> float:
         try:
@@ -216,8 +231,8 @@ def run_limit(cfg: ExperimentConfig) -> int:
         raise ParameterError("grid.points must be >= 2 and grid.hi > grid.lo")
     grid = np.linspace(lo, hi, points)
     cdf_vals = ll.breiman_cdf_grid(lim, grid)
-    tails = np.asarray([ll.breiman_tail(lim, t) if t > 0.0 else math.nan
-                        for t in grid])
+    tails = np.full_like(grid, math.nan)
+    tails[grid > 0.0] = ll.breiman_tail(lim, grid[grid > 0.0])
     out = _outdir(cfg)
     scenarios._write_sample_csv(out / "limit_table.csv", ["x", "breiman_cdf", "breiman_tail"],
                                 [grid, cdf_vals, tails],
@@ -245,7 +260,7 @@ def run_levy(cfg: ExperimentConfig) -> int:
     y = cfg.multiplier_law()
     out = _outdir(cfg)
     seed = SeedStream(cfg.get_int("seed"))
-    n_list = [int(v) for v in cfg.get_list("levy.n_list")]
+    n_list = cfg.get_int_list("levy.n_list")
     v_grid = cfg.get_list("levy.v_grid")
     u_grid = cfg.get_list("levy.u_grid")
     h_list = cfg.get_list("levy.h_list")
@@ -259,7 +274,7 @@ def run_levy(cfg: ExperimentConfig) -> int:
         x, y, view, n_list=n_list, v_grid=v_grid,
         uv_grid=[(u, 0.0) for u in u_grid] if view is not None else (),
         stream=seed.child(1), draws=draws)
-    (out / "levy_convergence.json").write_text(result.to_json() + "\n")
+    _write_json(out / "levy_convergence.json", asdict(result))
 
     payload = {}
     if view is not None:

@@ -10,7 +10,6 @@ and variance-reduced Monte Carlo otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -125,9 +124,6 @@ class ConvergenceReport:
         return cls(name=name, grid=list(grid), prelimit=prelimit, limit=limit,
                    gaps=gaps, sup_abs_gap=sup, tol=float(tol), verdict=sup <= tol,
                    se=[float(s) for s in se] if se is not None else [], note=note)
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +479,6 @@ class LevyConvergenceResult:
     verdict: bool
     note: str = ""
 
-    def to_json(self) -> str:
-        payload = {
-            "n_list": self.n_list,
-            "lambda_reports": [r.__dict__ for r in self.lambda_reports],
-            "pi_reports": [r.__dict__ for r in self.pi_reports],
-            "monotone_improving": self.monotone_improving,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
                            view: Optional[BivariateLevyView],
@@ -510,7 +495,9 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
     (slowly varying tail): the interval masses of the row measure are then
     compared against zero and the report documents the escaping mass.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [as_int(n, "n_list entry") for n in n_list]
+    if any(n < 1 for n in n_list):
+        raise ParameterError("n_list entries must be >= 1")
     lam_reports = []
     pi_reports = []
     if view is None:

@@ -31,10 +31,11 @@ class BreimanLimit:
 
     Requires a fractional absolute moment of X one notch above beta
     (checked at beta + moment_margin).  ``quad_tol`` is the absolute
-    tolerance of each moment quadrature piece of the adaptive routines
-    (:func:`breiman_cdf`, :func:`breiman_tail`), whose error estimate may
-    reach max(quad_tol, 1e-9 * |piece|) (see :func:`quad_segments`);
-    :func:`breiman_cdf_grid` uses a fixed rule and does not read it.
+    tolerance of each moment quadrature piece of the adaptive
+    :func:`breiman_cdf`, whose error estimate may reach
+    max(quad_tol, 1e-9 * |piece|) (see :func:`quad_segments`);
+    :func:`breiman_cdf_grid` and :func:`breiman_tail` use a fixed rule and
+    do not read it.
     """
 
     beta: float
@@ -172,24 +173,23 @@ def _upper_moment(tail, knots, empty, x, b):
     return out
 
 
-def _fractional_moments(law: WeightLaw, x: np.ndarray, b: float):
-    """(I+, I-) = (E[(X-x)^b; X>x], E[(x-X)^b; X<x]) over the 1-d array x."""
+def _fractional_moment(law: WeightLaw, x: np.ndarray, b: float, side: int) -> np.ndarray:
+    """I+ = E[(X-x)^b; X>x] (side +1) or I- = E[(x-X)^b; X<x] (side -1)
+    over the 1-d array x."""
     if law.pdf is None:
-        up = sum(m * np.maximum(loc - x, 0.0) ** b for loc, m in law.atoms)
-        down = sum(m * np.maximum(x - loc, 0.0) ** b for loc, m in law.atoms)
-        return up, down
+        return sum(m * np.maximum(side * (loc - x), 0.0) ** b for loc, m in law.atoms)
     knots = sorted({p for p in (*(loc for loc, _ in law.atoms), *law.pdf_breaks, *law.support)
                     if math.isfinite(p)})
     edges = (-math.inf, *knots, math.inf)
     empty = [float(law.cdf(lo)) == law.cdf_left(hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    mirrored = [-k for k in knots[::-1]], empty[::-1]
-    cdf = law.cdf
-    up, down = np.empty_like(x), np.empty_like(x)
+    tail = law.sf
+    if side < 0:  # I- of X is I+ of -X at -x
+        cdf = law.cdf
+        tail, knots, empty, x = lambda v: cdf(-v), [-k for k in knots[::-1]], empty[::-1], -x
+    out = np.empty_like(x)
     for i in range(0, x.size, _CHUNK):
-        part = x[i:i + _CHUNK]
-        up[i:i + _CHUNK] = _upper_moment(law.sf, knots, empty, part, b)
-        down[i:i + _CHUNK] = _upper_moment(lambda v: cdf(-v), *mirrored, -part, b)
-    return up, down
+        out[i:i + _CHUNK] = _upper_moment(tail, knots, empty, x[i:i + _CHUNK], b)
+    return out
 
 
 def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
@@ -204,8 +204,9 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     x = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ParameterError("grid points must be finite")
-    b = lim.beta
-    up, down = _fractional_moments(lim.weight, x.ravel(), b)
+    b, flat = lim.beta, x.ravel()
+    up = _fractional_moment(lim.weight, flat, b, 1)
+    down = _fractional_moment(lim.weight, flat, b, -1)
     i_a, i_s = up + down, down - up
     ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
     cdf = 0.5 + np.arctan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
@@ -263,17 +264,22 @@ _TAIL_PREF = lambda b: math.tan(math.pi * b / 2.0) / (
     math.pi * b * (1.0 + math.tan(math.pi * b / 2.0) ** 2))
 
 
-def breiman_tail(lim: BreimanLimit, x: float) -> float:
+def breiman_tail(lim: BreimanLimit, x):
     """First-order upper-tail value at x > 0:
     2 * E[(X/x - 1)^b 1{X > x}] * tan(pi b/2) / (pi b (1 + tan^2(pi b/2))).
+
+    The expectation is ``x^-b I+(x)`` with ``I+`` from the grid rule of
+    :func:`breiman_cdf_grid` (exact sums for a law with atoms only).  ``x``
+    is a float or an array of positive finite points; an array gives an
+    array of the same shape.
     """
-    if x <= 0.0:
-        raise ParameterError("x must be positive")
-    b, law = lim.beta, lim.weight
-    integral = expect_weight(law, lambda u: (u / x - 1.0) ** b,
-                             lo=x, hi=math.inf, include_lo=False,
-                             tol=lim.quad_tol)
-    return 2.0 * integral * _TAIL_PREF(b)
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs) & (xs > 0.0)):
+        raise ParameterError("x must be positive and finite")
+    b = lim.beta
+    up = _fractional_moment(lim.weight, xs.ravel(), b, 1).reshape(xs.shape)
+    tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up
+    return float(tail) if tail.ndim == 0 else tail
 
 
 def regvar_tail_constant(beta: float, alpha_rv: float,

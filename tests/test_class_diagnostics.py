@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from selfnorm_lab.distributions import (
     make_weight_law,
 )
 from selfnorm_lab.montecarlo import EmpiricalSample
+from selfnorm_lab.scenarios import _write_json
 
 GRID = np.logspace(2, 16, 57)
 
@@ -89,12 +91,15 @@ def test_classify_shipped_laws():
                     GRID).label == "griffin_fails"
 
 
-def test_classify_verdict_consistency():
+def test_classify_verdict_consistency(tmp_path):
     v = classify(make_pareto_multiplier(0.5), GRID)
     assert v.feller_limsup_proxy == pytest.approx(3.0, rel=0.01)
     assert v.centered_limsup_proxy == pytest.approx(6.0, rel=0.01)
     assert v.label in ("centered_feller",)
-    assert "centered" in v.to_json()
+    _write_json(tmp_path / "verdict.json", asdict(v))
+    payload = json.loads((tmp_path / "verdict.json").read_text())
+    assert payload["label"] == "centered_feller"
+    assert payload["centered_limsup_proxy"] == v.centered_limsup_proxy
 
 
 def test_classify_scale_invariant():

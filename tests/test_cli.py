@@ -66,6 +66,24 @@ def test_simulate_zero_reps_exits_3(tmp_path, capsys):
     assert "reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["10.5", "inf"])
+def test_simulate_non_integer_n_exits_3(tmp_path, capsys, n):
+    cfg = write_cfg(tmp_path, n=n)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "'n'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "tn_sample.csv").exists()
+
+
+def test_simulate_accepts_float_spelled_integer_n(tmp_path):
+    cfg = write_cfg(tmp_path, n="1e4", reps="20")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "tn_sample.meta.json").read_text())
+    assert meta["law_meta"]["n"] == 10_000
+    assert len((out / "tn_sample.csv").read_text().splitlines()) == 1 + 20
+
+
 def test_simulate_bad_law_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, **{"y_law.kind": "zeta"})
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -169,6 +187,13 @@ def test_levy_reports_non_feller_multiplier(tmp_path):
     conv = json.loads((out / "levy_convergence.json").read_text())
     assert "non-Feller" in conv["note"]
     assert conv["verdict"] is True
+
+
+def test_levy_non_integer_n_list_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{"levy.n_list": "10.5,100"})
+    rc = main(["levy", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "levy.n_list" in capsys.readouterr().err
 
 
 def test_reproduce_unknown_suite_exits_3(tmp_path):

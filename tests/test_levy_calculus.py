@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from selfnorm_lab.levy_calculus import (
     truncated_first_moments,
     truncated_second_moments,
 )
+from selfnorm_lab.scenarios import _write_json
 
 
 @pytest.fixture(scope="module")
@@ -396,25 +399,36 @@ def test_check_levy_convergence_pareto(view_u01):
         assert rep.verdict
 
 
-def test_check_levy_convergence_slowly_varying_documents_escape():
+def test_check_levy_convergence_slowly_varying_documents_escape(tmp_path):
     x = make_weight_law("uniform01")
     y = make_slowly_varying_multiplier()
     res = check_levy_convergence(x, y, None, n_list=(100, 10_000),
                                  v_grid=(0.25, 1.0, 4.0))
     assert res.verdict
     assert "non-Feller" in res.note
-    payload = res.to_json()
-    assert "interval_mass" in payload
+    _write_json(tmp_path / "conv.json", asdict(res))
+    payload = json.loads((tmp_path / "conv.json").read_text())
+    assert payload["lambda_reports"][0]["name"].startswith("interval_mass")
 
 
-def test_convergence_report_roundtrip():
+@pytest.mark.parametrize("n_list", [(10.5, 100), (10, 100.0), (0, 100)])
+def test_check_levy_convergence_rejects_bad_n(n_list):
+    with pytest.raises(ParameterError):
+        check_levy_convergence(make_weight_law("uniform01"),
+                               make_slowly_varying_multiplier(), None,
+                               n_list=n_list, v_grid=(0.25, 1.0))
+
+
+def test_convergence_report_roundtrip(tmp_path):
     rep = ConvergenceReport.build("demo", [1.0, 2.0], [0.1, 0.2], [0.1, 0.25],
                                   tol=0.1)
     assert rep.sup_abs_gap == pytest.approx(0.05)
     assert rep.gaps == pytest.approx([0.0, 0.05])
     assert rep.verdict
-    assert "demo" in rep.to_json()
-    assert '"gaps"' in rep.to_json()
+    _write_json(tmp_path / "rep.json", asdict(rep))
+    payload = json.loads((tmp_path / "rep.json").read_text())
+    assert payload["name"] == "demo"
+    assert payload["gaps"] == pytest.approx([0.0, 0.05])
 
 
 def test_quadrature_tolerance_halving(view_u01):

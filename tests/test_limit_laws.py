@@ -252,6 +252,30 @@ def test_cdf_plus_tail_consistency():
 def test_breiman_tail_validation(lim_u01):
     with pytest.raises(ParameterError):
         breiman_tail(lim_u01, 0.0)
+    for bad in (math.inf, math.nan, [1.0, -2.0]):
+        with pytest.raises(ParameterError):
+            breiman_tail(lim_u01, bad)
+
+
+@pytest.mark.parametrize("kind", ["uniform01", "symmetric_pareto", "standard_gaussian"])
+def test_breiman_tail_array_matches_scalar_calls(kind):
+    lim = BreimanLimit(0.5, make_weight_law(kind, gamma=0.8))
+    xs = np.concatenate([np.linspace(0.05, 3.0, 40), np.logspace(0.5, 4.0, 300)])
+    tails = breiman_tail(lim, xs)
+    assert tails.shape == xs.shape
+    assert np.array_equal(tails, [breiman_tail(lim, float(t)) for t in xs])
+    assert isinstance(breiman_tail(lim, 2.0), float)
+    assert breiman_tail(lim, xs.reshape(20, -1)).shape == (20, 17)
+
+
+def test_breiman_tail_atomic_law_exact_sum():
+    # mass 0.3 at 2.5 and 0.7 at -1: only the atom at 2.5 lies above x > 0
+    lim = BreimanLimit(0.4, make_weight_law("bernoulli", p=0.3, x0=-1.0, x1=2.5))
+    pref = math.tan(math.pi * 0.2) / (math.pi * 0.4 * (1.0 + math.tan(math.pi * 0.2) ** 2))
+    xs = np.array([0.1, 0.5, 1.0, 2.0, 2.4999, 2.5, 3.0, 40.0])
+    exact = [2.0 * pref * 0.3 * ((2.5 - t) / t) ** 0.4 if t < 2.5 else 0.0 for t in xs]
+    assert breiman_tail(lim, xs) == pytest.approx(exact, rel=1e-13, abs=1e-300)
+    assert breiman_tail(lim, 1.0) == pytest.approx(exact[2], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
