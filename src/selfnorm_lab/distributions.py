@@ -5,11 +5,13 @@ randomly weighted sum; a *multiplier law* is the distribution of the
 non-negative factors Y.  Both are immutable records bundling the analytic
 descriptors needed downstream (CDF or survival function, truncated and
 fractional moments, norming sequence) together with an exact inverse-transform
-style sampler driven by a :class:`SeedStream`.
+style sampler driven by a :class:`SeedStream` or a numpy ``Generator``.
 
-All built-in samplers are pure functions of ``(master_seed, stream_index,
-path, count)``: the same stream always reproduces the same draws bit for bit,
-independent of thread count or call order.
+All built-in samplers drawn from a stream are pure functions of
+``(master_seed, stream_index, path, count)``: the same stream always
+reproduces the same draws bit for bit, independent of thread count or call
+order.  Drawn from a ``Generator``, they continue its sequence, which lets
+an engine take many draws from one generator without deriving a new one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import special
@@ -86,6 +88,17 @@ class SeedStream:
                           (*self.path, as_int(k, "substream index")))
 
 
+RandomSource = Union[SeedStream, np.random.Generator]
+
+
+def _rng(source: RandomSource) -> np.random.Generator:
+    """The generator a sampler draws from: a stream's fresh generator, or a
+    ``Generator`` as it stands, continuing where it left off."""
+    if isinstance(source, np.random.Generator):
+        return source
+    return source.generator()
+
+
 # ---------------------------------------------------------------------------
 # Law records
 # ---------------------------------------------------------------------------
@@ -115,12 +128,16 @@ class WeightLaw:
     keeps its relative accuracy in the far upper tail, where ``1 - cdf``
     cancels to zero.  ``pdf`` stays a scalar integrand: QUADPACK calls it
     once per node, and a float call is cheaper than an array call there.
+    ``sampler(source, count)`` draws ``count`` values from a
+    :class:`SeedStream` (a fresh generator from its key) or a numpy
+    ``Generator`` (continuing its sequence) and returns a fresh float array
+    that the caller may overwrite.
     """
 
     label: str
     cdf: Callable[[float], float]
     sf: Callable[[float], float]
-    sampler: Callable[[SeedStream, int], np.ndarray]
+    sampler: Callable[[RandomSource, int], np.ndarray]
     mean: float
     abs_mean: float
     beta_moment_pos: Callable[[float], float]
@@ -167,16 +184,19 @@ class MultiplierLaw:
     evaluations finite when a_n overflows a double, as it does for the
     slowly varying law.  ``log_sampler`` draws log Y coupled to the same
     uniforms as ``sampler``; scale-free engines use it so that laws whose
-    raw draws overflow a double still sum correctly.  ``tail_sampler(stream,
+    raw draws overflow a double still sum correctly.  ``tail_sampler(source,
     count, y0)`` draws from the conditional law of Y given Y > y0 exactly; it
-    powers low-variance estimators of rare product-tail events.
+    powers low-variance estimators of rare product-tail events.  All three
+    samplers take a :class:`SeedStream` (a fresh generator from its key) or
+    a numpy ``Generator`` (continuing its sequence) as ``source`` and return
+    a fresh float array that the caller may overwrite.
     ``survival``, ``survival_logarg``, ``trunc_mean`` and ``trunc_second`` map
     a float to a float and an ndarray to one of the same shape.
     """
 
     label: str
     survival: Callable[[float], float]
-    sampler: Callable[[SeedStream, int], np.ndarray]
+    sampler: Callable[[RandomSource, int], np.ndarray]
     trunc_mean: Callable[[float], float]
     trunc_second: Callable[[float], float]
     norming: Callable[[int], float]
@@ -184,8 +204,8 @@ class MultiplierLaw:
     tail_class: TailClass
     log_norming: Optional[Callable[[int], float]] = None
     survival_logarg: Optional[Callable[[float], float]] = None
-    log_sampler: Optional[Callable[[SeedStream, int], np.ndarray]] = None
-    tail_sampler: Optional[Callable[[SeedStream, int, float], np.ndarray]] = None
+    log_sampler: Optional[Callable[[RandomSource, int], np.ndarray]] = None
+    tail_sampler: Optional[Callable[[RandomSource, int, float], np.ndarray]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +298,7 @@ def _uniform01_weight() -> WeightLaw:
         label="uniform01",
         cdf=cdf,
         sf=lambda x: np.clip(1.0 - x, 0.0, 1.0),
-        sampler=lambda stream, count: stream.generator().random(count),
+        sampler=lambda source, count: _rng(source).random(count),
         mean=0.5,
         abs_mean=0.5,
         beta_moment_pos=lambda b: 1.0 / (1.0 + b),
@@ -297,7 +317,7 @@ def _gaussian_weight() -> WeightLaw:
         label="standard_gaussian",
         cdf=_norm_cdf,
         sf=lambda x: _norm_cdf(np.negative(x)),
-        sampler=lambda stream, count: stream.generator().standard_normal(count),
+        sampler=lambda source, count: _rng(source).standard_normal(count),
         mean=0.0,
         abs_mean=math.sqrt(2.0 / math.pi),
         beta_moment_pos=beta_moment,
@@ -305,6 +325,16 @@ def _gaussian_weight() -> WeightLaw:
         pdf=lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
         support=(-math.inf, math.inf),
     )
+
+
+def _atom_index(inner_cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Number of cumulative masses at or below each uniform, which is
+    ``searchsorted(inner_cum, u, side="right")``.  One comparison pass per
+    cut is cheaper than a binary search for the few atoms a law has."""
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in inner_cum:
+        idx += u >= c
+    return idx
 
 
 def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> WeightLaw:
@@ -325,13 +355,12 @@ def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> Wei
         return sum(m * (-loc) ** b for loc, m in atoms if loc < 0)
 
     locs = np.array([loc for loc, _ in atoms])
-    # atom j takes U in [cum[j-1], cum[j]); searching all but the last
+    # atom j takes U in [cum[j-1], cum[j]); counting all but the last
     # cumulative mass sends U >= cum[-2] to the last atom, rounding included
     inner_cum = np.cumsum([m for _, m in atoms])[:-1]
 
-    def sampler(stream, count):
-        u = stream.generator().random(count)
-        return locs[np.searchsorted(inner_cum, u, side="right")]
+    def sampler(source, count):
+        return locs[_atom_index(inner_cum, _rng(source).random(count))]
 
     return WeightLaw(
         label=label, cdf=cdf, sf=sf, sampler=sampler, mean=mean, abs_mean=abs_mean,
@@ -356,8 +385,8 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
         tail = half_tail(x)
         return np.where(x > -1.0, tail, 1.0 - tail)[()]
 
-    def sampler(stream, count):
-        gen = stream.generator()
+    def sampler(source, count):
+        gen = _rng(source)
         mag = (1.0 - gen.random(count)) ** (-1.0 / gamma)
         sign = gen.integers(0, 2, size=count) * 2.0 - 1.0
         return sign * mag
@@ -391,7 +420,7 @@ def _abs_pareto_weight(gamma: float) -> WeightLaw:
         label=f"abs_pareto({gamma:g})",
         cdf=cdf,
         sf=lambda x: np.maximum(x, 1.0) ** (-gamma),
-        sampler=lambda stream, count: (1.0 - stream.generator().random(count)) ** (-1.0 / gamma),
+        sampler=lambda source, count: (1.0 - _rng(source).random(count)) ** (-1.0 / gamma),
         mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
         abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
         beta_moment_pos=lambda b: gamma / (gamma - b) if b < gamma else math.inf,
@@ -443,6 +472,17 @@ def make_weight_law(kind: str, *, c: float = 1.0, p: float = 0.5,
 # ---------------------------------------------------------------------------
 
 
+def _pareto_power(v: np.ndarray, b: float) -> np.ndarray:
+    """v ** (-1/b) for v in (0, 1]: Pareto(b) draws from v = 1 - U.  For
+    b = 1/2 and b = 1 it takes 1 / (v * v) and 1 / v, which are cheaper than
+    the power, stay >= 1 and lie within 2 ulp of it."""
+    if b == 0.5:
+        return 1.0 / (v * v)
+    if b == 1.0:
+        return 1.0 / v
+    return v ** (-1.0 / b)
+
+
 def make_pareto_multiplier(beta: float) -> MultiplierLaw:
     """Pareto multiplier, P{Y > y} = y^-beta on [1, inf), beta in (0, 2).
 
@@ -464,14 +504,14 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
     def trunc_second(x):
         return b * (np.maximum(x, 1.0) ** (2.0 - b) - 1.0) / (2.0 - b)
 
-    def tail_sampler(stream, count, y0):
+    def tail_sampler(source, count, y0):
         lo = max(1.0, y0)
-        return lo * (1.0 - stream.generator().random(count)) ** (-1.0 / b)
+        return lo * (1.0 - _rng(source).random(count)) ** (-1.0 / b)
 
     return MultiplierLaw(
         label=f"pareto(beta={b:g})",
         survival=survival,
-        sampler=lambda stream, count: (1.0 - stream.generator().random(count)) ** (-1.0 / b),
+        sampler=lambda source, count: _pareto_power(1.0 - _rng(source).random(count), b),
         trunc_mean=trunc_mean,
         trunc_second=trunc_second,
         norming=lambda n: float(n) ** (1.0 / b),
@@ -518,18 +558,18 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
             far = xm * (xm * (series / lx))
         return np.where(x <= e, 0.0, np.where(z > 700.0, far, direct))[()]
 
-    def sampler(stream, count):
-        u = 1.0 - stream.generator().random(count)  # (0, 1]
+    def sampler(source, count):
+        u = 1.0 - _rng(source).random(count)  # (0, 1]
         with np.errstate(over="ignore"):
             return np.exp(1.0 / u)  # inf beyond e^709; see log_sampler
 
-    def log_sampler(stream, count):
-        u = 1.0 - stream.generator().random(count)
+    def log_sampler(source, count):
+        u = 1.0 - _rng(source).random(count)
         return 1.0 / u
 
-    def tail_sampler(stream, count, y0):
+    def tail_sampler(source, count, y0):
         cap = 1.0 / math.log(max(y0, e))  # P{Y > y0} in uniform units
-        u = (1.0 - stream.generator().random(count)) * cap
+        u = (1.0 - _rng(source).random(count)) * cap
         with np.errstate(over="ignore"):
             return np.exp(1.0 / u)
 
@@ -572,24 +612,24 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
         return MultiplierLaw(
             label=f"exponential(rate={r:g})",
             survival=lambda y: np.exp(-r * np.maximum(y, 0.0)),
-            sampler=lambda stream, count: stream.generator().standard_exponential(count) / r,
+            sampler=lambda source, count: _rng(source).standard_exponential(count) / r,
             trunc_mean=trunc_mean,
             trunc_second=trunc_second,
             norming=lambda n: n / r,
             mean=1.0 / r,
             tail_class=TailClass("finite_mean"),
-            tail_sampler=lambda stream, count, y0: (
-                max(y0, 0.0) + stream.generator().standard_exponential(count) / r),
+            tail_sampler=lambda source, count, y0: (
+                max(y0, 0.0) + _rng(source).standard_exponential(count) / r),
         )
     if kind == "uniform01":
-        def tail_sampler(stream, count, y0):
+        def tail_sampler(source, count, y0):
             lo = max(0.0, min(y0, 1.0))
-            return lo + (1.0 - lo) * stream.generator().random(count)
+            return lo + (1.0 - lo) * _rng(source).random(count)
 
         return MultiplierLaw(
             label="uniform01",
             survival=lambda y: np.clip(1.0 - y, 0.0, 1.0),
-            sampler=lambda stream, count: stream.generator().random(count),
+            sampler=lambda source, count: _rng(source).random(count),
             trunc_mean=lambda x: 0.5 * np.clip(x, 0.0, 1.0) ** 2,
             trunc_second=lambda x: np.clip(x, 0.0, 1.0) ** 3 / 3.0,
             norming=lambda n: 0.5 * n,

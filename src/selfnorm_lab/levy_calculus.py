@@ -46,8 +46,9 @@ class LevyTail:
     the zero-truncation representation.  ``tail_inverse(w)`` inverts the tail
     (generalized inverse); ``small_mean_below(eps)`` is the integral of s
     over (0, eps], used for jump-truncation bias bounds.  ``tail_inverse``
-    maps an ndarray to one of the same shape (without it jumps are drawn by
-    bisection on ``tail``); the other callables need only take floats.
+    maps an ndarray to one of the same shape; the limit-pair engine draws
+    jumps through it and refuses a measure without one.  The other callables
+    need only take floats.
     """
 
     label: str

@@ -2,13 +2,28 @@
 
 Simulates the self-normalized ratio, the normed pair of partial sums, and the
 limit pair through a compound-Poisson cut of its jump representation.  Every
-engine is a pure function of its :class:`SimConfig`.  Replications are drawn
-in blocks of ``rows`` consecutive replications, with ``rows`` fixed by the
-input alone (``BLOCK_ELEMS`` values per block array): block b covers
-replications ``[b * rows, min((b + 1) * rows, reps))`` and draws all its
-multipliers from ``seed.child(b).child(0)`` and all its weights from
-``seed.child(b).child(1)``, as one array each, then reduces per row.  Blocks
-are stacked in block order, so output is bit-identical for any thread count.
+engine is a pure function of its :class:`SimConfig`.
+
+Stream layout (``STREAM_LAYOUT``, recorded in every sample's metadata):
+replications are drawn in blocks of ``rows`` consecutive replications, with
+``rows`` fixed by the input alone.  Block b covers replications
+``[b * rows, min((b + 1) * rows, reps))``, derives one multiplier generator
+from ``seed.child(b).child(0)`` and one weight generator from
+``seed.child(b).child(1)``, and draws its rows in order from these two.  For
+the finite-n engines ``rows = max(16, BLOCK_ELEMS // n)``, drawn in
+sub-chunks of ``max(1, BLOCK_ELEMS // n)`` rows: one ``(k, n)`` sampler call
+per generator and sub-chunk, so no array holds more than
+``max(BLOCK_ELEMS, n)`` values, and up to n = 1024 a block is a single
+sub-chunk.  The limit pair draws ``max(1, BLOCK_ELEMS // ceil(poisson_mean))``
+rows per block as one array.  Blocks are stacked in block order, so output is
+bit-identical for any thread count.
+
+Each sub-chunk is reduced per row.  ``sum X Y`` is taken as
+``np.multiply(xs, ys, out=xs).sum(axis=1)``, which adds the products in the
+same order as ``ys.sum(axis=1)`` adds the multipliers.  Keep the two sums in
+the same order: T_n is a convex combination of the weights and then stays in
+``[min X, max X]`` exactly (a dot product next to a pairwise sum can land
+one ulp outside).
 """
 
 from __future__ import annotations
@@ -32,9 +47,15 @@ from .levy_calculus import BivariateLevyView
 _Y_SUB = 0   # substream for multiplier draws (and Poisson counts) within a block
 _X_SUB = 1   # substream for weight draws
 
-# Values in one block array: 2**14 doubles (128 KiB) keep a block in cache;
-# from n = 2**14 on, a block is a single replication.
+# Values in one draw array: 2**14 doubles (128 KiB) keep a sub-chunk in
+# cache; from n = 2**14 on, a sub-chunk is a single replication.
 BLOCK_ELEMS = 2**14
+# Rows per finite-n block at any n, so that large-n blocks share the cost
+# of deriving their two generators.
+MIN_BLOCK_ROWS = 16
+# Version of the stream layout described in the module docstring; it changes
+# whenever the same (seed, config) starts to produce different draws.
+STREAM_LAYOUT = 2
 
 
 @dataclass(frozen=True)
@@ -87,10 +108,10 @@ class PairSample:
         return out
 
 
-def _block_layout(reps: int, values_per_rep: int) -> tuple:
+def _block_layout(reps: int, values_per_rep: int, min_rows: int = 1) -> tuple:
     """Rows per block and number of blocks for ``reps`` replications that
     draw about ``values_per_rep`` values each."""
-    rows = max(1, BLOCK_ELEMS // max(1, values_per_rep))
+    rows = max(min_rows, BLOCK_ELEMS // max(1, values_per_rep))
     return rows, -(-reps // rows)
 
 
@@ -119,7 +140,7 @@ def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], blocks: int, wi
 
 
 def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
-    meta = {"n": cfg.n, "reps": cfg.reps,
+    meta = {"n": cfg.n, "reps": cfg.reps, "stream_layout": STREAM_LAYOUT,
             "seed": {"master_seed": cfg.seed.master_seed,
                      "stream_index": cfg.seed.stream_index,
                      "path": list(cfg.seed.path)}}
@@ -135,27 +156,49 @@ def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig
 # ---------------------------------------------------------------------------
 
 
-def _draw_block(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig, rows: int, b: int,
-                scale_free: bool) -> tuple:
-    """Weights and multipliers of block b as (rows_b, n) arrays, plus the
-    first argmax of each multiplier row when ``scale_free``.
+def _draw_rows(x: WeightLaw, y: MultiplierLaw, y_gen: np.random.Generator,
+               x_gen: np.random.Generator, shape: tuple, scale_free: bool) -> tuple:
+    """The next ``shape = (k, n)`` weights and multipliers from the block's
+    generators, plus the first argmax of each log-multiplier row when the
+    multipliers come from the law's log sampler (else None).
 
     Scale-free draws of a law with a log sampler are rescaled by the row
     maximum (exactly neutral for ratios of sums), which keeps the weights
     representable even when raw draws overflow a double.
     """
-    shape = (min(rows, cfg.reps - b * rows), cfg.n)
     size = shape[0] * shape[1]
-    block = cfg.seed.child(b)
+    m = None
     if scale_free and y.log_sampler is not None:
-        ls = y.log_sampler(block.child(_Y_SUB), size).reshape(shape)
-        m = ls.argmax(axis=1)
-        ys = np.exp(ls - ls[np.arange(m.size), m][:, None])
+        d = y.log_sampler(y_gen, size).reshape(shape)
+        m = d.argmax(axis=1)
+        d -= d[np.arange(m.size), m][:, None]
+        # exp underflows to exactly 0 below -746; skip those (most) entries
+        ys = np.zeros_like(d)
+        np.exp(d, out=ys, where=d > -746.0)
     else:
-        ys = y.sampler(block.child(_Y_SUB), size).reshape(shape)
-        m = ys.argmax(axis=1) if scale_free else None
-    xs = x.sampler(block.child(_X_SUB), size).reshape(shape)
+        ys = y.sampler(y_gen, size).reshape(shape)
+    xs = x.sampler(x_gen, size).reshape(shape)
     return xs, ys, m
+
+
+def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
+              reduce: Callable[..., Sequence[np.ndarray]], width: int,
+              scale_free: bool) -> np.ndarray:
+    """``reduce(xs, ys, m)`` over every sub-chunk of ``_draw_rows``, as a
+    (width, reps) array in replication order.  ``reduce`` may overwrite
+    ``xs`` and ``ys``."""
+    chunk = max(1, BLOCK_ELEMS // cfg.n)
+    rows, blocks = _block_layout(cfg.reps, cfg.n, MIN_BLOCK_ROWS)
+
+    def block(b: int) -> np.ndarray:
+        stream = cfg.seed.child(b)
+        y_gen, x_gen = stream.child(_Y_SUB).generator(), stream.child(_X_SUB).generator()
+        rows_b = min(rows, cfg.reps - b * rows)
+        return np.concatenate([
+            reduce(*_draw_rows(x, y, y_gen, x_gen, (min(chunk, rows_b - lo), cfg.n), scale_free))
+            for lo in range(0, rows_b, chunk)], axis=1)
+
+    return _run_replications(block, blocks, width, cfg.threads)
 
 
 def _ratios(den: np.ndarray, *nums: np.ndarray) -> list:
@@ -165,15 +208,19 @@ def _ratios(den: np.ndarray, *nums: np.ndarray) -> list:
     return [np.where(pos, num / safe, 0.0) for num in nums]
 
 
+def _sums(xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Row sums (sum X Y, sum Y) in the same order; overwrites xs."""
+    sy = ys.sum(axis=1)
+    return np.multiply(xs, ys, out=xs).sum(axis=1), sy
+
+
 def simulate_tn(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> EmpiricalSample:
     """Draws of the self-normalized ratio sum(X Y) / sum(Y), with 0/0 := 0."""
-    rows, blocks = _block_layout(cfg.reps, cfg.n)
+    def reduce(xs, ys, _):
+        sxy, sy = _sums(xs, ys)
+        return _ratios(sy, sxy)
 
-    def block(b: int) -> list:
-        xs, ys, _ = _draw_block(x, y, cfg, rows, b, scale_free=True)
-        return _ratios(ys.sum(axis=1), (xs * ys).sum(axis=1))
-
-    (vals,) = _run_replications(block, blocks, 1, cfg.threads)
+    (vals,) = _finite_n(x, y, cfg, reduce, width=1, scale_free=True)
     return EmpiricalSample(vals, cfg.n, _law_meta(x, y, cfg))
 
 
@@ -182,13 +229,12 @@ def simulate_normed_pair(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> Pair
     a_n = y.norming(cfg.n)
     if not math.isfinite(a_n) or a_n <= 0.0:
         raise ParameterError("norming must be finite and positive at this n")
-    rows, blocks = _block_layout(cfg.reps, cfg.n)
 
-    def block(b: int) -> tuple:
-        xs, ys, _ = _draw_block(x, y, cfg, rows, b, scale_free=False)
-        return (xs * ys).sum(axis=1) / a_n, ys.sum(axis=1) / a_n
+    def reduce(xs, ys, _):
+        sxy, sy = _sums(xs, ys)
+        return sxy / a_n, sy / a_n
 
-    w1, w2 = _run_replications(block, blocks, 2, cfg.threads)
+    w1, w2 = _finite_n(x, y, cfg, reduce, width=2, scale_free=False)
     meta = _law_meta(x, y, cfg)
     meta["norming"] = a_n
     return PairSample(w1, w2, meta)
@@ -217,38 +263,12 @@ def _auto_cutoff(view: BivariateLevyView, budget: float = 1e-3) -> float:
     return lo
 
 
-def _jump_inverse(view: BivariateLevyView, eps: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Map uniforms to jumps above eps by inverting the normalized tail."""
-    from .distributions import vec_eval
-
-    levy = view.levy
-    lam = levy.tail(eps)
-    if levy.tail_inverse is not None:
-        inv = levy.tail_inverse
-        return lambda w: vec_eval(inv, w * lam)
-
-    def bisect(wi: float) -> float:
-        lo, hi = eps, max(2.0 * eps, 1.0)
-        while levy.tail(hi) > wi:
-            hi *= 2.0
-            if hi > 1e300:
-                break
-        for _ in range(100):  # ~1e-12 relative bracket
-            mid = 0.5 * (lo + hi)
-            if levy.tail(mid) > wi:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return lambda w: np.asarray([bisect(wi) for wi in w * lam])
-
-
 def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     """Draws of the limit pair by summing jumps above a cutoff.
 
     Each replication draws a Poisson number of jump heights from the
-    normalized tail beyond the cutoff, multiplies each by an independent
+    normalized tail beyond the cutoff (through ``LevyTail.tail_inverse``,
+    which must be given), multiplies each by an independent
     weight draw, and adds the drift (alpha * E X, alpha).  A block draws its
     rows' counts, then all their jumps and weights as flat arrays, and sums
     them per row; rows per block follow from the Poisson mean.  Jumps below the
@@ -256,14 +276,17 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     jump measure integrates s near zero; the discarded mass has mean total at
     most small_mean_below(cutoff) * (E|X|, 1), reported in the metadata.
     """
+    inverse = view.levy.tail_inverse
+    if inverse is None:
+        raise ParameterError("simulate_limit_pair needs LevyTail.tail_inverse")
     eps = cfg.cutoff if cfg.cutoff is not None else _auto_cutoff(view)
     lam = view.levy.tail(eps)
     if not math.isfinite(lam) or lam > 1e7:
         raise ParameterError("cutoff too small: Poisson jump count overflows")
     alpha = view.levy.drift_alpha
     drift1 = alpha * view.weight.mean if alpha != 0.0 else 0.0
-    invert = _jump_inverse(view, eps)
     x = view.weight
+    from .distributions import vec_eval  # looked up per call: a rebinding applies
 
     rows, blocks = _block_layout(cfg.reps, math.ceil(lam))
 
@@ -271,8 +294,8 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
         stream = cfg.seed.child(b)
         gen = stream.child(_Y_SUB).generator()
         counts = gen.poisson(lam, min(rows, cfg.reps - b * rows))
-        jumps = invert(1.0 - gen.random(int(counts.sum())))
-        xs = x.sampler(stream.child(_X_SUB), jumps.size)
+        jumps = vec_eval(inverse, (1.0 - gen.random(int(counts.sum()))) * lam)
+        xs = x.sampler(stream.child(_X_SUB).generator(), jumps.size)
         owner = np.repeat(np.arange(counts.size), counts)
         return (drift1 + np.bincount(owner, xs * jumps, counts.size),
                 alpha + np.bincount(owner, jumps, counts.size))
@@ -317,16 +340,18 @@ def max_share_stats(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     eps_list = [float(e) for e in eps_list]
     if any(not 0.0 < e < 1.0 for e in eps_list):
         raise ParameterError("eps values must lie in (0, 1)")
-    rows, blocks = _block_layout(cfg.reps, cfg.n)
 
-    def block(b: int) -> tuple:
-        xs, ys, m = _draw_block(x, y, cfg, rows, b, scale_free=True)  # first max index
+    def reduce(xs, ys, m):
+        if m is None:
+            m = ys.argmax(axis=1)  # first max index
         at_max = np.arange(m.size), m
-        share, tn, rn = _ratios(ys.sum(axis=1), ys[at_max], (xs * ys).sum(axis=1),
-                                np.sqrt((ys * ys).sum(axis=1)))
-        return share, np.abs(tn - xs[at_max]), rn
+        y_max, x_max = ys[at_max], xs[at_max]
+        sxy, sy = _sums(xs, ys)
+        syy = np.multiply(ys, ys, out=ys).sum(axis=1)
+        share, tn, rn = _ratios(sy, y_max, sxy, np.sqrt(syy))
+        return share, np.abs(tn - x_max), rn
 
-    shares, deltas, rns = _run_replications(block, blocks, 3, cfg.threads)
+    shares, deltas, rns = _finite_n(x, y, cfg, reduce, width=3, scale_free=True)
     deltas, rns = np.sort(deltas), np.sort(rns)
     probs = {e: float((shares > 1.0 - e).mean()) for e in eps_list}
     qs = {q: float(np.quantile(deltas, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)}

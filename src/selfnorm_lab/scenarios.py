@@ -354,7 +354,7 @@ _SUITE_FNS = {"S1": suite_s1, "S2": suite_s2, "S3": suite_s3,
 
 def run_suite(suite: str, seed: SeedStream, threads: int = 1,
               outdir: Optional[Path] = None) -> dict:
-    """Run one named suite; returns {suite, seed, checks, passed}."""
+    """Run one named suite; returns {suite, seed, stream_layout, checks, passed}."""
     if suite not in _SUITE_FNS:
         raise ParameterError(f"unknown suite {suite!r}; choose from {SUITES}")
     checks = _SUITE_FNS[suite](seed, threads=threads, outdir=outdir)
@@ -362,6 +362,7 @@ def run_suite(suite: str, seed: SeedStream, threads: int = 1,
         "suite": suite,
         "seed": {"master_seed": seed.master_seed, "stream_index": seed.stream_index,
                  "path": list(seed.path)},
+        "stream_layout": mc.STREAM_LAYOUT,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -218,6 +218,20 @@ def test_reproduce_failing_check_exits_1(tmp_path, monkeypatch, capsys):
     assert summary["passed"] is False
 
 
+def test_reproduce_summary_and_sidecars_name_the_stream_layout(tmp_path, monkeypatch):
+    import selfnorm_lab.scenarios as scenarios
+    from selfnorm_lab.montecarlo import STREAM_LAYOUT
+
+    monkeypatch.setitem(scenarios._SUITE_FNS, "S2", lambda seed, threads=1, outdir=None: [])
+    assert main(["reproduce", "S2", "--out", str(tmp_path / "o"), "--seed", "1"]) == 0
+    summary = json.loads((tmp_path / "o" / "s2_summary.json").read_text())
+    assert summary["stream_layout"] == STREAM_LAYOUT == 2
+    assert main(["simulate", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(tmp_path / "sim")]) == 0
+    meta = json.loads((tmp_path / "sim" / "tn_sample.meta.json").read_text())
+    assert meta["law_meta"]["stream_layout"] == STREAM_LAYOUT
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     from argparse import Namespace
     from selfnorm_lab.cli import _load_config

@@ -8,7 +8,9 @@ from scipy.integrate import quad
 from selfnorm_lab.distributions import (
     ParameterError,
     SeedStream,
+    _atom_index,
     _atomic_weight,
+    _pareto_power,
     expect_weight,
     levy_cdf,
     make_finite_mean_multiplier,
@@ -462,6 +464,17 @@ def test_atomic_sampler_frequencies_within_4_89_se(x):
         assert abs(float((draws == loc).mean()) - m) <= 4.89 * se
 
 
+@pytest.mark.parametrize("x", ATOM_LAWS, ids=lambda x: x.label)
+def test_atom_index_equals_searchsorted(x):
+    inner_cum = np.cumsum([m for _, m in x.atoms])[:-1]
+    cuts = np.concatenate([inner_cum, np.nextafter(inner_cum, 0.0),
+                           np.nextafter(inner_cum, 1.0)])
+    u = np.concatenate([SeedStream(78).generator().random(100_000), cuts,
+                        [0.0, 1.0 - 2.0**-53]])
+    assert np.array_equal(_atom_index(inner_cum, u),
+                          np.searchsorted(inner_cum, u, side="right"))
+
+
 def test_point_mass_sampler_returns_constant():
     x = make_weight_law("point_mass", c=-2.5)
     assert np.all(x.sampler(SeedStream(3), 10_000) == -2.5)
@@ -537,3 +550,58 @@ def test_positive_stable_validation():
         sample_positive_stable(1.0, SeedStream(1), 10)
     with pytest.raises(ParameterError):
         sample_positive_stable(0.5, SeedStream(1), 0)
+
+
+# ---------------------------------------------------------------------------
+# Sampler sources and fast transforms
+# ---------------------------------------------------------------------------
+
+BUILTIN_WEIGHTS = [
+    make_weight_law("uniform01"),
+    make_weight_law("standard_gaussian"),
+    make_weight_law("rademacher"),
+    make_weight_law("point_mass", c=2.0),
+    make_weight_law("bernoulli", p=0.3, x0=-1.0, x1=5.0),
+    make_weight_law("symmetric_pareto", gamma=0.8),
+    make_weight_law("abs_pareto", gamma=1.5),
+]
+SAMPLERS = ([pytest.param(x.sampler, (), id=f"{x.label}-sampler") for x in BUILTIN_WEIGHTS]
+            + [pytest.param(getattr(y, name), args, id=f"{y.label}-{name}")
+               for y in BUILTIN_MULTIPLIERS
+               for name, args in (("sampler", ()), ("log_sampler", ()), ("tail_sampler", (3.0,)))
+               if getattr(y, name) is not None])
+
+
+@pytest.mark.parametrize("sampler,args", SAMPLERS)
+def test_sampler_stream_equals_its_generator(sampler, args):
+    stream = SeedStream(41, 3, (2, 7))
+    with np.errstate(over="ignore"):
+        a = sampler(stream, 1_000, *args)
+        b = sampler(stream.generator(), 1_000, *args)
+    assert a.dtype == np.float64 and np.array_equal(a, b)
+
+
+def test_sampler_continues_a_generator():
+    x = make_weight_law("uniform01")
+    gen = SeedStream(42).generator()
+    parts = np.concatenate([x.sampler(gen, 3), x.sampler(gen, 4)])
+    assert np.array_equal(parts, SeedStream(42).generator().random(7))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_pareto_fast_path_within_two_ulp_of_power(beta):
+    v = 1.0 - SeedStream(43).generator().random(100_000)
+    v = np.concatenate([v, [2.0**-53, 2.0**-52, 0.5, np.nextafter(1.0, 0.0), 1.0]])
+    fast, exact = _pareto_power(v, beta), v ** (-1.0 / beta)
+    assert np.all(fast >= 1.0)
+    assert np.all(np.abs(fast - exact) <= 2.0 * np.spacing(exact))
+    assert _pareto_power(np.array([2.0**-53]), beta)[0] == 2.0 ** (53 / beta)
+
+
+def test_pareto_sampler_uses_the_power_transform():
+    stream = SeedStream(44)
+    for beta in (0.5, 1.0, 0.8):
+        v = 1.0 - stream.generator().random(1_000)
+        assert np.array_equal(make_pareto_multiplier(beta).sampler(stream, 1_000),
+                              _pareto_power(v, beta))
+    assert np.array_equal(_pareto_power(v, 0.8), v ** -1.25)

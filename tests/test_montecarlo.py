@@ -227,14 +227,11 @@ def test_limit_pair_deterministic_and_thread_invariant():
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
 
 
-def test_limit_pair_generic_tail_bisection():
-    # drop the closed-form inverse to exercise the bisection path
-    levy = stable_levy_tail(0.5)
-    levy = replace(levy, tail_inverse=None)
+def test_limit_pair_requires_tail_inverse():
+    levy = replace(stable_levy_tail(0.5), tail_inverse=None)
     view = BivariateLevyView(make_weight_law("uniform01"), levy)
-    a = simulate_limit_pair(view, cfg(n=1, reps=300, seed=17, cutoff=0.01))
-    b = simulate_limit_pair(view_half(), cfg(n=1, reps=300, seed=17, cutoff=0.01))
-    assert np.allclose(a.w2, b.w2, rtol=1e-9)
+    with pytest.raises(ParameterError, match="tail_inverse"):
+        simulate_limit_pair(view, cfg(n=1, reps=300, seed=17, cutoff=0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -289,26 +286,36 @@ def test_max_share_validates_eps():
 # ---------------------------------------------------------------------------
 
 
-def _block_streams(c, values_per_rep):
+def _block_streams(c, values_per_rep, min_rows=1):
     """(rows_b, block stream) per block, in the layout the engines document."""
-    rows = max(1, BLOCK_ELEMS // values_per_rep)
+    rows = max(min_rows, BLOCK_ELEMS // values_per_rep)
     return [(min(rows, c.reps - lo), c.seed.child(lo // rows))
             for lo in range(0, c.reps, rows)]
+
+
+def _draw_chunks(x, y, c, log):
+    """(multiplier rows, weight rows) per sub-chunk in replication order:
+    finite-n blocks hold at least 16 rows, each drawn from one generator
+    pair, in sub-chunks of BLOCK_ELEMS // n rows (at least one)."""
+    n = c.n
+    chunk = max(1, BLOCK_ELEMS // n)
+    for rows, block in _block_streams(c, n, min_rows=16):
+        y_gen, x_gen = block.child(0).generator(), block.child(1).generator()
+        for lo in range(0, rows, chunk):
+            k = min(chunk, rows - lo)
+            ys = (y.log_sampler if log else y.sampler)(y_gen, k * n)
+            yield ys.reshape(k, n), x.sampler(x_gen, k * n).reshape(k, n)
 
 
 def _loop_rows(x, y, c, scale_free):
     """Per replication, (T_n, sum XY, sum Y, max share, |T_n - X at argmax|,
     r_n) computed one row at a time with scalar arithmetic."""
-    n, out = c.n, []
-    for rows, block in _block_streams(c, n):
-        if scale_free and y.log_sampler is not None:
-            ys_all = y.log_sampler(block.child(0), rows * n).reshape(rows, n)
-        else:
-            ys_all = y.sampler(block.child(0), rows * n).reshape(rows, n)
-        xs_all = x.sampler(block.child(1), rows * n).reshape(rows, n)
+    out = []
+    log = scale_free and y.log_sampler is not None
+    for ys_all, xs_all in _draw_chunks(x, y, c, log):
         for ys, xs in zip(ys_all, xs_all):
             m = int(np.argmax(ys))
-            if scale_free and y.log_sampler is not None:
+            if log:
                 ys = np.exp(ys - ys[m])
             sy, sxy = ys.sum(), (xs * ys).sum()
             tn = sxy / sy if sy > 0.0 else 0.0
@@ -318,11 +325,17 @@ def _loop_rows(x, y, c, scale_free):
     return np.array(out)
 
 
-KERNEL_CASES = [  # (weight, multiplier, n, reps): multi-row blocks and one-row blocks
+KERNEL_CASES = [  # (weight, multiplier, n, reps)
+    # one sub-chunk per block, the last block partial
     ("uniform01", make_pareto_multiplier(0.5), 10, 3_500),
     ("bernoulli", make_slowly_varying_multiplier(), 1_000, 40),  # log sampler
     ("standard_gaussian", make_slowly_varying_multiplier(), 100, 400),
+    # one-row sub-chunks, a single partial block
     ("uniform01", make_finite_mean_multiplier("exponential"), BLOCK_ELEMS + 3, 3),
+    # 16-row blocks of 5+5+5+1 rows, then a partial block of 3
+    ("rademacher", make_pareto_multiplier(1.0), 3_000, 35),
+    # 16-row blocks of one-row sub-chunks, then a partial block of 3
+    ("symmetric_pareto", make_pareto_multiplier(0.5), BLOCK_ELEMS // 2 + 1, 35),
 ]
 
 
@@ -341,6 +354,20 @@ def test_block_kernel_equals_per_replication_loop(kind, y, n, reps):
         p = simulate_normed_pair(x, y, c)
         a_n = y.norming(n)
         assert np.array_equal(p.w1, ref[:, 1] / a_n) and np.array_equal(p.w2, ref[:, 2] / a_n)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "uniform01"])
+@pytest.mark.parametrize("n", [10, 3_000, BLOCK_ELEMS + 3])
+def test_convex_combination_bounds_are_exact(kind, n):
+    # T_n is a convex combination of weights in [0, 1]: sum XY and sum Y add
+    # in the same order, so no rounding may carry it outside [0, 1]
+    x = make_weight_law(kind)  # bernoulli: 0/1 weights
+    reps = max(20, 200_000 // n)  # at n = 10, some rows draw only 1s
+    for y in (make_slowly_varying_multiplier(), make_pareto_multiplier(0.5)):
+        t = simulate_tn(x, y, cfg(n=n, reps=reps, seed=11)).values
+        assert np.all((t >= 0.0) & (t <= 1.0))
+    p = simulate_normed_pair(x, make_pareto_multiplier(0.5), cfg(n=n, reps=reps, seed=12))
+    assert np.all((p.w1 >= 0.0) & (p.w1 <= p.w2))
 
 
 @pytest.mark.parametrize("cutoff,reps", [(0.01, 5_000), (1e-4, 500)])
