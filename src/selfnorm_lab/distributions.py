@@ -474,12 +474,10 @@ def make_weight_law(kind: str, *, c: float = 1.0, p: float = 0.5,
 
 def _pareto_power(v: np.ndarray, b: float) -> np.ndarray:
     """v ** (-1/b) for v in (0, 1]: Pareto(b) draws from v = 1 - U.  For
-    b = 1/2 and b = 1 it takes 1 / (v * v) and 1 / v, which are cheaper than
-    the power, stay >= 1 and lie within 2 ulp of it."""
+    b = 1/2 it takes 1 / (v * v), which is cheaper than the power, stays >= 1
+    and lies within 2 ulp of it."""
     if b == 0.5:
         return 1.0 / (v * v)
-    if b == 1.0:
-        return 1.0 / v
     return v ** (-1.0 / b)
 
 

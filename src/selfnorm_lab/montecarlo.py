@@ -295,7 +295,7 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
         gen = stream.child(_Y_SUB).generator()
         counts = gen.poisson(lam, min(rows, cfg.reps - b * rows))
         jumps = vec_eval(inverse, (1.0 - gen.random(int(counts.sum()))) * lam)
-        xs = x.sampler(stream.child(_X_SUB).generator(), jumps.size)
+        xs = x.sampler(stream.child(_X_SUB), jumps.size)
         owner = np.repeat(np.arange(counts.size), counts)
         return (drift1 + np.bincount(owner, xs * jumps, counts.size),
                 alpha + np.bincount(owner, jumps, counts.size))

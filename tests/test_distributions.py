@@ -588,7 +588,7 @@ def test_sampler_continues_a_generator():
     assert np.array_equal(parts, SeedStream(42).generator().random(7))
 
 
-@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 0.8])
 def test_pareto_fast_path_within_two_ulp_of_power(beta):
     v = 1.0 - SeedStream(43).generator().random(100_000)
     v = np.concatenate([v, [2.0**-53, 2.0**-52, 0.5, np.nextafter(1.0, 0.0), 1.0]])
@@ -597,11 +597,3 @@ def test_pareto_fast_path_within_two_ulp_of_power(beta):
     assert np.all(np.abs(fast - exact) <= 2.0 * np.spacing(exact))
     assert _pareto_power(np.array([2.0**-53]), beta)[0] == 2.0 ** (53 / beta)
 
-
-def test_pareto_sampler_uses_the_power_transform():
-    stream = SeedStream(44)
-    for beta in (0.5, 1.0, 0.8):
-        v = 1.0 - stream.generator().random(1_000)
-        assert np.array_equal(make_pareto_multiplier(beta).sampler(stream, 1_000),
-                              _pareto_power(v, beta))
-    assert np.array_equal(_pareto_power(v, 0.8), v ** -1.25)
