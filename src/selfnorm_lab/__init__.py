@@ -46,7 +46,6 @@ from .limit_laws import (
     BreimanLimit,
     breiman_cdf,
     breiman_cdf_grid,
-    breiman_density,
     breiman_tail,
     product_tail_ratio,
     quantile_grid,

@@ -64,7 +64,6 @@ _DEFAULTS = {
     "x_law.x1": "1.0",
     "x_law.gamma": "0.5",
     "tolerances.ks_tol": "0.02",
-    "tolerances.quad_tol": "1e-9",
     "tolerances.cutoff": "1e-4",
     "grid.lo": "-0.25",
     "grid.hi": "1.25",
@@ -224,7 +223,7 @@ def run_simulate(cfg: ExperimentConfig) -> int:
 def run_limit(cfg: ExperimentConfig) -> int:
     x = cfg.weight_law()
     beta = cfg.get_float("y_law.beta")
-    lim = ll.BreimanLimit(beta, x, quad_tol=cfg.get_float("tolerances.quad_tol"))
+    lim = ll.BreimanLimit(beta, x)
     lo, hi = cfg.get_float("grid.lo"), cfg.get_float("grid.hi")
     points = cfg.get_int("grid.points")
     if points < 2 or hi <= lo:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import beta as beta_fn
 
 from .distributions import (
     MultiplierLaw,
@@ -19,7 +20,6 @@ from .distributions import (
     QuadratureError,
     SeedStream,
     WeightLaw,
-    expect_weight,
     vec_eval,
 )
 from .levy_calculus import ConvergenceReport
@@ -30,17 +30,12 @@ class BreimanLimit:
     """Limit of T_n for Y with tail index beta in (0, 1) and weight law F.
 
     Requires a fractional absolute moment of X one notch above beta
-    (checked at beta + moment_margin).  ``quad_tol`` is the absolute
-    tolerance of each moment quadrature piece of the adaptive
-    :func:`breiman_cdf`, whose error estimate may reach
-    max(quad_tol, 1e-9 * |piece|) (see :func:`quad_segments`);
-    :func:`breiman_cdf_grid` and :func:`breiman_tail` use a fixed rule and
-    do not read it.
+    (checked at beta + moment_margin).  Every evaluator of the limit CDF
+    and its tail uses the grid rule of :func:`breiman_cdf_grid`.
     """
 
     beta: float
     weight: WeightLaw
-    quad_tol: float = 1e-9
     moment_margin: float = 0.05
 
     def __post_init__(self) -> None:
@@ -51,37 +46,6 @@ class BreimanLimit:
         if not math.isfinite(total):
             raise ParameterError(
                 f"weight law needs a finite absolute moment of order {b:g}")
-
-
-def _signed_and_abs_moments(lim: BreimanLimit, x: float):
-    """I_s = E|X - x|^b sgn(x - X) and I_a = E|X - x|^b (finite sums plus
-    split quadrature; the kink at the evaluation point is a split point,
-    and an atom exactly there contributes zero to both by the sgn(0) = 0
-    convention)."""
-    b, law, tol = lim.beta, lim.weight, lim.quad_tol
-    i_a = expect_weight(law, lambda u: abs(u - x) ** b,
-                        points=(x,), tol=tol)
-    i_s = expect_weight(law, lambda u: abs(u - x) ** b * math.copysign(1.0, x - u)
-                        if u != x else 0.0,
-                        points=(x,), tol=tol)
-    return i_s, i_a
-
-
-def breiman_cdf(lim: BreimanLimit, x: float) -> float:
-    """Limit CDF at x: 1/2 + arctan(ratio * tan(pi b / 2)) / (pi b), where
-    the ratio is the signed over absolute fractional moment of the weight
-    law around x.
-
-    Nondecreasing with limits 0 and 1; for a degenerate weight at c it is
-    the step function at c, with the convention value 1/2 returned at x = c
-    (the law's ``degenerate`` flag marks this case).
-    """
-    b = lim.beta
-    i_s, i_a = _signed_and_abs_moments(lim, x)
-    if i_a <= 0.0:
-        return 0.5  # degenerate weight evaluated at its atom
-    ratio = min(1.0, max(-1.0, i_s / i_a))
-    return 0.5 + math.atan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
 
 
 # Grid rule.  I+(x) = E[(X-x)^b; X>x] = integral over s > 0 of
@@ -193,13 +157,18 @@ def _fractional_moment(law: WeightLaw, x: np.ndarray, b: float, side: int) -> np
 
 
 def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
-    """:func:`breiman_cdf` over a whole grid in one vectorized pass.
+    """Limit CDF at every point of ``grid``:
+    1/2 + arctan(ratio * tan(pi b / 2)) / (pi b), where the ratio is
+    i_s / i_a, the signed over the absolute fractional moment of the weight
+    law around the point.
 
     ``I+ = E[(X-x)^b; X>x]`` and ``I- = E[(x-X)^b; X<x]`` come from the
     grid rule above, or from exact sums for a law with atoms only; then
     ``i_a = I+ + I-`` and ``i_s = I- - I+``.  The rule runs over a fixed
     number of points at a time, and each value depends only on its own
-    point.  Scalar :func:`breiman_cdf` is the adaptive reference.
+    point.  Nondecreasing with limits 0 and 1; for a degenerate weight at c
+    it is the step function at c, with the convention value 1/2 at x = c.
+    Non-finite points raise ParameterError.
     """
     x = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -211,6 +180,12 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
     cdf = 0.5 + np.arctan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
     return np.where(i_a > 0.0, cdf, 0.5).reshape(x.shape)
+
+
+def breiman_cdf(lim: BreimanLimit, x: float) -> float:
+    """Limit CDF at one point: the grid rule of :func:`breiman_cdf_grid`
+    at ``[x]``."""
+    return float(breiman_cdf_grid(lim, [x])[0])
 
 
 def tabulated_cdf(lim: BreimanLimit, lo: float = math.nan, hi: float = math.nan,
@@ -253,13 +228,6 @@ def quantile_grid(values: np.ndarray, points: int = 2001, pad: float = 1.0,
     return np.unique(np.concatenate([[qs[0] - pad], qs, [qs[-1] + pad]]))
 
 
-def breiman_density(lim: BreimanLimit, x: float, step: float = 1e-4) -> float:
-    """Diagnostic density of the limit law as a central finite difference of
-    the CDF.  The exact ratio-density representation needs the joint density
-    of the limit pair, which has no closed form here."""
-    return (breiman_cdf(lim, x + step) - breiman_cdf(lim, x - step)) / (2.0 * step)
-
-
 _TAIL_PREF = lambda b: math.tan(math.pi * b / 2.0) / (
     math.pi * b * (1.0 + math.tan(math.pi * b / 2.0) ** 2))
 
@@ -282,24 +250,17 @@ def breiman_tail(lim: BreimanLimit, x):
     return float(tail) if tail.ndim == 0 else tail
 
 
-def regvar_tail_constant(beta: float, alpha_rv: float,
-                         tol: float = 1e-10) -> float:
+def regvar_tail_constant(beta: float, alpha_rv: float) -> float:
     """Limit of P{T > x} / P{X > x} when the weight tail is regularly
     varying with index -alpha_rv (alpha_rv > beta):
-    2 beta * integral over (1, inf) of y^-alpha (y-1)^(beta-1) dy * prefactor.
-
-    The integral equals the Beta function B(beta, alpha_rv - beta), which
-    serves as an independent oracle for the quadrature.
+    2 beta * integral over (1, inf) of y^-alpha (y-1)^(beta-1) dy * prefactor,
+    where the integral is the Beta function B(beta, alpha_rv - beta).
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError("beta must lie in (0, 1)")
     if not alpha_rv > beta:
         raise ParameterError("alpha_rv must exceed beta")
-    from scipy.integrate import quad
-
-    res = quad(lambda t: t ** (alpha_rv - beta - 1.0) * (1.0 - t) ** (beta - 1.0),
-               0.0, 1.0, epsabs=tol, limit=300)
-    return 2.0 * beta * res[0] * _TAIL_PREF(beta)
+    return 2.0 * beta * float(beta_fn(beta, alpha_rv - beta)) * _TAIL_PREF(beta)
 
 
 def product_tail_ratio(x: WeightLaw, y: MultiplierLaw, y_grid: Sequence[float],

@@ -225,7 +225,11 @@ def simulate_tn(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> EmpiricalSamp
 
 
 def simulate_normed_pair(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> PairSample:
-    """Draws of (sum(X Y)/a_n, sum(Y)/a_n) under the law's norming."""
+    """Draws of (sum(X Y)/a_n, sum(Y)/a_n) under the law's norming.
+
+    Raises ParameterError when any drawn value is not finite (a raw
+    multiplier draw that overflows, as the slowly varying law's can).
+    """
     a_n = y.norming(cfg.n)
     if not math.isfinite(a_n) or a_n <= 0.0:
         raise ParameterError("norming must be finite and positive at this n")
@@ -234,7 +238,11 @@ def simulate_normed_pair(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> Pair
         sxy, sy = _sums(xs, ys)
         return sxy / a_n, sy / a_n
 
-    w1, w2 = _finite_n(x, y, cfg, reduce, width=2, scale_free=False)
+    pair = _finite_n(x, y, cfg, reduce, width=2, scale_free=False)
+    if not np.isfinite(pair).all():
+        raise ParameterError(f"normed pair of {x.label} x {y.label} at n={cfg.n} "
+                             "holds non-finite values")
+    w1, w2 = pair
     meta = _law_meta(x, y, cfg)
     meta["norming"] = a_n
     return PairSample(w1, w2, meta)

@@ -10,6 +10,7 @@ from selfnorm_lab.distributions import (
     QuadratureError,
     SeedStream,
     WeightLaw,
+    expect_weight,
     make_pareto_multiplier,
     make_weight_law,
 )
@@ -80,6 +81,24 @@ def test_cdf_monotone_on_grid(kind, kwargs):
     assert vals[0] >= 0.0 and vals[-1] <= 1.0
 
 
+def _adaptive_cdf(lim, x):
+    """Independent reference for the grid rule: I_s = E|X - x|^b sgn(x - X)
+    and I_a = E|X - x|^b by finite sums plus split adaptive quadrature (the
+    kink at the evaluation point is a split point, and an atom exactly there
+    contributes zero to both by the sgn(0) = 0 convention), then the arctan
+    map."""
+    b, law, tol = lim.beta, lim.weight, 1e-9
+    i_a = expect_weight(law, lambda u: abs(u - x) ** b,
+                        points=(x,), tol=tol)
+    i_s = expect_weight(law, lambda u: abs(u - x) ** b * math.copysign(1.0, x - u)
+                        if u != x else 0.0,
+                        points=(x,), tol=tol)
+    if i_a <= 0.0:
+        return 0.5  # degenerate weight evaluated at its atom
+    ratio = min(1.0, max(-1.0, i_s / i_a))
+    return 0.5 + math.atan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
+
+
 # Grid path (breiman_cdf_grid) against the adaptive reference and closed
 # forms; the grid holds atoms, density breaks, support edges, points next to
 # them, points beyond every support and +-1e4.
@@ -100,7 +119,7 @@ GRID_LAWS = [
 @pytest.mark.parametrize("kind,kwargs", GRID_LAWS)
 def test_grid_matches_adaptive_cdf(kind, kwargs):
     lim = BreimanLimit(0.5, make_weight_law(kind, **kwargs))
-    want = np.array([breiman_cdf(lim, float(t)) for t in EDGE_GRID])
+    want = np.array([_adaptive_cdf(lim, float(t)) for t in EDGE_GRID])
     assert np.max(np.abs(breiman_cdf_grid(lim, EDGE_GRID) - want)) <= 1e-9
 
 
@@ -109,7 +128,7 @@ def test_grid_matches_adaptive_cdf_other_beta(beta):
     for kind, kwargs in (("standard_gaussian", {}), ("symmetric_pareto", {"gamma": 0.95}),
                          ("abs_pareto", {"gamma": 0.9})):
         lim = BreimanLimit(beta, make_weight_law(kind, **kwargs))
-        want = np.array([breiman_cdf(lim, float(t)) for t in EDGE_GRID])
+        want = np.array([_adaptive_cdf(lim, float(t)) for t in EDGE_GRID])
         assert np.max(np.abs(breiman_cdf_grid(lim, EDGE_GRID) - want)) <= 1e-9
 
 
@@ -185,6 +204,9 @@ def test_grid_validation(lim_u01):
         breiman_cdf_grid(lim_u01, [0.1, math.nan])
     with pytest.raises(ParameterError):
         breiman_cdf_grid(lim_u01, [0.1, math.inf])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            breiman_cdf(lim_u01, bad)
     assert breiman_cdf_grid(lim_u01, np.array([[0.2, 0.5], [0.7, 2.0]])).shape == (2, 2)
 
 
@@ -247,6 +269,11 @@ def test_cdf_plus_tail_consistency():
         rel.append(abs(1.0 - breiman_cdf(lim, x) - tail) / tail)
     assert all(b < a for a, b in zip(rel[:-1], rel[1:]))
     assert rel[-1] < 0.02
+    # far tail: finite values on both sides, and the expansion still holds
+    for x in (5e5, 1e6, 1e7):
+        upper, lower = breiman_cdf(lim, x), breiman_cdf(lim, -x)
+        assert math.isfinite(upper) and math.isfinite(lower)
+        assert 1.0 - upper == pytest.approx(breiman_tail(lim, x), rel=0.02)
 
 
 def test_breiman_tail_validation(lim_u01):
@@ -283,12 +310,20 @@ def test_breiman_tail_atomic_law_exact_sum():
 # ---------------------------------------------------------------------------
 
 
+def _tail_pref(b):
+    return math.tan(math.pi * b / 2) / (math.pi * b * (1 + math.tan(math.pi * b / 2) ** 2))
+
+
 def test_regvar_constant_beta_identity():
-    # quadrature equals 2 beta B(beta, alpha-beta) * prefactor
+    # 2 beta * integral of t^(alpha-beta-1) (1-t)^(beta-1) over (0, 1) * prefactor
     for b, a in ((0.5, 1.0), (0.5, 0.8), (0.3, 1.1)):
-        pref = math.tan(math.pi * b / 2) / (math.pi * b * (1 + math.tan(math.pi * b / 2) ** 2))
-        want = 2.0 * b * beta_fn(b, a - b) * pref
+        integral = quad(lambda t: t ** (a - b - 1.0) * (1.0 - t) ** (b - 1.0),
+                        0.0, 1.0, epsabs=1e-10, limit=300)[0]
+        want = 2.0 * b * integral * _tail_pref(b)
         assert regvar_tail_constant(b, a) == pytest.approx(want, abs=1e-8)
+    # at alpha = 1e6 that quadrature returns 0; the Beta function does not
+    want = 2.0 * 0.5 * beta_fn(0.5, 1e6 - 0.5) * _tail_pref(0.5)
+    assert regvar_tail_constant(0.5, 1e6) == pytest.approx(want, rel=1e-12)
 
 
 def test_regvar_constant_half_one_is_unity():
@@ -301,15 +336,6 @@ def test_regvar_constant_positive_and_decreasing_in_alpha():
     assert all(v > 0.0 for v in vals)
     assert all(b < a for a, b in zip(vals[:-1], vals[1:]))
     assert regvar_tail_constant(0.5, 1e6) < 1e-3  # vanishes as alpha grows
-
-
-def test_breiman_density_diagnostic(lim_u01):
-    from selfnorm_lab.limit_laws import breiman_density
-    # positive inside the support, integrates roughly to one over it
-    xs = np.linspace(0.01, 0.99, 99)
-    dens = np.asarray([breiman_density(lim_u01, float(t)) for t in xs])
-    assert np.all(dens > 0.0)
-    assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=0.02)
 
 
 def test_regvar_constant_validation():

@@ -168,6 +168,11 @@ def test_normed_pair_rejects_overflowing_norming():
     y = make_slowly_varying_multiplier()
     with pytest.raises(ParameterError):
         simulate_normed_pair(x, y, cfg(n=100_000, reps=10))
+    # the norming is finite at n = 100, but raw slowly varying draws
+    # overflow to inf in some rows (138 of 1000 here)
+    for kind in ("bernoulli", "standard_gaussian"):
+        with pytest.raises(ParameterError, match="n=100 "):
+            simulate_normed_pair(make_weight_law(kind), y, cfg(n=100, reps=1000))
 
 
 # ---------------------------------------------------------------------------
