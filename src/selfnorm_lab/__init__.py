@@ -21,7 +21,6 @@ from .distributions import (
     make_pareto_multiplier,
     make_slowly_varying_multiplier,
     make_weight_law,
-    sample_positive_stable,
 )
 from .levy_calculus import (
     BivariateLevyView,
@@ -47,7 +46,6 @@ from .limit_laws import (
     breiman_cdf,
     breiman_cdf_grid,
     breiman_tail,
-    product_tail_ratio,
     quantile_grid,
     regvar_tail_constant,
     tabulated_cdf,
@@ -72,8 +70,6 @@ from .class_diagnostics import (
     feller_ratio,
     griffin_ratio,
     ks_distance,
-    ks_two_sample,
-    product_feller_check,
     ratio_scans,
     verdict_from_scans,
 )

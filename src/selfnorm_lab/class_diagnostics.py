@@ -4,45 +4,44 @@ Three ratios drive the classification: the truncated-variance tail ratio
 (bounded iff partial sums are subsequentially tight after centering), its
 centered variant (bounded iff zero centering is admissible), and Griffin's
 ratio (bounded iff sum(Y)/sqrt(sum(Y^2)) stays stochastically bounded).
-The module also provides the atom detector and the Kolmogorov-Smirnov
-distance used throughout the acceptance checks.
+The module also provides the atom detector and the one-sample
+Kolmogorov-Smirnov distance used throughout the acceptance checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import (MultiplierLaw, ParameterError, SeedStream,
-                            WeightLaw, vec_eval)
+from .distributions import MultiplierLaw, ParameterError, vec_eval
 from .montecarlo import EmpiricalSample
 
-LABELS = ("centered_feller", "feller_not_centered",
-          "not_feller_griffin_holds", "griffin_fails")
+# The ratios take x as a float or an array of floats; an array gives an
+# array of the same shape, and any x with a zero denominator raises.
 
 
-def feller_ratio(y: MultiplierLaw, x: float) -> float:
+def feller_ratio(y: MultiplierLaw, x):
     """x^2 P{Y > x} / E[Y^2 1{Y <= x}]."""
     t2 = y.trunc_second(x)
-    if not t2 > 0.0:
+    if not np.all(t2 > 0.0):
         raise ParameterError("x is below the support of Y (zero truncated variance)")
     return x * x * y.survival(x) / t2
 
 
-def centered_feller_ratio(y: MultiplierLaw, x: float) -> float:
+def centered_feller_ratio(y: MultiplierLaw, x):
     """(x^2 P{Y > x} + x E[Y 1{Y <= x}]) / E[Y^2 1{Y <= x}]."""
     t2 = y.trunc_second(x)
-    if not t2 > 0.0:
+    if not np.all(t2 > 0.0):
         raise ParameterError("x is below the support of Y (zero truncated variance)")
     return (x * x * y.survival(x) + x * y.trunc_mean(x)) / t2
 
 
-def griffin_ratio(y: MultiplierLaw, x: float) -> float:
+def griffin_ratio(y: MultiplierLaw, x):
     """x E[Y 1{Y <= x}] / (x^2 P{Y > x} + E[Y^2 1{Y <= x}])."""
     denom = x * x * y.survival(x) + y.trunc_second(x)
-    if not denom > 0.0:
+    if not np.all(denom > 0.0):
         raise ParameterError("zero denominator: x is below the support of Y")
     return x * y.trunc_mean(x) / denom
 
@@ -93,10 +92,7 @@ def ratio_scans(y: MultiplierLaw, x_grid: Sequence[float]):
         raise ParameterError("x_grid must be strictly increasing")
     if grid[-1] / grid[0] < 1e6:
         raise ParameterError("x_grid must span at least six decades")
-    fel = np.asarray([feller_ratio(y, t) for t in grid])
-    cen = np.asarray([centered_feller_ratio(y, t) for t in grid])
-    gri = np.asarray([griffin_ratio(y, t) for t in grid])
-    return grid, fel, cen, gri
+    return grid, feller_ratio(y, grid), centered_feller_ratio(y, grid), griffin_ratio(y, grid)
 
 
 def classify(y: MultiplierLaw, x_grid: Sequence[float]) -> ClassVerdict:
@@ -111,16 +107,15 @@ def verdict_from_scans(grid: np.ndarray, fel: np.ndarray, cen: np.ndarray,
 
     Decision order: a growing Griffin ratio fails Griffin's condition;
     otherwise a bounded centered ratio keeps zero centering admissible;
-    otherwise a bounded plain ratio leaves only the centering obstruction;
     what remains is the heavy-oscillation regime where Griffin's condition
-    still holds.
+    still holds.  The plain ratio F needs no test of its own: the centered
+    ratio is C = F + G (F + 1) with G Griffin's, so a bounded G and an
+    unbounded C force an unbounded F.
     """
     if _is_growing(grid, gri):
         label = "griffin_fails"
     elif not _is_growing(grid, cen):
         label = "centered_feller"
-    elif not _is_growing(grid, fel):
-        label = "feller_not_centered"
     else:
         label = "not_feller_griffin_holds"
     return ClassVerdict(
@@ -130,44 +125,6 @@ def verdict_from_scans(grid: np.ndarray, fel: np.ndarray, cen: np.ndarray,
         label=label,
         x_grid=[float(t) for t in grid],
     )
-
-
-@dataclass
-class ProductFellerReport:
-    """Empirical tail ratio of the product |X| Y along a threshold grid."""
-
-    t_grid: list
-    ratio: list
-    bounded: bool
-    meta: dict = field(default_factory=dict)
-
-
-def product_feller_check(x: WeightLaw, y: MultiplierLaw, t_grid: Sequence[float],
-                         stream: SeedStream, draws: int = 1_000_000) -> ProductFellerReport:
-    """Monte Carlo scan of t^2 P{|XY| > t} / E[(XY)^2 1{|XY| <= t}].
-
-    Both factors must individually have bounded ratio scans for the
-    boundedness conclusion to apply (caller's precondition).
-    """
-    t_grid = [float(t) for t in t_grid]
-    xs = np.abs(x.sampler(stream.child(0), draws))
-    ys = y.sampler(stream.child(1), draws)
-    z = np.sort(xs * ys)
-    csum2 = np.cumsum(z * z)
-    ratios = []
-    for t in t_grid:
-        k = int(np.searchsorted(z, t, side="right"))
-        tail = (draws - k) / draws
-        trunc2 = csum2[k - 1] / draws if k > 0 else 0.0
-        if trunc2 <= 0.0:
-            raise ParameterError(f"no product mass at or below t={t:g}")
-        ratios.append(t * t * tail / trunc2)
-    grid = np.asarray(t_grid)
-    vals = np.asarray(ratios)
-    return ProductFellerReport(t_grid, [float(r) for r in ratios],
-                               bounded=not _is_growing(grid, vals),
-                               meta={"x_law": x.label, "y_law": y.label,
-                                     "draws": draws})
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +188,3 @@ def ks_distance(sample: EmpiricalSample, cdf: Callable) -> float:
     f = vec_eval(cdf, v)
     i = np.arange(1, reps + 1)
     return float(max(np.max(i / reps - f), np.max(f - (i - 1) / reps)))
-
-
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample KS distance between sorted or unsorted value arrays."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    allv = np.concatenate([a, b])
-    fa = np.searchsorted(a, allv, side="right") / len(a)
-    fb = np.searchsorted(b, allv, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))

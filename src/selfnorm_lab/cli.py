@@ -63,8 +63,6 @@ _DEFAULTS = {
     "x_law.x0": "0.0",
     "x_law.x1": "1.0",
     "x_law.gamma": "0.5",
-    "tolerances.ks_tol": "0.02",
-    "tolerances.cutoff": "1e-4",
     "grid.lo": "-0.25",
     "grid.hi": "1.25",
     "grid.points": "1001",
@@ -211,7 +209,6 @@ def run_simulate(cfg: ExperimentConfig) -> int:
     y = cfg.multiplier_law()
     sim = mc.SimConfig(n=cfg.get_int("n"), reps=cfg.get_int("reps"),
                        seed=SeedStream(cfg.get_int("seed")),
-                       cutoff=cfg.get_float("tolerances.cutoff"),
                        threads=cfg.get_int("threads"))
     out = _outdir(cfg)
     sample = mc.simulate_tn(x, y, sim)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -143,7 +143,6 @@ class WeightLaw:
     beta_moment_pos: Callable[[float], float]
     beta_moment_neg: Callable[[float], float]
     atoms: tuple = ()
-    degenerate: bool = False
     pdf: Optional[Callable[[float], float]] = None
     pdf_breaks: tuple = ()
     support: tuple = (-math.inf, math.inf)
@@ -337,7 +336,7 @@ def _atom_index(inner_cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> WeightLaw:
+def _atomic_weight(label: str, atoms: Sequence) -> WeightLaw:
     atoms = tuple(sorted(atoms))
     mean = sum(m * loc for loc, m in atoms)
     abs_mean = sum(m * abs(loc) for loc, m in atoms)
@@ -364,8 +363,7 @@ def _atomic_weight(label: str, atoms: Sequence, degenerate: bool = False) -> Wei
 
     return WeightLaw(
         label=label, cdf=cdf, sf=sf, sampler=sampler, mean=mean, abs_mean=abs_mean,
-        beta_moment_pos=bmp, beta_moment_neg=bmn, atoms=atoms,
-        degenerate=degenerate, pdf=None,
+        beta_moment_pos=bmp, beta_moment_neg=bmn, atoms=atoms, pdf=None,
         support=(atoms[0][0], atoms[-1][0]),
     )
 
@@ -448,7 +446,7 @@ def make_weight_law(kind: str, *, c: float = 1.0, p: float = 0.5,
     if kind == "rademacher":
         return _atomic_weight("rademacher", [(-1.0, 0.5), (1.0, 0.5)])
     if kind == "point_mass":
-        return _atomic_weight(f"point_mass({c:g})", [(float(c), 1.0)], degenerate=True)
+        return _atomic_weight(f"point_mass({c:g})", [(float(c), 1.0)])
     if kind == "bernoulli":
         if not 0.0 < p < 1.0:
             raise ParameterError("bernoulli p must lie in (0, 1)")
@@ -649,39 +647,11 @@ def make_multiplier_law(kind: str, *, beta: float = 0.5, rate: float = 1.0) -> M
     raise ParameterError(f"unknown multiplier law kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Positive stable sampling (Kanter's exact method)
-# ---------------------------------------------------------------------------
-
-
-def sample_positive_stable(beta: float, stream: SeedStream, count: int) -> np.ndarray:
-    """Exact draws from the positive stable law with Laplace transform
-    exp(-lambda**beta), 0 < beta < 1.
-
-    Uses Kanter's representation Z = (A(U)/E)**((1-beta)/beta) with U uniform
-    on (0, pi), E unit exponential and
-    A(u) = [sin(beta u)^beta sin((1-beta) u)^(1-beta) / sin(u)]^(1/(1-beta)).
-    For beta = 1/2 the output follows the Levy(0, 1/2) law, with CDF
-    2 * (1 - Phi(1/sqrt(2 z))).
-    """
-    if not 0.0 < beta < 1.0:
-        raise ParameterError("positive stable index beta must lie in (0, 1)")
-    if count < 1:
-        raise ParameterError("count must be at least 1")
-    gen = stream.generator()
-    u = gen.uniform(0.0, math.pi, count)
-    e = gen.standard_exponential(count)
-    a = (np.sin(beta * u) ** beta * np.sin((1.0 - beta) * u) ** (1.0 - beta)
-         / np.sin(u)) ** (1.0 / (1.0 - beta))
-    return (a / e) ** ((1.0 - beta) / beta)
-
-
 def levy_cdf(z, c: float):
     """CDF of the Levy(0, c) law, 2 * (1 - Phi(sqrt(c/z))) for z > 0.
 
-    This is the beta = 1/2 positive stable family: ``sample_positive_stable``
-    draws follow Levy(0, 1/2); the limit of Pareto(1/2) partial sums under
-    a_n = n^2 follows Levy(0, pi/2).
+    This is the beta = 1/2 positive stable family: the limit of Pareto(1/2)
+    partial sums under a_n = n^2 follows Levy(0, pi/2).
     """
     z = np.asarray(z, dtype=float)
     tail = 2.0 * (1.0 - _norm_cdf(np.sqrt(c / np.where(z > 0.0, z, 1.0))))

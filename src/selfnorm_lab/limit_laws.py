@@ -1,8 +1,7 @@
 """Analytic limit law of the self-normalized ratio under Pareto multipliers.
 
 Evaluates the arctan-form limit CDF (Breiman's arcsine-law extension), its
-upper-tail expansion, the regular-variation tail constant, and the
-product-tail ratio that identifies the limit's jump constants.
+upper-tail expansion and the regular-variation tail constant.
 """
 
 from __future__ import annotations
@@ -14,15 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import beta as beta_fn
 
-from .distributions import (
-    MultiplierLaw,
-    ParameterError,
-    QuadratureError,
-    SeedStream,
-    WeightLaw,
-    vec_eval,
-)
-from .levy_calculus import ConvergenceReport
+from .distributions import ParameterError, QuadratureError, WeightLaw
 
 
 @dataclass(frozen=True)
@@ -156,6 +147,14 @@ def _fractional_moment(law: WeightLaw, x: np.ndarray, b: float, side: int) -> np
     return out
 
 
+def _check_finite(x: np.ndarray, *moments: np.ndarray) -> None:
+    """Raise QuadratureError at the first point of x where a fractional
+    moment is not finite (the rule overflows for |x| beyond about 1e306)."""
+    bad = ~np.all(np.isfinite(moments), axis=0)
+    if np.any(bad):
+        raise QuadratureError(f"fractional moment is not finite at x = {x[bad][0]!r}")
+
+
 def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     """Limit CDF at every point of ``grid``:
     1/2 + arctan(ratio * tan(pi b / 2)) / (pi b), where the ratio is
@@ -167,8 +166,9 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     ``i_a = I+ + I-`` and ``i_s = I- - I+``.  The rule runs over a fixed
     number of points at a time, and each value depends only on its own
     point.  Nondecreasing with limits 0 and 1; for a degenerate weight at c
-    it is the step function at c, with the convention value 1/2 at x = c.
-    Non-finite points raise ParameterError.
+    it is the step function at c, with the convention value 1/2 at x = c,
+    where i_a is 0.  Non-finite points raise ParameterError; a point whose
+    moments are not finite raises QuadratureError.
     """
     x = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -176,6 +176,7 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     b, flat = lim.beta, x.ravel()
     up = _fractional_moment(lim.weight, flat, b, 1)
     down = _fractional_moment(lim.weight, flat, b, -1)
+    _check_finite(flat, up, down)
     i_a, i_s = up + down, down - up
     ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
     cdf = 0.5 + np.arctan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
@@ -244,9 +245,10 @@ def breiman_tail(lim: BreimanLimit, x):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs) & (xs > 0.0)):
         raise ParameterError("x must be positive and finite")
-    b = lim.beta
-    up = _fractional_moment(lim.weight, xs.ravel(), b, 1).reshape(xs.shape)
-    tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up
+    b, flat = lim.beta, xs.ravel()
+    up = _fractional_moment(lim.weight, flat, b, 1)
+    _check_finite(flat, up)
+    tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up.reshape(xs.shape)
     return float(tail) if tail.ndim == 0 else tail
 
 
@@ -262,55 +264,3 @@ def regvar_tail_constant(beta: float, alpha_rv: float) -> float:
         raise ParameterError("alpha_rv must exceed beta")
     return 2.0 * beta * float(beta_fn(beta, alpha_rv - beta)) * _TAIL_PREF(beta)
 
-
-def product_tail_ratio(x: WeightLaw, y: MultiplierLaw, y_grid: Sequence[float],
-                       stream: SeedStream, draws: int = 1_000_000,
-                       rel_tol: float = 0.05):
-    """Estimate P{XY > t}/P{Y > t} (and the mirrored negative branch) along
-    y_grid and compare with the fractional-moment limits of the weight law.
-
-    Returns (positive_report, negative_report).  The weight factor is
-    integrated out through its CDF, so each point averages tail values of X
-    over multiplier draws; with bounded weights the draws restrict to the
-    conditional upper tail of Y, which removes rare-event variance.
-    """
-    if y.tail_class.kind != "pareto":
-        raise ParameterError("product-tail ratio is calibrated for Pareto multipliers")
-    b = y.tail_class.beta
-    lim_pos = x.beta_moment_pos(b)
-    lim_neg = x.beta_moment_neg(b)
-    hi = x.support[1]
-    lo = x.support[0]
-
-    def estimate(t: float, branch: str, substream: SeedStream):
-        edge = hi if branch == "pos" else -lo
-        if edge <= 0.0:
-            return 0.0, 0.0
-        if y.tail_sampler is not None and math.isfinite(edge):
-            y0 = t / edge
-            ys = y.tail_sampler(substream, draws, y0)
-            scale = y.survival(max(y0, 1.0))
-        else:
-            ys = y.sampler(substream, draws)
-            scale = 1.0
-        with np.errstate(divide="ignore"):
-            r = np.where(ys > 0.0, t / np.maximum(ys, 1e-300), math.inf)
-        if branch == "pos":
-            vals = 1.0 - vec_eval(x.cdf, r)
-        else:
-            vals = vec_eval(x.cdf, -r)
-        vals = scale * vals / y.survival(t)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
-
-    reports = []
-    for branch, limit in (("pos", lim_pos), ("neg", lim_neg)):
-        est, ses = [], []
-        for i, t in enumerate(y_grid):
-            e, s = estimate(float(t), branch, stream.child(i if branch == "pos" else 1000 + i))
-            est.append(e)
-            ses.append(s)
-        tol = max(rel_tol * max(abs(limit), 1e-12), 3.0 * max(ses) if ses else 0.0)
-        reports.append(ConvergenceReport.build(
-            name=f"product_tail_{branch}", grid=list(y_grid), prelimit=est,
-            limit=[limit] * len(est), tol=tol, se=ses))
-    return reports[0], reports[1]

@@ -337,7 +337,6 @@ class MaxShareStats:
     """
 
     a_n_eps_prob: dict
-    delta_quantiles: dict
     delta_sample: np.ndarray
     r_n_sample: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -362,8 +361,7 @@ def max_share_stats(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     shares, deltas, rns = _finite_n(x, y, cfg, reduce, width=3, scale_free=True)
     deltas, rns = np.sort(deltas), np.sort(rns)
     probs = {e: float((shares > 1.0 - e).mean()) for e in eps_list}
-    qs = {q: float(np.quantile(deltas, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)}
-    return MaxShareStats(probs, qs, deltas, rns, _law_meta(x, y, cfg))
+    return MaxShareStats(probs, deltas, rns, _law_meta(x, y, cfg))
 
 
 @dataclass

@@ -12,8 +12,7 @@ from selfnorm_lab.class_diagnostics import (
     feller_ratio,
     griffin_ratio,
     ks_distance,
-    ks_two_sample,
-    product_feller_check,
+    ratio_scans,
 )
 from selfnorm_lab.distributions import (
     ParameterError,
@@ -76,6 +75,24 @@ def test_ratio_validation():
     y = make_pareto_multiplier(0.5)
     with pytest.raises(ParameterError):
         feller_ratio(y, 0.5)  # below the support: zero truncated variance
+    for ratio in (feller_ratio, centered_feller_ratio, griffin_ratio):
+        with pytest.raises(ParameterError):
+            ratio(y, np.array([10.0, 0.0, 100.0]))  # one point with a zero denominator
+
+
+@pytest.mark.parametrize("y", [make_pareto_multiplier(0.5), make_slowly_varying_multiplier(),
+                               make_finite_mean_multiplier("exponential", rate=1.0),
+                               *(make_pareto_multiplier(b) for b in (0.3, 0.8, 1.0, 1.5))],
+                         ids=lambda y: y.label)
+def test_centered_ratio_identity(y):
+    # C = F + G (F + 1): with G bounded, an unbounded C forces an unbounded F,
+    # which is why the classifier never tests F on its own
+    grid, fel, cen, gri = ratio_scans(y, GRID)
+    np.testing.assert_allclose(cen, fel + gri * (fel + 1.0), rtol=1e-12, atol=0.0)
+    for i in (0, 28, 56):
+        assert fel[i] == pytest.approx(feller_ratio(y, grid[i]), rel=1e-14)
+        assert cen[i] == pytest.approx(centered_feller_ratio(y, grid[i]), rel=1e-14)
+        assert gri[i] == pytest.approx(griffin_ratio(y, grid[i]), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -124,28 +141,6 @@ def test_classify_rejects_short_grid():
         classify(make_pareto_multiplier(0.5), np.logspace(2, 5, 10))
     with pytest.raises(ParameterError):
         classify(make_pareto_multiplier(0.5), [10.0, 5.0, 20.0])
-
-
-# ---------------------------------------------------------------------------
-# Product closure
-# ---------------------------------------------------------------------------
-
-
-def test_product_feller_rademacher_recovers_multiplier_ratio():
-    rep = product_feller_check(make_weight_law("rademacher"),
-                               make_pareto_multiplier(0.5),
-                               [10.0 ** k for k in range(1, 6)],
-                               SeedStream(41, 0), draws=400_000)
-    assert rep.bounded
-    assert rep.ratio[-2] == pytest.approx(3.0, rel=0.25)  # |XY| = Y
-
-
-def test_product_feller_symmetric_pareto_product_bounded():
-    rep = product_feller_check(make_weight_law("symmetric_pareto", gamma=0.5),
-                               make_pareto_multiplier(0.5),
-                               [10.0 ** k for k in range(1, 7)],
-                               SeedStream(41, 1), draws=400_000)
-    assert rep.bounded
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +221,3 @@ def test_ks_distance_shifted_sample_saturates():
     d = ks_distance(s, lambda t: np.clip(t, 0.0, 1.0))
     assert d == pytest.approx(1.0, abs=1e-3)
 
-
-def test_ks_two_sample_identical():
-    gen = SeedStream(66, 2).generator()
-    a = gen.random(5000)
-    assert ks_two_sample(a, a) == 0.0

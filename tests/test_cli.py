@@ -146,7 +146,7 @@ def test_diagnose_writes_verdict(tmp_path):
 
 def test_diagnose_scans_each_ratio_once(tmp_path, monkeypatch):
     # the verdict and ratio_scan.csv share one evaluation of each scan: three
-    # ratios, each reading the survival function once per grid point
+    # ratios, each reading the survival function once over the whole grid
     import dataclasses
     from selfnorm_lab import cli
     calls = []
@@ -154,12 +154,12 @@ def test_diagnose_scans_each_ratio_once(tmp_path, monkeypatch):
 
     def counting_law(*args, **kwargs):
         law = make(*args, **kwargs)
-        return dataclasses.replace(law, survival=lambda y: calls.append(y) or law.survival(y))
+        return dataclasses.replace(law, survival=lambda y: calls.append(np.size(y)) or law.survival(y))
 
     monkeypatch.setattr(cli, "make_multiplier_law", counting_law)
     cfg = write_cfg(tmp_path, **{"diag.points": "29"})
     assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 3 * 29
+    assert calls == [29, 29, 29]
     assert len((tmp_path / "out" / "ratio_scan.csv").read_text().splitlines()) == 1 + 29
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.stats import levy
 
 from selfnorm_lab.distributions import (
     ParameterError,
@@ -17,7 +18,6 @@ from selfnorm_lab.distributions import (
     make_pareto_multiplier,
     make_slowly_varying_multiplier,
     make_weight_law,
-    sample_positive_stable,
     vec_eval,
 )
 
@@ -346,7 +346,6 @@ def test_point_mass_moments():
     x = make_weight_law("point_mass", c=1.0)
     for b in (0.1, 0.5, 1.3):
         assert x.beta_moment_pos(b) == pytest.approx(1.0)
-    assert x.degenerate
 
 
 def test_gaussian_beta_moment_matches_quadrature():
@@ -360,7 +359,6 @@ def test_gaussian_beta_moment_matches_quadrature():
 def test_symmetric_pareto_infinite_mean_flags():
     x = make_weight_law("symmetric_pareto", gamma=0.8)
     assert math.isinf(x.abs_mean)
-    assert not x.degenerate
     assert x.beta_moment_pos(0.5) == pytest.approx(0.8 / (2 * 0.3))
     assert math.isinf(x.beta_moment_pos(0.9))
     x2 = make_weight_law("symmetric_pareto", gamma=1.5)
@@ -500,56 +498,15 @@ def test_expect_weight_mixes_atoms_and_density():
 
 
 # ---------------------------------------------------------------------------
-# Positive stable sampler
+# Levy CDF
 # ---------------------------------------------------------------------------
 
 
-def test_positive_stable_strictly_positive():
-    z = sample_positive_stable(0.7, SeedStream(1, 0), 10_000)
-    assert np.all(z > 0.0)
-
-
-def test_positive_stable_half_matches_levy_closed_form():
-    z = np.sort(sample_positive_stable(0.5, SeedStream(7, 3), 200_000))
-    f = levy_cdf(z, 0.5)
-    i = np.arange(1, len(z) + 1)
-    ks = max(np.max(i / len(z) - f), np.max(f - (i - 1) / len(z)))
-    assert ks <= 1.63 / math.sqrt(len(z))  # 99% Kolmogorov critical value
-
-
-def test_positive_stable_median_spot_check():
-    # Levy(0, 1/2) median solves 2(1 - Phi(1/sqrt(2 z))) = 1/2
-    from scipy.stats import norm
-    target = 1.0 / (2.0 * norm.ppf(0.75) ** 2)
-    z = sample_positive_stable(0.5, SeedStream(7, 4), 400_000)
-    assert np.median(z) == pytest.approx(target, rel=0.02)
-
-
-def test_positive_stable_tail_constant():
-    # P{Z > z} ~ z^-beta / Gamma(1 - beta); probe where survival is ~1e-3.
-    # 4e6 draws keep the 5% tolerance near two standard errors.
-    beta = 0.5
-    zq = (1e3 * math.gamma(1.0 - beta)) ** (1.0 / beta)
-    z = sample_positive_stable(beta, SeedStream(7, 5), 4_000_000)
-    emp = float((z > zq).mean())
-    asym = zq ** (-beta) / math.gamma(1.0 - beta)
-    assert abs(emp - asym) <= 0.05 * asym
-
-
-@pytest.mark.parametrize("beta", [0.3, 0.7])
-def test_positive_stable_laplace_transform(beta):
-    z = sample_positive_stable(beta, SeedStream(7, int(beta * 10)), 1_000_000)
-    for lam in (0.5, 1.0, 2.0):
-        vals = np.exp(-lam * z)
-        se = vals.std(ddof=1) / 1000.0
-        assert abs(vals.mean() - math.exp(-lam ** beta)) <= 4.0 * se
-
-
-def test_positive_stable_validation():
-    with pytest.raises(ParameterError):
-        sample_positive_stable(1.0, SeedStream(1), 10)
-    with pytest.raises(ParameterError):
-        sample_positive_stable(0.5, SeedStream(1), 0)
+@pytest.mark.parametrize("c", [0.5, math.pi / 2.0])
+def test_levy_cdf_matches_scipy(c):
+    z = np.logspace(-6, 12, 1801)
+    assert np.max(np.abs(levy_cdf(z, c) - levy(scale=c).cdf(z))) <= 1e-14
+    assert levy_cdf(np.array([-1.0, 0.0]), c).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""Import hygiene of the package, checked with the standard library's ``ast``
+so that it needs no linter."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "selfnorm_lab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _bound_names(tree):
+    """(name, line) of every name an import binds, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_references_every_import(path):
+    tree = ast.parse(path.read_text())
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _bound_names(tree)
+              if name not in referenced]
+    assert unused == []
+
+
+def test_package_exports_resolve():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module("." * node.level + (node.module or ""),
+                                             "selfnorm_lab")
+            missing += [f"{module.__name__}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)]
+    assert missing == []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from scipy.special import beta as beta_fn
 from selfnorm_lab.distributions import (
     ParameterError,
     QuadratureError,
-    SeedStream,
     WeightLaw,
     expect_weight,
-    make_pareto_multiplier,
     make_weight_law,
 )
 from selfnorm_lab.limit_laws import (
@@ -19,7 +18,6 @@ from selfnorm_lab.limit_laws import (
     breiman_cdf,
     breiman_cdf_grid,
     breiman_tail,
-    product_tail_ratio,
     regvar_tail_constant,
     tabulated_cdf,
 )
@@ -46,7 +44,6 @@ def test_point_mass_step_function():
     assert breiman_cdf(lim, 0.5) == pytest.approx(0.0, abs=1e-12)
     assert breiman_cdf(lim, 1.5) == pytest.approx(1.0, abs=1e-12)
     assert breiman_cdf(lim, 1.0) == 0.5  # degeneracy convention at the atom
-    assert lim.weight.degenerate
 
 
 def test_nonnegative_weight_vanishes_below_zero(lim_u01):
@@ -208,6 +205,18 @@ def test_grid_validation(lim_u01):
         with pytest.raises(ParameterError):
             breiman_cdf(lim_u01, bad)
     assert breiman_cdf_grid(lim_u01, np.array([[0.2, 0.5], [0.7, 2.0]])).shape == (2, 2)
+    # far tail: the rule overflows beyond about 1e306 on an unbounded piece
+    for kind in ("symmetric_pareto", "standard_gaussian", "abs_pareto"):
+        lim = BreimanLimit(0.5, make_weight_law(kind, gamma=0.8))
+        assert breiman_cdf(lim, 1e306) == 1.0
+        for far in (2e306, 1e307, -1e307):
+            with pytest.raises(QuadratureError, match=re.escape(repr(far))):
+                breiman_cdf(lim, far)
+        with pytest.raises(QuadratureError):
+            breiman_cdf_grid(lim, [0.5, 1e307])
+        with pytest.raises(QuadratureError, match=re.escape(repr(1e307))):
+            breiman_tail(lim, 1e307)
+    assert breiman_cdf_grid(lim_u01, [1e306, 2e306, 1e307, -1e307]).tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
 def test_symmetric_weight_reflection():
@@ -343,42 +352,3 @@ def test_regvar_constant_validation():
         regvar_tail_constant(0.5, 0.4)
     with pytest.raises(ParameterError):
         regvar_tail_constant(1.1, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Product-tail ratio
-# ---------------------------------------------------------------------------
-
-
-def test_product_tail_ratio_uniform01():
-    x = make_weight_law("uniform01")
-    y = make_pareto_multiplier(0.5)
-    pos, neg = product_tail_ratio(x, y, (10.0, 100.0, 1000.0),
-                                  SeedStream(21, 0), draws=200_000)
-    assert pos.verdict
-    assert abs(pos.prelimit[-1] - 2.0 / 3.0) <= 0.05 * (2.0 / 3.0)
-    assert neg.prelimit == [0.0, 0.0, 0.0]
-
-
-def test_product_tail_ratio_point_mass_is_one():
-    x = make_weight_law("point_mass", c=1.0)
-    y = make_pareto_multiplier(0.5)
-    pos, _ = product_tail_ratio(x, y, (2.0, 50.0), SeedStream(21, 1), draws=50_000)
-    assert pos.prelimit == pytest.approx([1.0, 1.0], rel=1e-9)
-
-
-def test_product_tail_ratio_rademacher_branches():
-    x = make_weight_law("rademacher")
-    y = make_pareto_multiplier(0.5)
-    pos, neg = product_tail_ratio(x, y, (100.0,), SeedStream(21, 2), draws=200_000)
-    assert pos.prelimit[0] == pytest.approx(0.5, rel=1e-9)  # exact: X=1 above t iff Y>t
-    assert neg.prelimit[0] == pytest.approx(0.5, rel=1e-9)
-    assert pos.limit[0] == pytest.approx(0.5)
-
-
-def test_product_tail_ratio_requires_pareto():
-    from selfnorm_lab.distributions import make_slowly_varying_multiplier
-    with pytest.raises(ParameterError):
-        product_tail_ratio(make_weight_law("uniform01"),
-                           make_slowly_varying_multiplier(), (10.0,),
-                           SeedStream(21, 3))
