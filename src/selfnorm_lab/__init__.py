@@ -29,9 +29,7 @@ from .levy_calculus import (
     alpha_h,
     check_levy_convergence,
     lambda_bar,
-    phi_psi,
     pi_bar,
-    pi_neg,
     prelimit_lambda_n,
     prelimit_pi_n,
     prelimit_truncated_first_moments,

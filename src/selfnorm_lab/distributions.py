@@ -227,21 +227,22 @@ def _quad_piece(f: Callable[[float], float], lo: float, hi: float, tol: float) -
 
 
 def _piece(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """One quadrature piece; infinite edges are folded to finite intervals
-    by the reciprocal substitution u = 1/t, which turns slowly decaying
-    power-law tails into integrable endpoint singularities (QAGS territory)
-    instead of stressing the infinite-range extrapolation."""
-    if a == -math.inf and b == math.inf:
-        return _piece(f, a, 0.0, tol) + _piece(f, 0.0, b, tol)
-    if b == math.inf:
-        c = max(a, 1.0)
-        head = _quad_piece(f, a, c, tol) if c > a else 0.0
-        return head + _quad_piece(lambda t: f(1.0 / t) / (t * t), 0.0, 1.0 / c, tol)
-    if a == -math.inf:
-        c = min(b, -1.0)
-        head = _quad_piece(f, c, b, tol) if b > c else 0.0
-        return head + _quad_piece(lambda t: f(1.0 / t) / (t * t), 1.0 / c, 0.0, tol)
-    return _quad_piece(f, a, b, tol)
+    """One quadrature piece.  The parts beyond |t| = 1 are folded into
+    [-1, 1] by the reciprocal substitution u = 1/t, whether their edge is
+    finite or infinite.  Power-law tails become integrable endpoint
+    singularities (QAGS territory) instead of stressing the infinite-range
+    extrapolation.  However wide a piece is, the bulk of a law then lies in
+    [-1, 1] or folds onto a large part of it, within reach of QUADPACK's
+    nodes; unfolded, the nodes on (-1e3, 1e3) miss the Gaussian bulk."""
+    total = 0.0
+    if a < -1.0:
+        total += _quad_piece(lambda t: f(1.0 / t) / (t * t), 1.0 / min(b, -1.0), 1.0 / a, tol)
+    lo, hi = max(a, -1.0), min(b, 1.0)
+    if hi > lo:
+        total += _quad_piece(f, lo, hi, tol)
+    if b > 1.0:
+        total += _quad_piece(lambda t: f(1.0 / t) / (t * t), 1.0 / b, 1.0 / max(a, 1.0), tol)
+    return total
 
 
 def quad_segments(f: Callable[[float], float], lo: float, hi: float,

@@ -3,9 +3,11 @@
 Builds the one-dimensional jump intensity of the multiplier limit, the
 bivariate measure it induces jointly with the weight law, and the tail and
 truncated-moment integrals that characterise convergence of the triangular
-array ``(X_i Y_i / a_n, Y_i / a_n)``.  Limit quantities are adaptive
-quadratures; prelimit quantities are exact closed forms where the law allows
-and variance-reduced Monte Carlo otherwise.
+array ``(X_i Y_i / a_n, Y_i / a_n)``.  Each limit quantity integrates the
+jump size out in closed form for every weight value (Tonelli) and is one
+adaptive quadrature over the weight law; prelimit quantities are exact
+closed forms where the law allows and variance-reduced Monte Carlo
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,11 +25,8 @@ from .distributions import (
     WeightLaw,
     as_int,
     expect_weight,
-    quad_segments,
     vec_eval,
 )
-
-DEFAULT_QUAD_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -37,27 +36,26 @@ DEFAULT_QUAD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LevyTail:
-    """One-dimensional jump measure on (0, inf) described by its tail.
+    """One-dimensional jump measure Lambda on (0, inf) described by its tail.
 
-    ``tail(v)`` is the measure of (v, inf); ``density`` its derivative where
-    absolutely continuous.  ``small_mean`` is the first moment near zero,
-    the integral of s over (0, 1], which must be finite for a non-negative
-    infinitely divisible limit.  ``drift_alpha`` is the non-negative drift of
-    the zero-truncation representation.  ``tail_inverse(w)`` inverts the tail
-    (generalized inverse); ``small_mean_below(eps)`` is the integral of s
-    over (0, eps], used for jump-truncation bias bounds.  ``tail_inverse``
-    maps an ndarray to one of the same shape; the limit-pair engine draws
-    jumps through it and refuses a measure without one.  The other callables
-    need only take floats.
+    ``tail(v)`` is the measure of (v, inf) and ``tail_inverse(w)`` its
+    generalized inverse.  ``truncated_moment(k, c)`` is the integral of s^k
+    against the measure over (0, c], for k >= 1 and c >= 0; it is finite at
+    k = 1 for a non-negative infinitely divisible limit.  Every functional
+    of the bivariate measure reduces to ``tail`` and ``truncated_moment``,
+    and ``truncated_moment(1, eps)`` bounds the mean of the jumps a cutoff
+    at eps discards.  ``drift_alpha`` is the non-negative drift of the
+    zero-truncation representation.  ``tail_inverse`` maps an ndarray to one
+    of the same shape; the limit-pair engine draws jumps through it and
+    refuses a measure without one.  The other callables need only take
+    floats.
     """
 
     label: str
     tail: Callable[[float], float]
-    density: Optional[Callable[[float], float]] = None
-    small_mean: float = math.nan
+    truncated_moment: Callable[[int, float], float]
     drift_alpha: float = 0.0
     tail_inverse: Optional[Callable[[float], float]] = None
-    small_mean_below: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.drift_alpha < 0.0:
@@ -76,29 +74,22 @@ def stable_levy_tail(beta: float) -> LevyTail:
     return LevyTail(
         label=f"stable(beta={b:g})",
         tail=lambda v: v ** (-b),
-        density=lambda s: b * s ** (-b - 1.0),
-        small_mean=b / (1.0 - b),
-        drift_alpha=0.0,
+        truncated_moment=lambda k, c: b * c ** (k - b) / (k - b),
         tail_inverse=lambda w: w ** (-1.0 / b),
-        small_mean_below=lambda eps: b * eps ** (1.0 - b) / (1.0 - b),
     )
 
 
 @dataclass(frozen=True)
 class BivariateLevyView:
-    """The pair (weight law, jump measure) defining the bivariate limit
-    measure: mass of (a,b] x (c,d] is the integral over s in (c,d] of
-    F(b/s) - F(a/s) against the jump measure."""
+    """The pair (weight law F, jump measure Lambda) defining the bivariate
+    limit measure, the image of F(dx) Lambda(ds) under (x, s) -> (x s, s):
+    mass of (a,b] x (c,d] is the integral over s in (c,d] of
+    F(b/s) - F(a/s) against the jump measure.  Its functionals integrate s
+    out for each fixed x through ``LevyTail.tail`` and
+    ``LevyTail.truncated_moment`` and take one expectation over X."""
 
     weight: WeightLaw
     levy: LevyTail
-
-    def _density_or_raise(self) -> Callable[[float], float]:
-        if self.levy.density is None:
-            raise ParameterError(
-                "operation requires an absolutely continuous jump measure "
-                "(provide LevyTail.density)")
-        return self.levy.density
 
 
 @dataclass
@@ -147,6 +138,12 @@ def _sample_size(n) -> int:
     return n
 
 
+def _check_level(h: float) -> None:
+    """Raise ParameterError unless the truncation level h is positive and finite."""
+    if not 0.0 < h < math.inf:
+        raise ParameterError("h must be positive and finite")
+
+
 def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     """n P{Y > a_n v}, the row tail of the triangular array.
 
@@ -161,59 +158,23 @@ def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     return n * y.survival(y.norming(n) * v)
 
 
-def _weight_breakpoints(law: WeightLaw, positive: bool) -> list:
-    """Locations where F(u/s) can kink as a function of s, in x units."""
-    pts = [loc for loc, _ in law.atoms]
-    pts += list(law.pdf_breaks)
-    pts += [p for p in law.support if math.isfinite(p)]
-    if positive:
-        return sorted({p for p in pts if p > 0.0})
-    return sorted({-p for p in pts if p < 0.0})
+def pi_bar(view: BivariateLevyView, u: float, v: float) -> float:
+    """Tail of the bivariate measure on the side of u: the mass it gives
+    {(a, b): a > u, b > v} for u >= 0 and {(a, b): a <= u, b > v} for u < 0.
 
-
-def pi_bar(view: BivariateLevyView, u: float, v: float,
-           tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Upper-right tail of the bivariate measure: integral over s in
-    (v, inf) of P{X > u/s} against the jump measure.
-
-    Finite for every u > 0 even at v = 0 because the weight law has a finite
-    absolute mean and the jump measure integrates s near zero.
+    For each weight value x the jump size is integrated out, so the mass is
+    E[lambda_bar(max(v, u/X)); X > 0] for u >= 0 and the same expectation
+    over X < 0 for u < 0.  Finite for every u != 0 even at v = 0 because the
+    weight law has a finite absolute mean and the jump measure integrates s
+    near zero.
     """
-    if u < 0.0 or v < 0.0 or (u == 0.0 and v == 0.0):
-        raise ParameterError("need u, v >= 0 and (u, v) != (0, 0)")
-    law = view.weight
-    if u == 0.0:
-        return lambda_bar(view.levy, v) * (1.0 - law.cdf(0.0))
-    dens = view._density_or_raise()
-    hi_support = law.support[1]
-    if hi_support <= 0.0:
-        return 0.0
-    lo = v
-    if math.isfinite(hi_support):
-        lo = max(lo, u / hi_support)  # integrand vanishes below u / sup(X)
-    points = [u / x for x in _weight_breakpoints(law, positive=True)]
-    sf = law.sf
-    return quad_segments(lambda s: sf(u / s) * dens(s), lo, math.inf,
-                         points=points, tol=tol)
-
-
-def pi_neg(view: BivariateLevyView, u: float, v: float,
-           tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Lower-left tail: integral over s in (v, inf) of P{X <= -u/s}."""
-    if u <= 0.0 or v < 0.0:
-        raise ParameterError("need u > 0 and v >= 0")
-    law = view.weight
-    dens = view._density_or_raise()
-    lo_support = law.support[0]
-    if lo_support >= 0.0:
-        return 0.0
-    lo = v
-    if math.isfinite(lo_support):
-        lo = max(lo, u / (-lo_support))
-    points = [u / x for x in _weight_breakpoints(law, positive=False)]
-    cdf = law.cdf
-    return quad_segments(lambda s: cdf(-u / s) * dens(s), lo, math.inf,
-                         points=points, tol=tol)
+    if not v >= 0.0 or math.isnan(u) or (u == 0.0 and v == 0.0):
+        raise ParameterError("need v >= 0 and (u, v) != (0, 0)")
+    tail = view.levy.tail
+    lo, hi = (0.0, math.inf) if u >= 0.0 else (-math.inf, 0.0)
+    return expect_weight(view.weight, lambda x: tail(max(v, u / x)), lo, hi,
+                         include_lo=False, include_hi=False,
+                         points=[u / v] if v > 0.0 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +237,16 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
 # ---------------------------------------------------------------------------
 
 
-def alpha_h(obj, h: float, n: Optional[int] = None,
-            tol: float = DEFAULT_QUAD_TOL) -> float:
+def alpha_h(obj, h: float, n: Optional[int] = None) -> float:
     """Truncated first moment of the jump part up to level h.
 
     For a :class:`LevyTail` this is drift + integral of s over (0, h].
     For a :class:`MultiplierLaw` (prelimit mode, requires ``n``) it is
     (n / a_n) E[Y 1{Y <= a_n h}], computed from the law's truncated mean.
     """
-    if h <= 0.0:
-        raise ParameterError("h must be positive")
+    _check_level(h)
     if isinstance(obj, LevyTail):
-        if obj.density is None:
-            raise ParameterError("alpha_h needs a jump density")
-        dens = obj.density
-        return obj.drift_alpha + quad_segments(lambda s: s * dens(s), 0.0, h, tol=tol)
+        return obj.drift_alpha + obj.truncated_moment(1, h)
     if isinstance(obj, MultiplierLaw):
         if n is None:
             raise ParameterError("prelimit alpha_h requires n")
@@ -302,110 +258,48 @@ def alpha_h(obj, h: float, n: Optional[int] = None,
     raise ParameterError("expected a LevyTail or a MultiplierLaw")
 
 
-def _varphi(v: float, h: float) -> float:
-    return math.sqrt(max(h * h - v * v, 0.0)) / v
+def _half_disk(view: BivariateLevyView, h: float, j: int, k: int) -> float:
+    """Integral of x^j s^k against F(dx) Lambda(ds) over the half-disk
+    {(x s, s): s^2 (1 + x^2) <= h^2}, which is E[X^j m_k(h / sqrt(1 + X^2))]
+    with m_k the jump measure's ``truncated_moment(k, .)``."""
+    m = view.levy.truncated_moment
+    return expect_weight(view.weight, lambda x: x ** j * m(k, h / math.hypot(1.0, x)))
 
 
-def phi_psi(view: BivariateLevyView, v: float, h: float,
-            tol: float = DEFAULT_QUAD_TOL):
-    """Weight-law mass and first moment inside the disk slice at height v.
-
-    Returns (phi, psi) where phi = P{-r <= X <= r} with r = sqrt(h^2-v^2)/v
-    (left limit at the lower endpoint, so boundary atoms count), and
-    psi = v E[X 1{|X| <= r}].  Requires 0 < v <= h.
-    """
-    if not 0.0 < v <= h:
-        raise ParameterError("need 0 < v <= h")
-    law = view.weight
-    r = _varphi(v, h)
-    psi = v * expect_weight(law, lambda t: t, -r, r, tol=tol)
-    return _slice_mass(law, r), psi
-
-
-def _slice_mass(law: WeightLaw, r: float) -> float:
-    """P{-r <= X <= r}, boundary atoms included."""
-    return law.cdf(r) - law.cdf(-r) + law.atom_mass(-r)
-
-
-def _slice_breaks(law: WeightLaw, h: float) -> list:
-    """v points where the slice radius crosses a weight structure point."""
-    pts = {abs(loc) for loc, _ in law.atoms}
-    pts |= {abs(p) for p in law.pdf_breaks}
-    pts |= {abs(p) for p in law.support if math.isfinite(p)}
-    out = [h / math.sqrt(1.0 + a * a) for a in pts if a > 0.0]
-    return sorted(out)
-
-
-def truncated_first_moments(view: BivariateLevyView, h: float,
-                            tol: float = 1e-8):
+def truncated_first_moments(view: BivariateLevyView, h: float):
     """Limits of the truncated first moments of the scaled pair.
 
-    Returns (y_part, xy_part):
-    y_part  = drift + integral over (0, h] of phi(v) v against the jump measure,
-    xy_part = drift * E X + integral of psi(v).
+    Returns (y_part, xy_part), the half-disk integrals of v and u plus the
+    drift terms:
+    y_part  = drift + E[m_1(h / sqrt(1 + X^2))],
+    xy_part = drift * E X + E[X m_1(h / sqrt(1 + X^2))].
     These are the limit targets of (n/a_n) E[Y 1{|(XY, Y)| <= a_n h}] and
     (n/a_n) E[XY 1{...}].
     """
-    if h <= 0.0:
-        raise ParameterError("h must be positive")
+    _check_level(h)
     law = view.weight
     if not math.isfinite(law.abs_mean):
         raise ParameterError("weight law must have finite absolute mean")
-    dens = view._density_or_raise()
     alpha = view.levy.drift_alpha
-    breaks = _slice_breaks(law, h)
-
-    def integrand_y(v):
-        return _slice_mass(law, _varphi(v, h)) * v * dens(v)
-
-    def integrand_xy(v):
-        _, psi = phi_psi(view, v, h, tol=tol * 0.01)
-        return psi * dens(v)
-
-    y_part = alpha + quad_segments(integrand_y, 0.0, h, points=breaks, tol=tol)
-    xy_part = (alpha * law.mean if alpha != 0.0 else 0.0) + \
-        quad_segments(integrand_xy, 0.0, h, points=breaks, tol=tol)
+    y_part = alpha + _half_disk(view, h, 0, 1)
+    xy_part = (alpha * law.mean if alpha != 0.0 else 0.0) + _half_disk(view, h, 1, 1)
     return y_part, xy_part
 
 
-def truncated_second_moments(view: BivariateLevyView, h: float,
-                             tol: float = 1e-8):
+def truncated_second_moments(view: BivariateLevyView, h: float):
     """Quadratic integrals of the bivariate measure over the half-disk of
     radius h: returns (uu, vv, uv) for the integrands u^2, v^2 and u v."""
-    if h <= 0.0:
-        raise ParameterError("h must be positive")
-    law = view.weight
-    dens = view._density_or_raise()
-    breaks = _slice_breaks(law, h)
-
-    # the three outer quadratures share most of their nodes
-    seen = {}
-
-    def moments(v):
-        if v not in seen:
-            r = _varphi(v, h)
-            m1 = expect_weight(law, lambda t: t, -r, r, tol=tol * 0.01)
-            m2 = expect_weight(law, lambda t: t * t, -r, r, tol=tol * 0.01)
-            seen[v] = (_slice_mass(law, r), m1, m2)
-        return seen[v]
-
-    uu = quad_segments(lambda v: v * v * moments(v)[2] * dens(v), 0.0, h,
-                       points=breaks, tol=tol)
-    vv = quad_segments(lambda v: v * v * moments(v)[0] * dens(v), 0.0, h,
-                       points=breaks, tol=tol)
-    uv = quad_segments(lambda v: v * v * moments(v)[1] * dens(v), 0.0, h,
-                       points=breaks, tol=tol)
-    return uu, vv, uv
+    _check_level(h)
+    return tuple(_half_disk(view, h, j, 2) for j in (2, 0, 1))
 
 
-def second_moment_smallh_scan(view: BivariateLevyView, k_max: int = 10,
-                              tol: float = 1e-8) -> dict:
+def second_moment_smallh_scan(view: BivariateLevyView, k_max: int = 10) -> dict:
     """Evaluate the quadratic integrals at h = 2^-k, k = 0..k_max.
 
     Documents the vanishing-variance property of the limit: all three
     integrals must decay to zero as h shrinks.
     """
-    return {2.0 ** (-k): truncated_second_moments(view, 2.0 ** (-k), tol=tol)
+    return {2.0 ** (-k): truncated_second_moments(view, 2.0 ** (-k))
             for k in range(k_max + 1)}
 
 
@@ -424,8 +318,7 @@ def prelimit_truncated_first_moments(x: WeightLaw, y: MultiplierLaw, n: int,
     X the Y integral is the law's truncated mean; only X is simulated.
     Returns ((y_part, y_se), (xy_part, xy_se)).
     """
-    if h <= 0.0:
-        raise ParameterError("h must be positive")
+    _check_level(h)
     n = _sample_size(n)
     a_n = y.norming(n)
     if not math.isfinite(a_n):
@@ -451,8 +344,7 @@ def prelimit_truncated_second_moments(x: WeightLaw, y: MultiplierLaw, n: int,
     truncated second moment conditionally on X.  Returns three (value, se)
     pairs ordered (uu, vv, uv).
     """
-    if h <= 0.0:
-        raise ParameterError("h must be positive")
+    _check_level(h)
     n = _sample_size(n)
     a_n = y.norming(n)
     if not math.isfinite(a_n):
@@ -487,8 +379,7 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
                            v_grid: Sequence[float],
                            uv_grid: Sequence = (),
                            stream: Optional[SeedStream] = None,
-                           draws: int = 1_000_000,
-                           lambda_tol: float = 1e-9) -> LevyConvergenceResult:
+                           draws: int = 1_000_000) -> LevyConvergenceResult:
     """Compare row tails n P{Y > a_n v} and n P{XY > a_n u, Y > a_n v}
     against their limit counterparts along n_list.
 
@@ -527,7 +418,7 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
         scale = max(abs(l) for l in lim) or 1.0
         lam_reports.append(ConvergenceReport.build(
             name=f"lambda_n={n}", grid=list(v_grid), prelimit=pre, limit=lim,
-            tol=lambda_tol * scale))
+            tol=1e-9 * scale))
     if uv_grid:
         if stream is None:
             raise ParameterError("uv_grid comparisons need a SeedStream")
@@ -539,10 +430,7 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
                                         draws=draws)
                 pre.append(est)
                 ses.append(se)
-                if u >= 0.0:
-                    lim.append(pi_bar(view, u, v))
-                else:
-                    lim.append(pi_neg(view, -u, v))
+                lim.append(pi_bar(view, u, v))
             tol = 3.0 * max(ses) + 1e-9
             pi_reports.append(ConvergenceReport.build(
                 name=f"pi_n={n}", grid=[list(p) for p in uv_grid],

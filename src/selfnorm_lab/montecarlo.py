@@ -102,10 +102,7 @@ class PairSample:
 
     def ratio(self) -> np.ndarray:
         """Elementwise w1/w2 with the 0/0 := 0 convention."""
-        out = np.zeros_like(self.w1)
-        nz = self.w2 != 0.0
-        out[nz] = self.w1[nz] / self.w2[nz]
-        return out
+        return _ratios(self.w2, self.w1)[0]
 
 
 def _block_layout(reps: int, values_per_rep: int, min_rows: int = 1) -> tuple:
@@ -255,16 +252,14 @@ def simulate_normed_pair(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> Pair
 
 def _auto_cutoff(view: BivariateLevyView, budget: float = 1e-3) -> float:
     """Largest cutoff whose discarded-jump bias stays within budget."""
-    small = view.levy.small_mean_below
-    if small is None:
-        raise ParameterError("automatic cutoff needs LevyTail.small_mean_below")
+    moment = view.levy.truncated_moment
     scale = max(1.0, view.weight.abs_mean) if math.isfinite(view.weight.abs_mean) else 1.0
     lo, hi = 1e-15, 1.0 - 1e-12
-    if small(hi) * scale <= budget:
+    if moment(1, hi) * scale <= budget:
         return hi
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if small(mid) * scale <= budget:
+        if moment(1, mid) * scale <= budget:
             lo = mid
         else:
             hi = mid
@@ -282,7 +277,7 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     them per row; rows per block follow from the Poisson mean.  Jumps below the
     cutoff are dropped without compensation, which is legitimate because the
     jump measure integrates s near zero; the discarded mass has mean total at
-    most small_mean_below(cutoff) * (E|X|, 1), reported in the metadata.
+    most truncated_moment(1, cutoff) * (E|X|, 1), reported in the metadata.
     """
     inverse = view.levy.tail_inverse
     if inverse is None:
@@ -309,7 +304,7 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
                 alpha + np.bincount(owner, jumps, counts.size))
 
     w1, w2 = _run_replications(block, blocks, 2, cfg.threads)
-    bias_y = view.levy.small_mean_below(eps) if view.levy.small_mean_below else math.nan
+    bias_y = view.levy.truncated_moment(1, eps)
     meta = _law_meta(x, None, cfg)
     meta.update({
         "levy": view.levy.label,

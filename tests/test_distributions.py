@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import levy
 
@@ -495,6 +496,15 @@ def test_expect_weight_mixes_atoms_and_density():
     assert expect_weight(r, lambda t: t * t) == pytest.approx(1.0)
     assert expect_weight(r, lambda t: t, lo=-1.0, hi=1.0, include_lo=False) == \
         pytest.approx(0.5)
+
+
+def test_expect_weight_wide_finite_interval():
+    # E[X^2; |X| <= r] = 2 Phi(r) - 1 - 2 r phi(r); on a wide finite piece
+    # the nodes must still find the bulk near the origin
+    x = make_weight_law("standard_gaussian")
+    for r in (1.0, 10.0, 1e3, 1e6, 1e8):
+        want = 2.0 * special.ndtr(r) - 1.0 - 2.0 * r * math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
+        assert expect_weight(x, lambda t: t * t, -r, r) == pytest.approx(want, rel=1e-12), r
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from selfnorm_lab.distributions import (
@@ -20,9 +21,7 @@ from selfnorm_lab.levy_calculus import (
     alpha_h,
     check_levy_convergence,
     lambda_bar,
-    phi_psi,
     pi_bar,
-    pi_neg,
     prelimit_lambda_n,
     prelimit_pi_n,
     prelimit_truncated_first_moments,
@@ -130,12 +129,18 @@ def test_pi_bar_uniform01_values(view_u01):
     assert pi_bar(view_u01, 1.0, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
     assert pi_bar(view_u01, 0.0, 1.0) == pytest.approx(1.0)
     assert pi_bar(view_u01, 1.0, 1e10) < 1e-4
-    with pytest.raises(ParameterError):
-        pi_bar(view_u01, 0.0, 0.0)
+    # v > u: (2/3) u^-1/2 (u/v)^3/2 from X <= u/v plus (1 - u/v) v^-1/2 above
+    u, v = 0.5, 0.7
+    want = 2.0 / 3.0 * u ** -0.5 * (u / v) ** 1.5 + (1.0 - u / v) * v ** -0.5
+    assert want == pytest.approx(0.91065036901668, abs=1e-14)
+    assert pi_bar(view_u01, u, v) == pytest.approx(want, rel=1e-12)
+    for bad in ((0.0, 0.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ParameterError):
+            pi_bar(view_u01, *bad)
 
 
 def test_pi_bar_substitution_identity(stable_half):
-    # pi_bar(u, 0) = u^-beta E[(X+)^beta], pi_neg(u, 0) = u^-beta E[(X-)^beta]
+    # pi_bar(u, 0) = u^-beta E[(X+)^beta], pi_bar(-u, 0) = u^-beta E[(X-)^beta]
     for kind in ("uniform01", "rademacher", "standard_gaussian"):
         x = make_weight_law(kind)
         view = BivariateLevyView(x, stable_half)
@@ -144,18 +149,18 @@ def test_pi_bar_substitution_identity(stable_half):
             assert pi_bar(view, u, 0.0) == pytest.approx(want, rel=1e-7), (kind, u)
             if x.support[0] < 0.0:
                 want_n = u ** -0.5 * x.beta_moment_neg(0.5)
-                assert pi_neg(view, u, 0.0) == pytest.approx(want_n, rel=1e-7)
+                assert pi_bar(view, -u, 0.0) == pytest.approx(want_n, rel=1e-7)
 
 
 def test_pi_neg_nonnegative_weight_is_zero(view_u01):
     for u in (0.5, 1.0, 3.0):
-        assert pi_neg(view_u01, u, 0.0) == 0.0
+        assert pi_bar(view_u01, -u, 0.0) == 0.0
 
 
 def test_pi_neg_rademacher_value(view_rademacher):
     # F(-1/s) = 1/2 exactly when s >= 1, so the integral is half the tail at 1
-    assert pi_neg(view_rademacher, 1.0, 0.0) == pytest.approx(0.5, abs=1e-9)
-    assert pi_neg(view_rademacher, 1.0, 1e8) < 1e-3
+    assert pi_bar(view_rademacher, -1.0, 0.0) == pytest.approx(0.5, abs=1e-9)
+    assert pi_bar(view_rademacher, -1.0, 1e8) < 1e-3
 
 
 def test_pi_monotonicity(view_u01, view_rademacher):
@@ -165,22 +170,22 @@ def test_pi_monotonicity(view_u01, view_rademacher):
     assert all(b <= a + 1e-12 for a, b in zip(vals_u[:-1], vals_u[1:]))
     vals_v = [pi_bar(view_u01, 1.0, v) for v in vs]
     assert all(b <= a + 1e-12 for a, b in zip(vals_v[:-1], vals_v[1:]))
-    neg_u = [pi_neg(view_rademacher, u, 0.0) for u in us]
+    neg_u = [pi_bar(view_rademacher, -u, 0.0) for u in us]
     assert all(b <= a + 1e-12 for a, b in zip(neg_u[:-1], neg_u[1:]))
 
 
 def test_pi_consistency_at_origin(stable_half):
-    # pi_bar(0+, v) + pi_neg(0+, v) <= lambda_bar(v); equality without an atom at 0
+    # pi_bar(0+, v) + pi_bar(0-, v) <= lambda_bar(v); equality without an atom at 0
     v = 0.7
     lam = lambda_bar(stable_half, v)
     for kind in ("uniform01", "rademacher"):
         view = BivariateLevyView(make_weight_law(kind), stable_half)
-        total = pi_bar(view, 1e-9, v) + pi_neg(view, 1e-9, v)
+        total = pi_bar(view, 1e-9, v) + pi_bar(view, -1e-9, v)
         assert total <= lam + 1e-9
         assert total == pytest.approx(lam, rel=1e-4)
     view_atom0 = BivariateLevyView(
         make_weight_law("bernoulli", p=0.5, x0=0.0, x1=1.0), stable_half)
-    total = pi_bar(view_atom0, 1e-9, v) + pi_neg(view_atom0, 1e-9, v)
+    total = pi_bar(view_atom0, 1e-9, v) + pi_bar(view_atom0, -1e-9, v)
     assert total <= lam * (1.0 - 0.5 + 1e-6)
 
 
@@ -210,7 +215,7 @@ def test_prelimit_pi_negative_branch(stable_half):
     y = make_pareto_multiplier(0.5)
     view = BivariateLevyView(x, stable_half)
     est, se = prelimit_pi_n(x, y, 10_000, -1.0, 0.0, SeedStream(3, 4), draws=400_000)
-    assert abs(est - pi_neg(view, 1.0, 0.0)) <= 3.0 * se + 1e-6
+    assert abs(est - pi_bar(view, -1.0, 0.0)) <= 3.0 * se + 1e-6
 
 
 def test_prelimit_pi_variance_reported():
@@ -240,8 +245,13 @@ def test_alpha_h_monotone_limit_is_drift(stable_half):
 
 
 def test_alpha_h_small_mean_bound(stable_half):
+    # truncated_moment(k, c) against quadrature of s^k beta s^(-beta-1) over (0, c]
+    for k in (1, 2):
+        for c in (0.25, 1.0, 4.0):
+            want = quad(lambda s: s ** k * 0.5 * s ** -1.5, 0.0, c)[0]
+            assert stable_half.truncated_moment(k, c) == pytest.approx(want, rel=1e-9)
     # integral of z over (0,1] is finite and below alpha at h=1
-    assert stable_half.small_mean <= alpha_h(stable_half, 1.0) + 1e-12
+    assert stable_half.truncated_moment(1, 1.0) <= alpha_h(stable_half, 1.0) + 1e-12
 
 
 def test_alpha_h_prelimit_pareto():
@@ -255,46 +265,17 @@ def test_alpha_h_prelimit_pareto():
     assert alpha_h(y, 1.0, n=10**8) == pytest.approx(1.0, abs=1e-7)
 
 
-def test_alpha_h_validation(stable_half):
+def test_alpha_h_validation(stable_half, view_u01):
     with pytest.raises(ParameterError):
         alpha_h(stable_half, 0.0)
+    for bad in (math.nan, math.inf, -1.0):
+        for call in (lambda: alpha_h(stable_half, bad),
+                     lambda: truncated_first_moments(view_u01, bad),
+                     lambda: truncated_second_moments(view_u01, bad)):
+            with pytest.raises(ParameterError, match="h must be"):
+                call()
     with pytest.raises(ParameterError):
         alpha_h(make_pareto_multiplier(0.5), 1.0)  # missing n
-
-
-# ---------------------------------------------------------------------------
-# Disk-slice functions
-# ---------------------------------------------------------------------------
-
-
-def test_phi_psi_boundary(view_u01):
-    phi, psi = phi_psi(view_u01, 1.0, 1.0)  # v = h: radius 0
-    assert phi == 0.0  # continuous law: no mass at 0
-    assert psi == 0.0
-    view_atom0 = BivariateLevyView(
-        make_weight_law("bernoulli", p=0.5, x0=0.0, x1=1.0), stable_levy_tail(0.5))
-    phi0, _ = phi_psi(view_atom0, 1.0, 1.0)
-    assert phi0 == pytest.approx(0.5)  # atom at zero is inside the slice
-
-
-def test_phi_increases_to_one(view_u01):
-    vs = [0.5, 0.1, 0.01, 0.001]
-    phis = [phi_psi(view_u01, v, 1.0)[0] for v in vs]
-    assert all(b >= a for a, b in zip(phis[:-1], phis[1:]))
-    assert phis[-1] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_psi_over_v_tends_to_mean(view_u01):
-    for v in (0.01, 0.001):
-        _, psi = phi_psi(view_u01, v, 1.0)
-        assert psi / v == pytest.approx(0.5, abs=1e-6)
-
-
-def test_phi_psi_validation(view_u01):
-    with pytest.raises(ParameterError):
-        phi_psi(view_u01, 1.5, 1.0)
-    with pytest.raises(ParameterError):
-        phi_psi(view_u01, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +284,7 @@ def test_phi_psi_validation(view_u01):
 
 
 def test_truncated_first_moments_point_mass(stable_half):
-    # X = 1: the slice condition |X| <= varphi(v) becomes v <= h/sqrt(2),
+    # X = 1: the half-disk condition s sqrt(1 + X^2) <= h becomes s <= h/sqrt(2),
     # so both parts equal beta (h/sqrt(2))^(1-beta) / (1-beta)
     view = BivariateLevyView(make_weight_law("point_mass", c=1.0), stable_half)
     h = 1.0
@@ -341,23 +322,15 @@ def test_truncated_first_moments_vs_mc_prelimit(view_u01):
 def test_truncated_second_moments_inequalities(view_u01):
     h = 1.0
     uu, vv, uv = truncated_second_moments(view_u01, h)
-    y_part, _ = truncated_first_moments(view_u01, h)
+    y_part, xy_part = truncated_first_moments(view_u01, h)
     assert 0.0 < vv <= h * y_part + 1e-9
-    # uu is bounded by h times the absolute-first-moment analogue
-    law = view_u01.weight
-    dens = view_u01.levy.density
-    from selfnorm_lab.distributions import expect_weight
-    abs_first = quad(
-        lambda v: v * expect_weight(law, lambda t: abs(t),
-                                    -math.sqrt(max(h * h - v * v, 0.0)) / v,
-                                    math.sqrt(max(h * h - v * v, 0.0)) / v) * dens(v),
-        0.0, h, points=[h / math.sqrt(2.0)], limit=200)[0]
-    assert 0.0 < uu <= h * abs_first + 1e-9
+    # u^2 <= h |u| on the half-disk, and |u| = u for a non-negative weight
+    assert 0.0 < uu <= h * xy_part + 1e-9
     assert abs(uv) <= math.sqrt(uu * vv) + 1e-12
 
 
 def test_truncated_second_moments_vs_mc_prelimit(view_u01):
-    # two independent routes: polar-slice quadrature of the limit measure vs
+    # two independent routes: one expectation over X of the limit measure vs
     # the weight-conditional truncated second moment of the multiplier
     x = make_weight_law("uniform01")
     y = make_pareto_multiplier(0.5)
@@ -377,6 +350,40 @@ def test_second_moment_smallh_scan(view_u01):
     hs = sorted(scan.keys())
     for a, b in zip(hs[:-1], hs[1:]):
         assert all(x <= y + 1e-15 for x, y in zip(scan[a], scan[b]))
+    # the stable(1/2) measure scales: each integral is h^(3/2) times its h = 1 value
+    for h in hs:
+        np.testing.assert_allclose(scan[h], h ** 1.5 * top, rtol=1e-12, atol=0.0)
+
+
+def _slice_moments(kind, r):
+    """P{|X| <= r}, E[X; |X| <= r] and E[X^2; |X| <= r] in closed form."""
+    if kind == "uniform01":
+        c = min(r, 1.0)
+        return c, c * c / 2.0, c ** 3 / 3.0
+    mass = special.erf(r / math.sqrt(2.0))  # 2 Phi(r) - 1
+    return mass, 0.0, mass - 2.0 * r * math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
+
+
+def test_half_disk_moments_match_slice_order_oracle(stable_half):
+    # the other order of integration: quad over the jump size s outside, and
+    # inside it the weight moments over the slice |X| <= sqrt(h^2 - s^2) / s
+    # in closed form
+    def outer(kind, h, moment, power):
+        def f(s):
+            r = math.sqrt(max(h * h - s * s, 0.0)) / s
+            return s ** power * _slice_moments(kind, r)[moment] * 0.5 * s ** -1.5
+        return quad(f, 0.0, h, points=[h / math.sqrt(2.0)],
+                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    for kind in ("uniform01", "standard_gaussian"):
+        view = BivariateLevyView(make_weight_law(kind), stable_half)
+        for h in (0.25, 1.0, 4.0):
+            first = (outer(kind, h, 0, 1), outer(kind, h, 1, 1))
+            second = (outer(kind, h, 2, 2), outer(kind, h, 0, 2), outer(kind, h, 1, 2))
+            np.testing.assert_allclose(truncated_first_moments(view, h), first,
+                                       rtol=0.0, atol=1e-9, err_msg=f"{kind} h={h}")
+            np.testing.assert_allclose(truncated_second_moments(view, h), second,
+                                       rtol=0.0, atol=1e-9, err_msg=f"{kind} h={h}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +436,3 @@ def test_convergence_report_roundtrip(tmp_path):
     payload = json.loads((tmp_path / "rep.json").read_text())
     assert payload["name"] == "demo"
     assert payload["gaps"] == pytest.approx([0.0, 0.05])
-
-
-def test_quadrature_tolerance_halving(view_u01):
-    # halving the requested tolerance moves each value by less than the bound
-    for (u, v) in ((1.0, 0.0), (0.5, 0.7)):
-        coarse = pi_bar(view_u01, u, v, tol=1e-8)
-        fine = pi_bar(view_u01, u, v, tol=5e-9)
-        assert abs(coarse - fine) <= 1e-8
-    a = alpha_h(stable_levy_tail(0.5), 1.0, tol=1e-8)
-    b = alpha_h(stable_levy_tail(0.5), 1.0, tol=5e-9)
-    assert abs(a - b) <= 1e-8
