@@ -30,6 +30,7 @@ from .levy_calculus import (
     check_levy_convergence,
     lambda_bar,
     pi_bar,
+    prelimit_alpha_h,
     prelimit_lambda_n,
     prelimit_pi_n,
     prelimit_truncated_first_moments,

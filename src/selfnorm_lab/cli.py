@@ -277,7 +277,7 @@ def run_levy(cfg: ExperimentConfig) -> int:
         for h in h_list:
             lim = lc.truncated_first_moments(view, h)
             alpha_lim = lc.alpha_h(view.levy, h)
-            alpha_pre = lc.alpha_h(y, h, n=n_list[-1])
+            alpha_pre = lc.prelimit_alpha_h(y, n_list[-1], h)
             payload[f"h={h:g}"] = {
                 "alpha_h_limit": alpha_lim,
                 "alpha_h_prelimit": alpha_pre,

@@ -106,8 +106,8 @@ def _rng(source: RandomSource) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TailClass:
-    """Upper-tail regime label: 'pareto' (with index), 'slowly_varying',
-    'finite_mean' or 'custom'."""
+    """Upper-tail regime label: 'pareto' (with index), 'slowly_varying' or
+    'finite_mean'."""
 
     kind: str
     beta: Optional[float] = None
@@ -178,17 +178,18 @@ class MultiplierLaw:
 
     ``survival`` is P{Y > y}, ``trunc_mean(x)`` is E[Y 1{Y <= x}] and
     ``trunc_second(x)`` is E[Y^2 1{Y <= x}].  ``norming(n)`` is the sequence
-    a_n used to rescale partial sums.  ``survival_logarg`` and ``log_norming``
-    are optional log-space companions (P{Y > e^t} and log a_n) that keep tail
-    evaluations finite when a_n overflows a double, as it does for the
-    slowly varying law.  ``log_sampler`` draws log Y coupled to the same
-    uniforms as ``sampler``; scale-free engines use it so that laws whose
-    raw draws overflow a double still sum correctly.  ``tail_sampler(source,
-    count, y0)`` draws from the conditional law of Y given Y > y0 exactly; it
-    powers low-variance estimators of rare product-tail events.  All three
-    samplers take a :class:`SeedStream` (a fresh generator from its key) or
-    a numpy ``Generator`` (continuing its sequence) as ``source`` and return
-    a fresh float array that the caller may overwrite.
+    a_n used to rescale partial sums.  ``tail_sampler(source, count, y0)``
+    draws from the conditional law of Y given Y > y0 exactly; it powers
+    low-variance estimators of rare product-tail events.
+    ``survival_logarg`` and ``log_norming`` are optional log-space
+    companions (P{Y > e^t} and log a_n) that keep tail evaluations finite
+    when a_n overflows a double, as it does for the slowly varying law.
+    ``log_sampler`` draws log Y coupled to the same uniforms as ``sampler``;
+    scale-free engines use it so that laws whose raw draws overflow a double
+    still sum correctly.  All three samplers take a :class:`SeedStream` (a
+    fresh generator from its key) or a numpy ``Generator`` (continuing its
+    sequence) as ``source`` and return a fresh float array that the caller
+    may overwrite.
     ``survival``, ``survival_logarg``, ``trunc_mean`` and ``trunc_second`` map
     a float to a float and an ndarray to one of the same shape.
     """
@@ -199,12 +200,11 @@ class MultiplierLaw:
     trunc_mean: Callable[[float], float]
     trunc_second: Callable[[float], float]
     norming: Callable[[int], float]
-    mean: float
     tail_class: TailClass
+    tail_sampler: Callable[[RandomSource, int, float], np.ndarray]
     log_norming: Optional[Callable[[int], float]] = None
     survival_logarg: Optional[Callable[[float], float]] = None
     log_sampler: Optional[Callable[[RandomSource, int], np.ndarray]] = None
-    tail_sampler: Optional[Callable[[RandomSource, int, float], np.ndarray]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,8 @@ _QUAD_LIMIT = 300
 
 def _quad_piece(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     res = quad(f, lo, hi, epsabs=tol, epsrel=1e-9, limit=_QUAD_LIMIT, full_output=1)
+    if not math.isfinite(res[0]):
+        raise QuadratureError("quadrature result is not finite", partial=res[0], err=res[1])
     if len(res) > 3:
         # QUADPACK flags slow convergence even when the absolute target was
         # reached (e.g. the relative goal is unattainable for near-zero
@@ -245,41 +247,32 @@ def _piece(f: Callable[[float], float], a: float, b: float, tol: float) -> float
     return total
 
 
-def quad_segments(f: Callable[[float], float], lo: float, hi: float,
-                  points: Sequence[float] = (), tol: float = 1e-10) -> float:
-    """Adaptive quadrature of ``f`` over (lo, hi), split at interior points.
-    Each piece is accepted when QUADPACK's error estimate is at most
-    max(tol, 1e-9 * |piece|) (only ``tol`` if QUADPACK flags a problem), else
-    :class:`QuadratureError` is raised; a large piece may thus miss ``tol``."""
-    if hi <= lo:
-        return 0.0
-    inner = sorted({p for p in points if lo < p < hi and math.isfinite(p)})
-    edges = [lo, *inner, hi]
-    return sum(_piece(f, a, b, tol) for a, b in zip(edges[:-1], edges[1:]))
-
-
 def expect_weight(law: WeightLaw, g: Callable[[float], float],
                   lo: float = -math.inf, hi: float = math.inf,
-                  include_lo: bool = True, include_hi: bool = True,
                   points: Sequence[float] = (), tol: float = 1e-10) -> float:
-    """Integral of g against the law of X over the interval (lo, hi).
+    """Integral of g against the law of X over the open interval (lo, hi).
 
-    Atom endpoints enter according to ``include_lo`` / ``include_hi``; the
-    continuous part is integrated with splits at declared density breaks and
-    any caller-supplied points (integrand kinks) under the tolerance rule of
-    :func:`quad_segments`.
+    Atoms count only strictly inside (lo, hi).  The continuous part is
+    integrated by adaptive quadrature, split at the declared density breaks
+    and any caller-supplied points (integrand kinks) inside the interval.
+    Each piece is accepted when QUADPACK's error estimate is at most
+    max(tol, 1e-9 * |piece|) (only ``tol`` if QUADPACK flags a problem) and
+    its value is finite, else :class:`QuadratureError` is raised; a large
+    piece may thus miss ``tol``.
     """
     total = 0.0
     for loc, m in law.atoms:
-        if lo < loc < hi or (include_lo and loc == lo) or (include_hi and loc == hi):
+        if lo < loc < hi:
             total += m * g(loc)
     if law.pdf is not None:
         a = max(lo, law.support[0])
         b = min(hi, law.support[1])
         if b > a:
             pdf = law.pdf
-            total += quad_segments(lambda x: g(x) * pdf(x), a, b,
-                                   points=list(points) + list(law.pdf_breaks), tol=tol)
+            inner = sorted({p for p in (*points, *law.pdf_breaks) if a < p < b and math.isfinite(p)})
+            edges = [a, *inner, b]
+            total += sum(_piece(lambda x: g(x) * pdf(x), p, q, tol)
+                         for p, q in zip(edges[:-1], edges[1:]))
     return total
 
 
@@ -512,7 +505,6 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
         trunc_mean=trunc_mean,
         trunc_second=trunc_second,
         norming=lambda n: float(n) ** (1.0 / b),
-        mean=b / (b - 1.0) if b > 1.0 else math.inf,
         tail_class=TailClass("pareto", b),
         log_norming=lambda n: math.log(n) / b,
         survival_logarg=lambda t: np.exp(-b * np.maximum(t, 0.0)),
@@ -577,7 +569,6 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
         trunc_mean=trunc_mean,
         trunc_second=trunc_second,
         norming=lambda n: math.exp(n) if n < 709 else math.inf,
-        mean=math.inf,
         tail_class=TailClass("slowly_varying"),
         log_norming=lambda n: float(n),
         survival_logarg=lambda t: 1.0 / np.maximum(t, 1.0),
@@ -613,7 +604,6 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
             trunc_mean=trunc_mean,
             trunc_second=trunc_second,
             norming=lambda n: n / r,
-            mean=1.0 / r,
             tail_class=TailClass("finite_mean"),
             tail_sampler=lambda source, count, y0: (
                 max(y0, 0.0) + _rng(source).standard_exponential(count) / r),
@@ -630,7 +620,6 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
             trunc_mean=lambda x: 0.5 * np.clip(x, 0.0, 1.0) ** 2,
             trunc_second=lambda x: np.clip(x, 0.0, 1.0) ** 3 / 3.0,
             norming=lambda n: 0.5 * n,
-            mean=0.5,
             tail_class=TailClass("finite_mean"),
             tail_sampler=tail_sampler,
         )

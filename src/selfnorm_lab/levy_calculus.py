@@ -44,29 +44,23 @@ class LevyTail:
     k = 1 for a non-negative infinitely divisible limit.  Every functional
     of the bivariate measure reduces to ``tail`` and ``truncated_moment``,
     and ``truncated_moment(1, eps)`` bounds the mean of the jumps a cutoff
-    at eps discards.  ``drift_alpha`` is the non-negative drift of the
-    zero-truncation representation.  ``tail_inverse`` maps an ndarray to one
-    of the same shape; the limit-pair engine draws jumps through it and
-    refuses a measure without one.  The other callables need only take
-    floats.
+    at eps discards.  The measure has no drift: its limit is the sum of its
+    jumps.  ``tail_inverse`` maps an ndarray to one of the same shape; the
+    limit-pair engine draws jumps through it.  The other callables need
+    only take floats.
     """
 
     label: str
     tail: Callable[[float], float]
     truncated_moment: Callable[[int, float], float]
-    drift_alpha: float = 0.0
-    tail_inverse: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self) -> None:
-        if self.drift_alpha < 0.0:
-            raise ParameterError("drift_alpha must be non-negative")
+    tail_inverse: Callable[[float], float]
 
 
 def stable_levy_tail(beta: float) -> LevyTail:
     """Jump measure with tail v^-beta (normalised so the tail is 1 at v=1).
 
     This is the measure of the positive stable limit of Pareto(beta) sums
-    under quantile norming; the drift is zero.
+    under quantile norming.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError("stable index beta must lie in (0, 1)")
@@ -144,6 +138,14 @@ def _check_level(h: float) -> None:
         raise ParameterError("h must be positive and finite")
 
 
+def _norming(y: MultiplierLaw, n: int) -> float:
+    """a_n of ``y`` at n; raises ParameterError where it overflows a double."""
+    a_n = y.norming(n)
+    if not math.isfinite(a_n):
+        raise ParameterError("norming overflows a double at this n")
+    return a_n
+
+
 def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     """n P{Y > a_n v}, the row tail of the triangular array.
 
@@ -173,7 +175,6 @@ def pi_bar(view: BivariateLevyView, u: float, v: float) -> float:
     tail = view.levy.tail
     lo, hi = (0.0, math.inf) if u >= 0.0 else (-math.inf, 0.0)
     return expect_weight(view.weight, lambda x: tail(max(v, u / x)), lo, hi,
-                         include_lo=False, include_hi=False,
                          points=[u / v] if v > 0.0 else [])
 
 
@@ -202,10 +203,7 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
         raise ParameterError("(u, v) must differ from (0, 0)")
     if v < 0.0:
         raise ParameterError("v must be non-negative")
-    a_n = y.norming(n)
-    if not math.isfinite(a_n):
-        raise ParameterError("norming overflows a double at this n; "
-                             "prelimit tails are not representable")
+    a_n = _norming(y, n)
     if u == 0.0:
         return prelimit_lambda_n(y, n, v) * (1.0 - x.cdf(0.0)), 0.0
 
@@ -217,7 +215,7 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
         weight_tail = lambda t: vec_eval(x.cdf, -t)
     au = a_n * abs(u)
 
-    if y.tail_sampler is not None and math.isfinite(edge) and edge > 0.0:
+    if math.isfinite(edge) and edge > 0.0:
         # restrict to Y > y0 where the X-tail factor can be positive
         c0 = max(v, abs(u) / edge)
         y0 = a_n * c0
@@ -237,25 +235,20 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
 # ---------------------------------------------------------------------------
 
 
-def alpha_h(obj, h: float, n: Optional[int] = None) -> float:
-    """Truncated first moment of the jump part up to level h.
-
-    For a :class:`LevyTail` this is drift + integral of s over (0, h].
-    For a :class:`MultiplierLaw` (prelimit mode, requires ``n``) it is
-    (n / a_n) E[Y 1{Y <= a_n h}], computed from the law's truncated mean.
-    """
+def alpha_h(levy: LevyTail, h: float) -> float:
+    """Truncated first moment of the jump measure up to level h, the
+    integral of s over (0, h]."""
     _check_level(h)
-    if isinstance(obj, LevyTail):
-        return obj.drift_alpha + obj.truncated_moment(1, h)
-    if isinstance(obj, MultiplierLaw):
-        if n is None:
-            raise ParameterError("prelimit alpha_h requires n")
-        n = _sample_size(n)
-        a_n = obj.norming(n)
-        if not math.isfinite(a_n):
-            raise ParameterError("norming overflows a double at this n")
-        return n * obj.trunc_mean(a_n * h) / a_n
-    raise ParameterError("expected a LevyTail or a MultiplierLaw")
+    return levy.truncated_moment(1, h)
+
+
+def prelimit_alpha_h(y: MultiplierLaw, n: int, h: float) -> float:
+    """(n / a_n) E[Y 1{Y <= a_n h}], the row counterpart of :func:`alpha_h`,
+    computed from the law's truncated mean."""
+    _check_level(h)
+    n = _sample_size(n)
+    a_n = _norming(y, n)
+    return n * y.trunc_mean(a_n * h) / a_n
 
 
 def _half_disk(view: BivariateLevyView, h: float, j: int, k: int) -> float:
@@ -269,21 +262,16 @@ def _half_disk(view: BivariateLevyView, h: float, j: int, k: int) -> float:
 def truncated_first_moments(view: BivariateLevyView, h: float):
     """Limits of the truncated first moments of the scaled pair.
 
-    Returns (y_part, xy_part), the half-disk integrals of v and u plus the
-    drift terms:
-    y_part  = drift + E[m_1(h / sqrt(1 + X^2))],
-    xy_part = drift * E X + E[X m_1(h / sqrt(1 + X^2))].
+    Returns (y_part, xy_part), the half-disk integrals of v and u:
+    y_part  = E[m_1(h / sqrt(1 + X^2))],
+    xy_part = E[X m_1(h / sqrt(1 + X^2))].
     These are the limit targets of (n/a_n) E[Y 1{|(XY, Y)| <= a_n h}] and
     (n/a_n) E[XY 1{...}].
     """
     _check_level(h)
-    law = view.weight
-    if not math.isfinite(law.abs_mean):
+    if not math.isfinite(view.weight.abs_mean):
         raise ParameterError("weight law must have finite absolute mean")
-    alpha = view.levy.drift_alpha
-    y_part = alpha + _half_disk(view, h, 0, 1)
-    xy_part = (alpha * law.mean if alpha != 0.0 else 0.0) + _half_disk(view, h, 1, 1)
-    return y_part, xy_part
+    return _half_disk(view, h, 0, 1), _half_disk(view, h, 1, 1)
 
 
 def truncated_second_moments(view: BivariateLevyView, h: float):
@@ -308,28 +296,42 @@ def second_moment_smallh_scan(view: BivariateLevyView, k_max: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _prelimit_half_disk(x: WeightLaw, y: MultiplierLaw, n: int, h: float,
+                        stream: SeedStream, draws: int, k: int, js: Sequence[int]):
+    """Monte Carlo estimates of (n/a_n^k) E[X^j Y^k 1{|(XY,Y)| <= a_n h}]
+    for each j in ``js``, the triangular-array counterparts of
+    :func:`_half_disk` (k = 1 or 2, j = 0, 1 or 2).
+
+    The joint truncation event is Y sqrt(1+X^2) <= a_n h, so conditionally
+    on X the Y integral is the law's truncated k-th moment; only X is
+    simulated.  Returns one (value, se) pair per j.
+    """
+    _check_level(h)
+    n = _sample_size(n)
+    a_n = _norming(y, n)
+    xs = x.sampler(stream, int(draws))
+    cap = a_n * h / np.sqrt(1.0 + xs * xs)
+    if k == 1:
+        scale, moment = n / a_n, vec_eval(y.trunc_mean, cap)
+    else:
+        scale, moment = n / (a_n * a_n), vec_eval(y.trunc_second, cap)
+
+    def weighted(j: int) -> np.ndarray:
+        if j == 0:
+            return scale * moment
+        return scale * (xs if j == 1 else xs * xs) * moment
+
+    return tuple(_mean_se(weighted(j)) for j in js)
+
+
 def prelimit_truncated_first_moments(x: WeightLaw, y: MultiplierLaw, n: int,
                                      h: float, stream: SeedStream,
                                      draws: int = 1_000_000):
     """Monte Carlo estimates of the prelimit truncated first moments
     (n/a_n) E[Y 1{|(XY,Y)| <= a_n h}] and (n/a_n) E[XY 1{...}].
-
-    The joint truncation event is Y sqrt(1+X^2) <= a_n h, so conditionally on
-    X the Y integral is the law's truncated mean; only X is simulated.
     Returns ((y_part, y_se), (xy_part, xy_se)).
     """
-    _check_level(h)
-    n = _sample_size(n)
-    a_n = y.norming(n)
-    if not math.isfinite(a_n):
-        raise ParameterError("norming overflows a double at this n")
-    xs = x.sampler(stream, int(draws))
-    cap = a_n * h / np.sqrt(1.0 + xs * xs)
-    tm = vec_eval(y.trunc_mean, cap)
-    scale = n / a_n
-    vals_y = scale * tm
-    vals_xy = scale * xs * tm
-    return _mean_se(vals_y), _mean_se(vals_xy)
+    return _prelimit_half_disk(x, y, n, h, stream, draws, 1, (0, 1))
 
 
 def prelimit_truncated_second_moments(x: WeightLaw, y: MultiplierLaw, n: int,
@@ -338,22 +340,10 @@ def prelimit_truncated_second_moments(x: WeightLaw, y: MultiplierLaw, n: int,
     """Monte Carlo estimates of the prelimit quadratic moments
     (n/a_n^2) E[(XY)^2 1{|(XY,Y)| <= a_n h}], (n/a_n^2) E[Y^2 1{...}] and
     (n/a_n^2) E[XY^2 1{...}], the triangular-array counterparts of the
-    half-disk integrals of u^2, v^2 and u v.
-
-    As in the first-moment estimator, Y is integrated out through the law's
-    truncated second moment conditionally on X.  Returns three (value, se)
+    half-disk integrals of u^2, v^2 and u v.  Returns three (value, se)
     pairs ordered (uu, vv, uv).
     """
-    _check_level(h)
-    n = _sample_size(n)
-    a_n = y.norming(n)
-    if not math.isfinite(a_n):
-        raise ParameterError("norming overflows a double at this n")
-    xs = x.sampler(stream, int(draws))
-    cap = a_n * h / np.sqrt(1.0 + xs * xs)
-    t2 = vec_eval(y.trunc_second, cap)
-    scale = n / (a_n * a_n)
-    return tuple(_mean_se(scale * weight * t2) for weight in (xs * xs, np.ones_like(xs), xs))
+    return _prelimit_half_disk(x, y, n, h, stream, draws, 2, (2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +373,17 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
     """Compare row tails n P{Y > a_n v} and n P{XY > a_n u, Y > a_n v}
     against their limit counterparts along n_list.
 
-    With ``view=None`` the multiplier has no non-degenerate limit measure
-    (slowly varying tail): the interval masses of the row measure are then
-    compared against zero and the report documents the escaping mass.
+    ``view=None`` is for the slowly varying multiplier, which has no
+    non-degenerate limit measure: the interval masses of the row measure
+    are then compared against zero and the report documents the escaping
+    mass.  Any other multiplier without a view raises ParameterError.
     """
     n_list = [as_int(n, "n_list entry") for n in n_list]
     if any(n < 1 for n in n_list):
         raise ParameterError("n_list entries must be >= 1")
+    if view is None and y.tail_class.kind != "slowly_varying":
+        raise ParameterError(f"{y.label} has no limit jump measure to compare against; "
+                             "only a slowly varying multiplier is checked without one")
     lam_reports = []
     pi_reports = []
     if view is None:

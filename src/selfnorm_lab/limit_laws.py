@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import beta as beta_fn
 
 from .distributions import ParameterError, QuadratureError, WeightLaw
+
+# BreimanLimit checks the weight law's absolute moment at this order above beta.
+_MOMENT_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -21,18 +24,17 @@ class BreimanLimit:
     """Limit of T_n for Y with tail index beta in (0, 1) and weight law F.
 
     Requires a fractional absolute moment of X one notch above beta
-    (checked at beta + moment_margin).  Every evaluator of the limit CDF
+    (checked at beta + _MOMENT_MARGIN).  Every evaluator of the limit CDF
     and its tail uses the grid rule of :func:`breiman_cdf_grid`.
     """
 
     beta: float
     weight: WeightLaw
-    moment_margin: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ParameterError("beta must lie in (0, 1)")
-        b = self.beta + self.moment_margin
+        b = self.beta + _MOMENT_MARGIN
         total = self.weight.beta_moment_pos(b) + self.weight.beta_moment_neg(b)
         if not math.isfinite(total):
             raise ParameterError(
@@ -189,20 +191,15 @@ def breiman_cdf(lim: BreimanLimit, x: float) -> float:
     return float(breiman_cdf_grid(lim, [x])[0])
 
 
-def tabulated_cdf(lim: BreimanLimit, lo: float = math.nan, hi: float = math.nan,
-                  points: int = 2001,
-                  grid: Optional[np.ndarray] = None) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized CDF via monotone interpolation of a dense table.
+def tabulated_cdf(lim: BreimanLimit, grid: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized CDF via monotone interpolation of a table over ``grid``.
 
     The interpolation error is bounded by the CDF increment per grid cell, so
-    the grid must be dense where the law is.  The default linear grid over
-    [lo, hi] suits bounded weights; for heavy-tailed weights pass an explicit
-    ``grid`` (for example sample quantiles) so resolution follows the mass.
-    Use it for sample-sized KS evaluations where per-point quadrature would
-    be slow.
+    the grid must be dense where the law is: a linear grid suits bounded
+    weights, and sample quantiles (:func:`quantile_grid`) let the resolution
+    follow the mass of heavy-tailed ones.  Use it for sample-sized KS
+    evaluations where per-point evaluation would be slow.
     """
-    if grid is None:
-        grid = np.linspace(lo, hi, points)
     grid = np.unique(np.asarray(grid, dtype=float))
     if grid.size < 2 or not np.all(np.isfinite(grid)):
         raise ParameterError("tabulation grid must hold at least two finite points")
@@ -216,17 +213,21 @@ def tabulated_cdf(lim: BreimanLimit, lo: float = math.nan, hi: float = math.nan,
     return cdf
 
 
-def quantile_grid(values: np.ndarray, points: int = 2001, pad: float = 1.0,
-                  trim: float = 2e-4) -> np.ndarray:
+_TRIM = 2e-4
+_PAD = 1.0
+
+
+def quantile_grid(values: np.ndarray, points: int) -> np.ndarray:
     """Sample-quantile tabulation grid: dense exactly where the sample is.
 
-    The outermost ``trim`` quantile on each side is excluded; for
+    The outermost ``_TRIM`` quantile on each side is excluded; for
     heavy-tailed samples those stragglers would stretch the table by orders
-    of magnitude while moving the CDF by less than ``trim``.
+    of magnitude while moving the CDF by less than ``_TRIM``.  The grid
+    extends ``_PAD`` beyond the outermost kept quantiles.
     """
     qs = np.quantile(np.asarray(values, dtype=float),
-                     np.linspace(trim, 1.0 - trim, points))
-    return np.unique(np.concatenate([[qs[0] - pad], qs, [qs[-1] + pad]]))
+                     np.linspace(_TRIM, 1.0 - _TRIM, points))
+    return np.unique(np.concatenate([[qs[0] - _PAD], qs, [qs[-1] + _PAD]]))
 
 
 _TAIL_PREF = lambda b: math.tan(math.pi * b / 2.0) / (

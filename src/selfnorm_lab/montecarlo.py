@@ -61,8 +61,9 @@ STREAM_LAYOUT = 2
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation request: sample size n, number of replications, master
-    stream, small-jump cutoff for limit simulation (None = auto from the
-    bias budget) and thread count (must not affect results)."""
+    stream, small-jump cutoff (required by :func:`simulate_limit_pair`,
+    unused by the finite-n engines) and thread count (must not affect
+    results)."""
 
     n: int
     reps: int
@@ -250,45 +251,26 @@ def simulate_normed_pair(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> Pair
 # ---------------------------------------------------------------------------
 
 
-def _auto_cutoff(view: BivariateLevyView, budget: float = 1e-3) -> float:
-    """Largest cutoff whose discarded-jump bias stays within budget."""
-    moment = view.levy.truncated_moment
-    scale = max(1.0, view.weight.abs_mean) if math.isfinite(view.weight.abs_mean) else 1.0
-    lo, hi = 1e-15, 1.0 - 1e-12
-    if moment(1, hi) * scale <= budget:
-        return hi
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if moment(1, mid) * scale <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     """Draws of the limit pair by summing jumps above a cutoff.
 
     Each replication draws a Poisson number of jump heights from the
-    normalized tail beyond the cutoff (through ``LevyTail.tail_inverse``,
-    which must be given), multiplies each by an independent
-    weight draw, and adds the drift (alpha * E X, alpha).  A block draws its
+    normalized tail beyond ``cfg.cutoff`` (through ``LevyTail.tail_inverse``)
+    and multiplies each by an independent weight draw.  A block draws its
     rows' counts, then all their jumps and weights as flat arrays, and sums
     them per row; rows per block follow from the Poisson mean.  Jumps below the
     cutoff are dropped without compensation, which is legitimate because the
     jump measure integrates s near zero; the discarded mass has mean total at
     most truncated_moment(1, cutoff) * (E|X|, 1), reported in the metadata.
+    A config without a cutoff raises ParameterError.
     """
-    inverse = view.levy.tail_inverse
-    if inverse is None:
-        raise ParameterError("simulate_limit_pair needs LevyTail.tail_inverse")
-    eps = cfg.cutoff if cfg.cutoff is not None else _auto_cutoff(view)
+    eps = cfg.cutoff
+    if eps is None:
+        raise ParameterError("simulate_limit_pair needs SimConfig.cutoff")
     lam = view.levy.tail(eps)
     if not math.isfinite(lam) or lam > 1e7:
         raise ParameterError("cutoff too small: Poisson jump count overflows")
-    alpha = view.levy.drift_alpha
-    drift1 = alpha * view.weight.mean if alpha != 0.0 else 0.0
-    x = view.weight
+    inverse, x = view.levy.tail_inverse, view.weight
     from .distributions import vec_eval  # looked up per call: a rebinding applies
 
     rows, blocks = _block_layout(cfg.reps, math.ceil(lam))
@@ -300,8 +282,7 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
         jumps = vec_eval(inverse, (1.0 - gen.random(int(counts.sum()))) * lam)
         xs = x.sampler(stream.child(_X_SUB), jumps.size)
         owner = np.repeat(np.arange(counts.size), counts)
-        return (drift1 + np.bincount(owner, xs * jumps, counts.size),
-                alpha + np.bincount(owner, jumps, counts.size))
+        return np.bincount(owner, xs * jumps, counts.size), np.bincount(owner, jumps, counts.size)
 
     w1, w2 = _run_replications(block, blocks, 2, cfg.threads)
     bias_y = view.levy.truncated_moment(1, eps)
@@ -381,8 +362,7 @@ def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
         raise ParameterError("n_list must be strictly increasing")
     medians = {}
     for j, n in enumerate(n_list):
-        sub = SimConfig(n=n, reps=cfg.reps, seed=cfg.seed.child(j),
-                        cutoff=cfg.cutoff, threads=cfg.threads)
+        sub = SimConfig(n=n, reps=cfg.reps, seed=cfg.seed.child(j), threads=cfg.threads)
         sample = simulate_tn(x, y, sub)
         medians[n] = float(np.median(np.abs(sample.values)))
     slope = float(np.polyfit(np.log(n_list), np.log(list(medians.values())), 1)[0])

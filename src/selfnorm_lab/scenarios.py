@@ -104,7 +104,7 @@ def criterion_1(tn_stream: SeedStream, pair_stream: SeedStream, threads: int = 1
     CDF, for X uniform01 and Y Pareto(1/2).  Returns (checks, T_n sample,
     limit pair)."""
     x = make_weight_law("uniform01")
-    cdf = ll.tabulated_cdf(ll.BreimanLimit(0.5, x), -0.05, 1.05, points=2201)
+    cdf = ll.tabulated_cdf(ll.BreimanLimit(0.5, x), np.linspace(-0.05, 1.05, 2201))
     tn = mc.simulate_tn(x, make_pareto_multiplier(0.5),
                         mc.SimConfig(10_000, 20_000, tn_stream, threads=threads))
     view = lc.BivariateLevyView(x, lc.stable_levy_tail(0.5))

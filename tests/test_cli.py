@@ -189,6 +189,18 @@ def test_levy_reports_non_feller_multiplier(tmp_path):
     assert conv["verdict"] is True
 
 
+@pytest.mark.parametrize("y_law", [{"y_law.kind": "pareto", "y_law.beta": "1.5"},
+                                   {"y_law.kind": "exponential"}],
+                         ids=["pareto1.5", "exponential"])
+def test_levy_without_limit_measure_exits_3(tmp_path, capsys, y_law):
+    cfg = write_cfg(tmp_path, **y_law, **{"levy.n_list": "100,1000",
+                                          "levy.v_grid": "0.5,1,2"})
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "no limit jump measure" in capsys.readouterr().err
+    assert not (out / "levy_convergence.json").exists()
+
+
 def test_levy_non_integer_n_list_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **{"levy.n_list": "10.5,100"})
     rc = main(["levy", "--config", str(cfg), "--out", str(tmp_path / "o")])

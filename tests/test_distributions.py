@@ -9,6 +9,7 @@ from scipy.stats import levy
 
 from selfnorm_lab.distributions import (
     ParameterError,
+    QuadratureError,
     SeedStream,
     _atom_index,
     _atomic_weight,
@@ -214,9 +215,8 @@ def test_slowly_varying_log_sampler_consistent():
 
 def test_exponential_basics():
     y = make_finite_mean_multiplier("exponential", rate=1.0)
-    assert y.mean == 1.0
     assert y.survival(0.0) == 1.0
-    assert y.trunc_mean(math.inf if False else 1e3) == pytest.approx(1.0, rel=1e-10)
+    assert y.trunc_mean(1e3) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_uniform01_trunc_second():
@@ -494,8 +494,17 @@ def test_expect_weight_mixes_atoms_and_density():
     assert expect_weight(x, lambda t: t) == pytest.approx(0.5, abs=1e-10)
     r = make_weight_law("rademacher")
     assert expect_weight(r, lambda t: t * t) == pytest.approx(1.0)
-    assert expect_weight(r, lambda t: t, lo=-1.0, hi=1.0, include_lo=False) == \
-        pytest.approx(0.5)
+    # the interval is open: atoms on its edges do not count
+    assert expect_weight(r, lambda t: 1.0, lo=-1.0, hi=1.0) == 0.0
+    assert expect_weight(r, lambda t: t, lo=-1.0) == 0.5
+
+
+@pytest.mark.parametrize("kind", ["uniform01", "standard_gaussian"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_expect_weight_rejects_non_finite_integrand(kind, value):
+    x = make_weight_law(kind)
+    with pytest.raises(QuadratureError, match="not finite"):
+        expect_weight(x, lambda t: value)
 
 
 def test_expect_weight_wide_finite_interval():

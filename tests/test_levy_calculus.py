@@ -22,6 +22,7 @@ from selfnorm_lab.levy_calculus import (
     check_levy_convergence,
     lambda_bar,
     pi_bar,
+    prelimit_alpha_h,
     prelimit_lambda_n,
     prelimit_pi_n,
     prelimit_truncated_first_moments,
@@ -81,7 +82,7 @@ def test_prelimit_lambda_rejects_non_integer_n():
 
 _GAUSS, _PARETO = make_weight_law("standard_gaussian"), make_pareto_multiplier(0.5)
 PRELIMIT_N_CALLS = {
-    "alpha_h": lambda n: alpha_h(_PARETO, 1.0, n=n),
+    "alpha_h": lambda n: prelimit_alpha_h(_PARETO, n, 1.0),
     "prelimit_pi_n": lambda n: prelimit_pi_n(_GAUSS, _PARETO, n, 1.0, 0.0,
                                              SeedStream(3), draws=100),
     "prelimit_truncated_first_moments": lambda n: prelimit_truncated_first_moments(
@@ -241,7 +242,7 @@ def test_alpha_h_monotone_limit_is_drift(stable_half):
     hs = [2.0 ** -k for k in range(12)]
     vals = [alpha_h(stable_half, h) for h in hs]
     assert all(b < a for a, b in zip(vals[:-1], vals[1:]))
-    assert vals[-1] < 0.05  # tends to drift_alpha = 0
+    assert vals[-1] < 0.05  # tends to 0: the measure has no drift
 
 
 def test_alpha_h_small_mean_bound(stable_half):
@@ -258,24 +259,21 @@ def test_alpha_h_prelimit_pareto():
     y = make_pareto_multiplier(0.5)
     for n in (100, 10_000):
         for h in (0.5, 1.0):
-            got = alpha_h(y, h, n=n)
+            got = prelimit_alpha_h(y, n, h)
             want = (h ** 0.5 - n ** -1.0)  # beta/(1-beta) (h^(1-b) - n^(1-1/b))
             assert got == pytest.approx(want, rel=1e-10)
     # converges to the limit form as n grows
-    assert alpha_h(y, 1.0, n=10**8) == pytest.approx(1.0, abs=1e-7)
+    assert prelimit_alpha_h(y, 10**8, 1.0) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_alpha_h_validation(stable_half, view_u01):
-    with pytest.raises(ParameterError):
-        alpha_h(stable_half, 0.0)
-    for bad in (math.nan, math.inf, -1.0):
+    for bad in (0.0, math.nan, math.inf, -1.0):
         for call in (lambda: alpha_h(stable_half, bad),
+                     lambda: prelimit_alpha_h(_PARETO, 100, bad),
                      lambda: truncated_first_moments(view_u01, bad),
                      lambda: truncated_second_moments(view_u01, bad)):
             with pytest.raises(ParameterError, match="h must be"):
                 call()
-    with pytest.raises(ParameterError):
-        alpha_h(make_pareto_multiplier(0.5), 1.0)  # missing n
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,7 @@ def test_normed_pair_w2_close_to_half_stable():
     assert ks_distance(s, lambda z: levy_cdf(z, math.pi / 2.0)) <= 0.03
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_normed_pair_rejects_overflowing_norming():
     x = make_weight_law("uniform01")
     y = make_slowly_varying_multiplier()
@@ -213,10 +214,9 @@ def test_limit_pair_cutoff_halving_consistency():
     assert ks_2samp(a.w2, b.w2).statistic <= bias + mc_band
 
 
-def test_limit_pair_auto_cutoff_bias_budget():
-    p = simulate_limit_pair(view_half(), cfg(n=1, reps=50, seed=16))
-    assert p.meta["bias_bound_w1"] <= 1e-3 + 1e-12
-    assert p.meta["bias_bound_w2"] <= 1e-3 + 1e-12
+def test_limit_pair_requires_cutoff():
+    with pytest.raises(ParameterError, match="cutoff"):
+        simulate_limit_pair(view_half(), cfg(n=1, reps=50, seed=16))
 
 
 def test_limit_pair_cutoff_too_small_rejected():
@@ -231,13 +231,6 @@ def test_limit_pair_deterministic_and_thread_invariant():
         a = simulate_limit_pair(view_half(), cfg(n=1, reps=reps, cutoff=0.01))
         b = simulate_limit_pair(view_half(), cfg(n=1, reps=reps, cutoff=0.01, threads=threads))
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
-
-
-def test_limit_pair_requires_tail_inverse():
-    levy = replace(stable_levy_tail(0.5), tail_inverse=None)
-    view = BivariateLevyView(make_weight_law("uniform01"), levy)
-    with pytest.raises(ParameterError, match="tail_inverse"):
-        simulate_limit_pair(view, cfg(n=1, reps=300, seed=17, cutoff=0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +374,6 @@ def test_limit_pair_kernel_matches_per_replication_loop(cutoff, reps):
     view = view_half()
     c = cfg(n=1, reps=reps, seed=10, threads=2, cutoff=cutoff)
     lam = view.levy.tail(cutoff)
-    alpha = view.levy.drift_alpha
     ref = []
     for rows, block in _block_streams(c, math.ceil(lam)):
         gen = block.child(0).generator()
@@ -389,8 +381,7 @@ def test_limit_pair_kernel_matches_per_replication_loop(cutoff, reps):
         jumps = view.levy.tail_inverse((1.0 - gen.random(counts.sum())) * lam)
         xs = view.weight.sampler(block.child(1), jumps.size)
         for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
-            ref.append((alpha * view.weight.mean + float((xs[lo:hi] * jumps[lo:hi]).sum()),
-                        alpha + float(jumps[lo:hi].sum())))
+            ref.append((float((xs[lo:hi] * jumps[lo:hi]).sum()), float(jumps[lo:hi].sum())))
     ref = np.array(ref)
     p = simulate_limit_pair(view, c)
     # bincount adds a row's jumps in order, the loop pairwise: float64 rounding
