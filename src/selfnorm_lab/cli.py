@@ -254,7 +254,6 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
 def run_levy(cfg: ExperimentConfig) -> int:
     x = cfg.weight_law()
     y = cfg.multiplier_law()
-    out = _outdir(cfg)
     seed = SeedStream(cfg.get_int("seed"))
     n_list = cfg.get_int_list("levy.n_list")
     v_grid = cfg.get_list("levy.v_grid")
@@ -270,6 +269,7 @@ def run_levy(cfg: ExperimentConfig) -> int:
         x, y, view, n_list=n_list, v_grid=v_grid,
         uv_grid=[(u, 0.0) for u in u_grid] if view is not None else (),
         stream=seed.child(1), draws=draws)
+    out = _outdir(cfg)  # only once the input has passed its checks
     _write_json(out / "levy_convergence.json", asdict(result))
 
     payload = {}

@@ -12,6 +12,9 @@ All built-in samplers drawn from a stream are pure functions of
 reproduces the same draws bit for bit, independent of thread count or call
 order.  Drawn from a ``Generator``, they continue its sequence, which lets
 an engine take many draws from one generator without deriving a new one.
+Every built-in ``sampler`` and ``log_sampler`` fills its output in order,
+one value at a time, so ``count = a + b`` draws from a generator equal
+``a`` draws followed by ``b``.
 """
 
 from __future__ import annotations
@@ -99,6 +102,14 @@ def _rng(source: RandomSource) -> np.random.Generator:
     return source.generator()
 
 
+def _open_uniform(source: RandomSource, count: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``count`` uniforms on (0, 1], one minus the generator's [0, 1) draws,
+    written into ``out`` when it is given."""
+    u = _rng(source).random(count, out=out)
+    return np.subtract(1.0, u, out=u)
+
+
 # ---------------------------------------------------------------------------
 # Law records
 # ---------------------------------------------------------------------------
@@ -128,17 +139,19 @@ class WeightLaw:
     keeps its relative accuracy in the far upper tail, where ``1 - cdf``
     cancels to zero.  ``pdf`` stays a scalar integrand: QUADPACK calls it
     once per node, and a float call is cheaper than an array call there.
-    ``sampler(source, count)`` draws ``count`` values from a
+    ``sampler(source, count, out=None)`` draws ``count`` values from a
     :class:`SeedStream` (a fresh generator from its key) or a numpy
-    ``Generator`` (continuing its sequence) and returns a fresh float array
-    that the caller may overwrite.
+    ``Generator`` (continuing its sequence).  As in numpy, ``out`` is an
+    optional float64 array of shape ``(count,)``: the built-in samplers draw
+    into it, apply their transform in place and return it.  Without ``out``
+    they return a fresh array that the caller may overwrite.  Callers use
+    the returned array, so a sampler that ignores ``out`` still works.
     """
 
     label: str
     cdf: Callable[[float], float]
     sf: Callable[[float], float]
-    sampler: Callable[[RandomSource, int], np.ndarray]
-    mean: float
+    sampler: Callable[..., np.ndarray]
     abs_mean: float
     beta_moment_pos: Callable[[float], float]
     beta_moment_neg: Callable[[float], float]
@@ -189,14 +202,17 @@ class MultiplierLaw:
     still sum correctly.  All three samplers take a :class:`SeedStream` (a
     fresh generator from its key) or a numpy ``Generator`` (continuing its
     sequence) as ``source`` and return a fresh float array that the caller
-    may overwrite.
+    may overwrite.  ``sampler(source, count, out=None)`` and
+    ``log_sampler(source, count, out=None)`` also take numpy's ``out``: a
+    float64 array of shape ``(count,)`` that the built-in samplers draw
+    into, transform in place and return, as :class:`WeightLaw` describes.
     ``survival``, ``survival_logarg``, ``trunc_mean`` and ``trunc_second`` map
     a float to a float and an ndarray to one of the same shape.
     """
 
     label: str
     survival: Callable[[float], float]
-    sampler: Callable[[RandomSource, int], np.ndarray]
+    sampler: Callable[..., np.ndarray]
     trunc_mean: Callable[[float], float]
     trunc_second: Callable[[float], float]
     norming: Callable[[int], float]
@@ -204,7 +220,7 @@ class MultiplierLaw:
     tail_sampler: Callable[[RandomSource, int, float], np.ndarray]
     log_norming: Optional[Callable[[int], float]] = None
     survival_logarg: Optional[Callable[[float], float]] = None
-    log_sampler: Optional[Callable[[RandomSource, int], np.ndarray]] = None
+    log_sampler: Optional[Callable[..., np.ndarray]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +307,7 @@ def _uniform01_weight() -> WeightLaw:
         label="uniform01",
         cdf=cdf,
         sf=lambda x: np.clip(1.0 - x, 0.0, 1.0),
-        sampler=lambda source, count: _rng(source).random(count),
-        mean=0.5,
+        sampler=lambda source, count, out=None: _rng(source).random(count, out=out),
         abs_mean=0.5,
         beta_moment_pos=lambda b: 1.0 / (1.0 + b),
         beta_moment_neg=lambda b: 0.0,
@@ -310,8 +325,7 @@ def _gaussian_weight() -> WeightLaw:
         label="standard_gaussian",
         cdf=_norm_cdf,
         sf=lambda x: _norm_cdf(np.negative(x)),
-        sampler=lambda source, count: _rng(source).standard_normal(count),
-        mean=0.0,
+        sampler=lambda source, count, out=None: _rng(source).standard_normal(count, out=out),
         abs_mean=math.sqrt(2.0 / math.pi),
         beta_moment_pos=beta_moment,
         beta_moment_neg=beta_moment,
@@ -332,7 +346,6 @@ def _atom_index(inner_cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _atomic_weight(label: str, atoms: Sequence) -> WeightLaw:
     atoms = tuple(sorted(atoms))
-    mean = sum(m * loc for loc, m in atoms)
     abs_mean = sum(m * abs(loc) for loc, m in atoms)
 
     def cdf(x):
@@ -352,11 +365,13 @@ def _atomic_weight(label: str, atoms: Sequence) -> WeightLaw:
     # cumulative mass sends U >= cum[-2] to the last atom, rounding included
     inner_cum = np.cumsum([m for _, m in atoms])[:-1]
 
-    def sampler(source, count):
-        return locs[_atom_index(inner_cum, _rng(source).random(count))]
+    def sampler(source, count, out=None):
+        u = _rng(source).random(count, out=out)
+        # "clip" lets take write into u unbuffered; every index is in range
+        return np.take(locs, _atom_index(inner_cum, u), out=u, mode="clip")
 
     return WeightLaw(
-        label=label, cdf=cdf, sf=sf, sampler=sampler, mean=mean, abs_mean=abs_mean,
+        label=label, cdf=cdf, sf=sf, sampler=sampler, abs_mean=abs_mean,
         beta_moment_pos=bmp, beta_moment_neg=bmn, atoms=atoms, pdf=None,
         support=(atoms[0][0], atoms[-1][0]),
     )
@@ -377,23 +392,27 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
         tail = half_tail(x)
         return np.where(x > -1.0, tail, 1.0 - tail)[()]
 
-    def sampler(source, count):
-        gen = _rng(source)
-        mag = (1.0 - gen.random(count)) ** (-1.0 / gamma)
-        sign = gen.integers(0, 2, size=count) * 2.0 - 1.0
-        return sign * mag
+    def sampler(source, count, out=None):
+        # one uniform U per draw: the sign is - for U < 1/2, and the
+        # magnitude's uniform, 1 - 2U there and 2 - 2U above, lies in (0, 1]
+        # (every step is exact).  No masked ufunc: those are slow on random masks.
+        u = _rng(source).random(count, out=out)
+        neg = u < 0.5
+        np.multiply(u, -2.0, out=u)
+        np.add(u, 2.0, out=u)
+        np.subtract(u, neg, out=u)
+        np.power(u, -1.0 / gamma, out=u)
+        return np.copysign(u, np.negative(neg, dtype=np.int8), out=u)  # -1 or +0
 
     def half_moment(b):
         return gamma / (2.0 * (gamma - b)) if b < gamma else math.inf
 
-    finite_mean = gamma > 1.0
     return WeightLaw(
         label=f"symmetric_pareto({gamma:g})",
         cdf=cdf,
         sf=sf,
         sampler=sampler,
-        mean=0.0 if finite_mean else math.nan,
-        abs_mean=gamma / (gamma - 1.0) if finite_mean else math.inf,
+        abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
         beta_moment_pos=half_moment,
         beta_moment_neg=half_moment,
         pdf=lambda x: 0.5 * gamma * abs(x) ** (-gamma - 1.0) if abs(x) >= 1.0 else 0.0,
@@ -408,12 +427,15 @@ def _abs_pareto_weight(gamma: float) -> WeightLaw:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 1.0, 1.0 - np.maximum(x, 1.0) ** (-gamma), 0.0)
 
+    def sampler(source, count, out=None):
+        v = _open_uniform(source, count, out)
+        return np.power(v, -1.0 / gamma, out=v)
+
     return WeightLaw(
         label=f"abs_pareto({gamma:g})",
         cdf=cdf,
         sf=lambda x: np.maximum(x, 1.0) ** (-gamma),
-        sampler=lambda source, count: (1.0 - _rng(source).random(count)) ** (-1.0 / gamma),
-        mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
+        sampler=sampler,
         abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
         beta_moment_pos=lambda b: gamma / (gamma - b) if b < gamma else math.inf,
         beta_moment_neg=lambda b: 0.0,
@@ -465,12 +487,13 @@ def make_weight_law(kind: str, *, c: float = 1.0, p: float = 0.5,
 
 
 def _pareto_power(v: np.ndarray, b: float) -> np.ndarray:
-    """v ** (-1/b) for v in (0, 1]: Pareto(b) draws from v = 1 - U.  For
-    b = 1/2 it takes 1 / (v * v), which is cheaper than the power, stays >= 1
-    and lies within 2 ulp of it."""
+    """v ** (-1/b) for v in (0, 1], written over v: Pareto(b) draws from
+    v = 1 - U.  For b = 1/2 it takes 1 / (v * v), which is cheaper than the
+    power, stays >= 1 and lies within 2 ulp of it."""
     if b == 0.5:
-        return 1.0 / (v * v)
-    return v ** (-1.0 / b)
+        np.multiply(v, v, out=v)
+        return np.divide(1.0, v, out=v)
+    return np.power(v, -1.0 / b, out=v)
 
 
 def make_pareto_multiplier(beta: float) -> MultiplierLaw:
@@ -496,12 +519,13 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
 
     def tail_sampler(source, count, y0):
         lo = max(1.0, y0)
-        return lo * (1.0 - _rng(source).random(count)) ** (-1.0 / b)
+        return lo * _open_uniform(source, count) ** (-1.0 / b)
 
     return MultiplierLaw(
         label=f"pareto(beta={b:g})",
         survival=survival,
-        sampler=lambda source, count: _pareto_power(1.0 - _rng(source).random(count), b),
+        sampler=lambda source, count, out=None: _pareto_power(
+            _open_uniform(source, count, out), b),
         trunc_mean=trunc_mean,
         trunc_second=trunc_second,
         norming=lambda n: float(n) ** (1.0 / b),
@@ -547,18 +571,18 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
             far = xm * (xm * (series / lx))
         return np.where(x <= e, 0.0, np.where(z > 700.0, far, direct))[()]
 
-    def sampler(source, count):
-        u = 1.0 - _rng(source).random(count)  # (0, 1]
-        with np.errstate(over="ignore"):
-            return np.exp(1.0 / u)  # inf beyond e^709; see log_sampler
+    def log_sampler(source, count, out=None):
+        u = _open_uniform(source, count, out)
+        return np.divide(1.0, u, out=u)
 
-    def log_sampler(source, count):
-        u = 1.0 - _rng(source).random(count)
-        return 1.0 / u
+    def sampler(source, count, out=None):
+        t = log_sampler(source, count, out)
+        with np.errstate(over="ignore"):
+            return np.exp(t, out=t)  # inf beyond e^709; see log_sampler
 
     def tail_sampler(source, count, y0):
         cap = 1.0 / math.log(max(y0, e))  # P{Y > y0} in uniform units
-        u = (1.0 - _rng(source).random(count)) * cap
+        u = _open_uniform(source, count) * cap
         with np.errstate(over="ignore"):
             return np.exp(1.0 / u)
 
@@ -589,6 +613,10 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
             raise ParameterError("exponential rate must be positive")
         r = float(rate)
 
+        def sampler(source, count, out=None):
+            e = _rng(source).standard_exponential(count, out=out)
+            return np.divide(e, r, out=e)
+
         def trunc_mean(x):
             x = np.maximum(x, 0.0)
             return (1.0 - np.exp(-r * x)) / r - x * np.exp(-r * x)
@@ -600,7 +628,7 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
         return MultiplierLaw(
             label=f"exponential(rate={r:g})",
             survival=lambda y: np.exp(-r * np.maximum(y, 0.0)),
-            sampler=lambda source, count: _rng(source).standard_exponential(count) / r,
+            sampler=sampler,
             trunc_mean=trunc_mean,
             trunc_second=trunc_second,
             norming=lambda n: n / r,
@@ -616,7 +644,7 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
         return MultiplierLaw(
             label="uniform01",
             survival=lambda y: np.clip(1.0 - y, 0.0, 1.0),
-            sampler=lambda source, count: _rng(source).random(count),
+            sampler=lambda source, count, out=None: _rng(source).random(count, out=out),
             trunc_mean=lambda x: 0.5 * np.clip(x, 0.0, 1.0) ** 2,
             trunc_second=lambda x: np.clip(x, 0.0, 1.0) ** 3 / 3.0,
             norming=lambda n: 0.5 * n,

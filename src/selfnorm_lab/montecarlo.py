@@ -10,13 +10,19 @@ replications are drawn in blocks of ``rows`` consecutive replications, with
 ``[b * rows, min((b + 1) * rows, reps))``, derives one multiplier generator
 from ``seed.child(b).child(0)`` and one weight generator from
 ``seed.child(b).child(1)``, and draws its rows in order from these two.  For
-the finite-n engines ``rows = max(16, BLOCK_ELEMS // n)``, drawn in
-sub-chunks of ``max(1, BLOCK_ELEMS // n)`` rows: one ``(k, n)`` sampler call
-per generator and sub-chunk, so no array holds more than
-``max(BLOCK_ELEMS, n)`` values, and up to n = 1024 a block is a single
-sub-chunk.  The limit pair draws ``max(1, BLOCK_ELEMS // ceil(poisson_mean))``
-rows per block as one array.  Blocks are stacked in block order, so output is
-bit-identical for any thread count.
+the finite-n engines ``rows = max(16, BLOCK_ELEMS // n)``.  The limit pair
+draws ``max(1, BLOCK_ELEMS // ceil(poisson_mean))`` rows per block as one
+array.  Blocks are stacked in block order, so output is bit-identical for any
+thread count.  Layout 3 draws symmetric_pareto's sign and magnitude from one
+uniform.
+
+The finite-n engines fill a block in sub-chunks of up to
+``max(1, SUB_ELEMS // n)`` rows, one sampler call per generator and
+sub-chunk.  Every built-in sampler fills its output in order, so the
+sub-chunk size bounds memory only and is not part of the layout.  Each
+worker thread draws into one pair of buffers of at most ``max(SUB_ELEMS, n)``
+values that it reuses for the whole engine call, so no sub-chunk allocates
+fresh draw arrays.
 
 Each sub-chunk is reduced per row.  ``sum X Y`` is taken as
 ``np.multiply(xs, ys, out=xs).sum(axis=1)``, which adds the products in the
@@ -29,6 +35,7 @@ one ulp outside).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -47,15 +54,18 @@ from .levy_calculus import BivariateLevyView
 _Y_SUB = 0   # substream for multiplier draws (and Poisson counts) within a block
 _X_SUB = 1   # substream for weight draws
 
-# Values in one draw array: 2**14 doubles (128 KiB) keep a sub-chunk in
-# cache; from n = 2**14 on, a sub-chunk is a single replication.
+# Values per block, which fixes the stream layout (module docstring).
 BLOCK_ELEMS = 2**14
 # Rows per finite-n block at any n, so that large-n blocks share the cost
 # of deriving their two generators.
 MIN_BLOCK_ROWS = 16
+# Values per finite-n draw buffer: 2**16 doubles (512 KiB) make each sampler
+# call long enough that threads do not serialise on handing over the GIL;
+# above it one thread gets slower.
+SUB_ELEMS = 2**16
 # Version of the stream layout described in the module docstring; it changes
 # whenever the same (seed, config) starts to produce different draws.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 
 @dataclass(frozen=True)
@@ -155,27 +165,33 @@ def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig
 
 
 def _draw_rows(x: WeightLaw, y: MultiplierLaw, y_gen: np.random.Generator,
-               x_gen: np.random.Generator, shape: tuple, scale_free: bool) -> tuple:
+               x_gen: np.random.Generator, bufs: tuple, shape: tuple,
+               scale_free: bool) -> tuple:
     """The next ``shape = (k, n)`` weights and multipliers from the block's
-    generators, plus the first argmax of each log-multiplier row when the
-    multipliers come from the law's log sampler (else None).
+    generators, drawn into the leading ``k * n`` values of the buffers
+    ``bufs = (multipliers, weights)``, plus the first argmax of each
+    log-multiplier row when the multipliers come from the law's log sampler
+    (else None).
 
     Scale-free draws of a law with a log sampler are rescaled by the row
-    maximum (exactly neutral for ratios of sums), which keeps the weights
-    representable even when raw draws overflow a double.
+    maximum (exactly neutral for ratios of sums) and exponentiated in place,
+    which keeps the weights representable even when raw draws overflow a
+    double.
     """
     size = shape[0] * shape[1]
+    y_out, x_out = (buf[:size] for buf in bufs)
     m = None
     if scale_free and y.log_sampler is not None:
-        d = y.log_sampler(y_gen, size).reshape(shape)
-        m = d.argmax(axis=1)
-        d -= d[np.arange(m.size), m][:, None]
+        ys = y.log_sampler(y_gen, size, out=y_out).reshape(shape)
+        m = ys.argmax(axis=1)
+        ys -= ys[np.arange(m.size), m][:, None]
         # exp underflows to exactly 0 below -746; skip those (most) entries
-        ys = np.zeros_like(d)
-        np.exp(d, out=ys, where=d > -746.0)
+        keep = ys > -746.0
+        np.exp(ys, out=ys, where=keep)
+        np.copyto(ys, 0.0, where=~keep)
     else:
-        ys = y.sampler(y_gen, size).reshape(shape)
-    xs = x.sampler(x_gen, size).reshape(shape)
+        ys = y.sampler(y_gen, size, out=y_out).reshape(shape)
+    xs = x.sampler(x_gen, size, out=x_out).reshape(shape)
     return xs, ys, m
 
 
@@ -184,16 +200,21 @@ def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
               scale_free: bool) -> np.ndarray:
     """``reduce(xs, ys, m)`` over every sub-chunk of ``_draw_rows``, as a
     (width, reps) array in replication order.  ``reduce`` may overwrite
-    ``xs`` and ``ys``."""
-    chunk = max(1, BLOCK_ELEMS // cfg.n)
+    ``xs`` and ``ys``, which live in the calling thread's buffers."""
     rows, blocks = _block_layout(cfg.reps, cfg.n, MIN_BLOCK_ROWS)
+    chunk = max(1, min(rows, cfg.reps, SUB_ELEMS // cfg.n))
+    local = threading.local()  # one buffer pair per worker thread and call
 
     def block(b: int) -> np.ndarray:
+        bufs = getattr(local, "bufs", None)
+        if bufs is None:
+            bufs = local.bufs = (np.empty(chunk * cfg.n), np.empty(chunk * cfg.n))
         stream = cfg.seed.child(b)
         y_gen, x_gen = stream.child(_Y_SUB).generator(), stream.child(_X_SUB).generator()
         rows_b = min(rows, cfg.reps - b * rows)
         return np.concatenate([
-            reduce(*_draw_rows(x, y, y_gen, x_gen, (min(chunk, rows_b - lo), cfg.n), scale_free))
+            reduce(*_draw_rows(x, y, y_gen, x_gen, bufs, (min(chunk, rows_b - lo), cfg.n),
+                               scale_free))
             for lo in range(0, rows_b, chunk)], axis=1)
 
     return _run_replications(block, blocks, width, cfg.threads)

@@ -198,7 +198,7 @@ def test_levy_without_limit_measure_exits_3(tmp_path, capsys, y_law):
     out = tmp_path / "out"
     assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
     assert "no limit jump measure" in capsys.readouterr().err
-    assert not (out / "levy_convergence.json").exists()
+    assert not out.exists()  # input is checked before --out is created
 
 
 def test_levy_non_integer_n_list_exits_3(tmp_path, capsys):
@@ -237,7 +237,7 @@ def test_reproduce_summary_and_sidecars_name_the_stream_layout(tmp_path, monkeyp
     monkeypatch.setitem(scenarios._SUITE_FNS, "S2", lambda seed, threads=1, outdir=None: [])
     assert main(["reproduce", "S2", "--out", str(tmp_path / "o"), "--seed", "1"]) == 0
     summary = json.loads((tmp_path / "o" / "s2_summary.json").read_text())
-    assert summary["stream_layout"] == STREAM_LAYOUT == 2
+    assert summary["stream_layout"] == STREAM_LAYOUT == 3
     assert main(["simulate", "--config", str(write_cfg(tmp_path)),
                  "--out", str(tmp_path / "sim")]) == 0
     meta = json.loads((tmp_path / "sim" / "tn_sample.meta.json").read_text())

@@ -338,7 +338,7 @@ def test_uniform01_beta_moment():
 
 def test_rademacher_atoms():
     x = make_weight_law("rademacher")
-    assert x.mean == 0.0
+    assert sum(m * loc for loc, m in x.atoms) == 0.0  # the mean
     assert x.atoms == ((-1.0, 0.5), (1.0, 0.5))
     assert x.beta_moment_pos(0.77) == pytest.approx(0.5)
 
@@ -364,7 +364,7 @@ def test_symmetric_pareto_infinite_mean_flags():
     assert math.isinf(x.beta_moment_pos(0.9))
     x2 = make_weight_law("symmetric_pareto", gamma=1.5)
     assert x2.abs_mean == pytest.approx(3.0)
-    assert x2.mean == 0.0
+    assert x2.beta_moment_pos(1.0) == x2.beta_moment_neg(1.0) == pytest.approx(1.5)
 
 
 def test_cdf_jump_equals_atom_mass():
@@ -442,7 +442,8 @@ def test_empirical_mean_within_five_se(kind, kwargs, var_known):
     x = make_weight_law(kind, **kwargs)
     draws = x.sampler(SeedStream(99, 5), 1_000_000)
     se = draws.std(ddof=1) / 1000.0
-    assert abs(draws.mean() - x.mean) <= 5.0 * max(se, 1e-9)
+    mean = {"uniform01": 0.5, "standard_gaussian": 0.0, "rademacher": 0.0, "bernoulli": 0.25}[kind]
+    assert abs(draws.mean() - mean) <= 5.0 * max(se, 1e-9)
 
 
 ATOM_LAWS = [
@@ -557,6 +558,58 @@ def test_sampler_stream_equals_its_generator(sampler, args):
     assert a.dtype == np.float64 and np.array_equal(a, b)
 
 
+# the samplers that take ``out=``: every sampler and log_sampler
+FILL_SAMPLERS = ([pytest.param(x.sampler, id=f"{x.label}-sampler") for x in BUILTIN_WEIGHTS]
+                 + [pytest.param(getattr(y, name), id=f"{y.label}-{name}")
+                    for y in BUILTIN_MULTIPLIERS for name in ("sampler", "log_sampler")
+                    if getattr(y, name) is not None])
+
+
+@pytest.mark.parametrize("sampler", FILL_SAMPLERS)
+@pytest.mark.parametrize("a,b", [(1, 999), (7, 4_093), (500, 500)])
+def test_sampler_draws_in_order(sampler, a, b):
+    # a + b draws equal a draws followed by b from the same generator, so an
+    # engine may split a block's draws at any point without moving them
+    with np.errstate(over="ignore"):
+        whole = sampler(SeedStream(44, 1).generator(), a + b)
+        gen = SeedStream(44, 1).generator()
+        parts = np.concatenate([sampler(gen, a), sampler(gen, b)])
+    assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("sampler", FILL_SAMPLERS)
+def test_sampler_fills_out_in_place(sampler):
+    buf = np.full(1_000, np.nan)
+    with np.errstate(over="ignore"):
+        got = sampler(SeedStream(45).generator(), 1_000, out=buf)
+        fresh = sampler(SeedStream(45).generator(), 1_000)
+    assert got is buf
+    assert np.array_equal(buf, fresh)
+
+
+def test_symmetric_pareto_sign_and_magnitude_from_one_uniform():
+    # U < 1/2 draws -(1 - 2U)^(-1/g), else (2 - 2U)^(-1/g): the magnitude's
+    # uniform lies in (0, 1], so U = 0 and U -> 1 stay finite
+    g = 0.8
+    x = make_weight_law("symmetric_pareto", gamma=g)
+    u = SeedStream(46).generator().random(10_000)
+    mag = np.where(u < 0.5, 1.0 - 2.0 * u, 2.0 - 2.0 * u) ** (-1.0 / g)
+    want = np.where(u < 0.5, -mag, mag)
+    assert np.array_equal(x.sampler(SeedStream(46), 10_000), want)
+
+    class EdgeStream:  # a stream whose generator draws the extreme uniforms
+        def generator(self):
+            return self
+
+        def random(self, count, out=None):
+            out = np.empty(count) if out is None else out
+            out[:] = [0.0, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53]
+            return out
+
+    mags = np.power(np.array([1.0, 2.0**-52, 1.0, 2.0**-52]), -1.0 / g)
+    assert np.array_equal(x.sampler(EdgeStream(), 4), mags * [-1.0, -1.0, 1.0, 1.0])
+
+
 def test_sampler_continues_a_generator():
     x = make_weight_law("uniform01")
     gen = SeedStream(42).generator()
@@ -568,7 +621,7 @@ def test_sampler_continues_a_generator():
 def test_pareto_fast_path_within_two_ulp_of_power(beta):
     v = 1.0 - SeedStream(43).generator().random(100_000)
     v = np.concatenate([v, [2.0**-53, 2.0**-52, 0.5, np.nextafter(1.0, 0.0), 1.0]])
-    fast, exact = _pareto_power(v, beta), v ** (-1.0 / beta)
+    fast, exact = _pareto_power(v.copy(), beta), v ** (-1.0 / beta)
     assert np.all(fast >= 1.0)
     assert np.all(np.abs(fast - exact) <= 2.0 * np.spacing(exact))
     assert _pareto_power(np.array([2.0**-53]), beta)[0] == 2.0 ** (53 / beta)

@@ -188,7 +188,7 @@ def test_grid_raises_on_unresolved_tail():
     law = WeightLaw(
         label="log_tail", cdf=lambda u: 1.0 - 1.0 / np.log(np.maximum(u, math.e)),
         sf=lambda u: 1.0 / np.log(np.maximum(u, math.e)),
-        sampler=lambda stream, count: np.full(count, math.e), mean=math.inf,
+        sampler=lambda stream, count, out=None: np.full(count, math.e),
         abs_mean=math.inf, beta_moment_pos=lambda b: 1.0, beta_moment_neg=lambda b: 0.0,
         pdf=lambda u: 1.0 / (u * math.log(u) ** 2) if u >= math.e else 0.0,
         pdf_breaks=(math.e,), support=(math.e, math.inf))

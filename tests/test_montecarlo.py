@@ -18,6 +18,7 @@ from selfnorm_lab.levy_calculus import BivariateLevyView, stable_levy_tail
 from selfnorm_lab.class_diagnostics import ks_distance
 from selfnorm_lab.montecarlo import (
     BLOCK_ELEMS,
+    SUB_ELEMS,
     EmpiricalSample,
     SimConfig,
     divergence_probe,
@@ -46,7 +47,7 @@ def test_tn_point_mass_weight_is_constant():
 
 def test_tn_zero_multiplier_convention():
     y0 = replace(make_finite_mean_multiplier("uniform01"),
-                 sampler=lambda stream, count: np.zeros(count))
+                 sampler=lambda stream, count, out=None: np.zeros(count))
     x = make_weight_law("uniform01")
     s = simulate_tn(x, y0, cfg(n=10, reps=20))
     assert np.all(s.values == 0.0)
@@ -83,7 +84,8 @@ def test_tn_scale_invariance_pathwise():
     y = make_pareto_multiplier(0.5)
     base = simulate_tn(x, y, cfg(reps=200))
     for c in (4.0, 3.0):
-        ys = replace(y, sampler=lambda stream, count, _c=c: _c * y.sampler(stream, count))
+        ys = replace(y, sampler=lambda stream, count, out=None, _c=c:
+                     _c * y.sampler(stream, count))
         scaled = simulate_tn(x, ys, cfg(reps=200))
         assert np.allclose(base.values, scaled.values, rtol=1e-12)
 
@@ -240,7 +242,7 @@ def test_limit_pair_deterministic_and_thread_invariant():
 
 def test_max_share_constant_multiplier():
     y1 = replace(make_finite_mean_multiplier("uniform01"),
-                 sampler=lambda stream, count: np.ones(count))
+                 sampler=lambda stream, count, out=None: np.ones(count))
     x = make_weight_law("uniform01")
     n = 100
     st = max_share_stats(x, y1, cfg(n=n, reps=50), (0.5, 0.9))
@@ -293,17 +295,16 @@ def _block_streams(c, values_per_rep, min_rows=1):
 
 
 def _draw_chunks(x, y, c, log):
-    """(multiplier rows, weight rows) per sub-chunk in replication order:
+    """(multiplier rows, weight rows) per block in replication order:
     finite-n blocks hold at least 16 rows, each drawn from one generator
-    pair, in sub-chunks of BLOCK_ELEMS // n rows (at least one)."""
+    pair with one sampler call per generator.  The engines fill a block in
+    sub-chunks; equal draws pin that the sub-chunk size is not part of the
+    stream layout."""
     n = c.n
-    chunk = max(1, BLOCK_ELEMS // n)
     for rows, block in _block_streams(c, n, min_rows=16):
         y_gen, x_gen = block.child(0).generator(), block.child(1).generator()
-        for lo in range(0, rows, chunk):
-            k = min(chunk, rows - lo)
-            ys = (y.log_sampler if log else y.sampler)(y_gen, k * n)
-            yield ys.reshape(k, n), x.sampler(x_gen, k * n).reshape(k, n)
+        ys = (y.log_sampler if log else y.sampler)(y_gen, rows * n)
+        yield ys.reshape(rows, n), x.sampler(x_gen, rows * n).reshape(rows, n)
 
 
 def _loop_rows(x, y, c, scale_free):
@@ -329,12 +330,16 @@ KERNEL_CASES = [  # (weight, multiplier, n, reps)
     ("uniform01", make_pareto_multiplier(0.5), 10, 3_500),
     ("bernoulli", make_slowly_varying_multiplier(), 1_000, 40),  # log sampler
     ("standard_gaussian", make_slowly_varying_multiplier(), 100, 400),
-    # one-row sub-chunks, a single partial block
+    # a single partial block of 3 rows in one sub-chunk
     ("uniform01", make_finite_mean_multiplier("exponential"), BLOCK_ELEMS + 3, 3),
-    # 16-row blocks of 5+5+5+1 rows, then a partial block of 3
+    # 16-row blocks in one sub-chunk each, then a partial block of 3
     ("rademacher", make_pareto_multiplier(1.0), 3_000, 35),
-    # 16-row blocks of one-row sub-chunks, then a partial block of 3
+    # 16-row blocks of 7+7+2 rows, then a partial block of 3
     ("symmetric_pareto", make_pareto_multiplier(0.5), BLOCK_ELEMS // 2 + 1, 35),
+    # 16-row blocks of 13+3 rows on the log sampler, then a partial block of 3
+    ("bernoulli", make_slowly_varying_multiplier(), 5_000, 35),
+    # one-row sub-chunks, a single partial block
+    ("uniform01", make_finite_mean_multiplier("exponential"), SUB_ELEMS // 2 + 1, 3),
 ]
 
 
