@@ -269,9 +269,6 @@ def run_levy(cfg: ExperimentConfig) -> int:
         x, y, view, n_list=n_list, v_grid=v_grid,
         uv_grid=[(u, 0.0) for u in u_grid] if view is not None else (),
         stream=seed.child(1), draws=draws)
-    out = _outdir(cfg)  # only once the input has passed its checks
-    _write_json(out / "levy_convergence.json", asdict(result))
-
     payload = {}
     if view is not None:
         for h in h_list:
@@ -286,6 +283,8 @@ def run_levy(cfg: ExperimentConfig) -> int:
             }
         scan = lc.second_moment_smallh_scan(view, k_max=cfg.get_int("levy.kmax"))
         payload["smallh_scan"] = {format(h, ".10g"): list(v) for h, v in scan.items()}
+    out = _outdir(cfg)  # only once the input has passed its checks
+    _write_json(out / "levy_convergence.json", asdict(result))
     _write_json(out / "levy_moments.json", _meta(cfg, "levy", {"reports": payload}))
     return 0
 

@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 
 class ParameterError(ValueError):
@@ -42,12 +41,7 @@ def as_int(value, name: str) -> int:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the partial bracket."""
-
-    def __init__(self, message: str, partial: float = math.nan, err: float = math.nan):
-        super().__init__(f"{message} (partial={partial!r}, abserr={err!r})")
-        self.partial = partial
-        self.err = err
+    """A quadrature value is not finite or misses its error budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +128,10 @@ class WeightLaw:
     outside ``support``; ``pdf_breaks`` lists points where the density is
     kinked or discontinuous (quadrature split points).  ``atoms`` holds the
     discrete part as (location, mass) pairs.  ``cdf`` is P{X <= x} and
-    ``sf`` is P{X > x}; both map a float to a float and an ndarray to one of
-    the same shape.  ``sf`` is its own closed form, not ``1 - cdf``, so it
-    keeps its relative accuracy in the far upper tail, where ``1 - cdf``
-    cancels to zero.  ``pdf`` stays a scalar integrand: QUADPACK calls it
-    once per node, and a float call is cheaper than an array call there.
+    ``sf`` is P{X > x}.  ``pdf``, ``cdf`` and ``sf`` map a float to a float
+    and an ndarray to one of the same shape.  ``sf`` is its own closed form,
+    not ``1 - cdf``, so it keeps its relative accuracy in the far upper
+    tail, where ``1 - cdf`` cancels to zero.
     ``sampler(source, count, out=None)`` draws ``count`` values from a
     :class:`SeedStream` (a fresh generator from its key) or a numpy
     ``Generator`` (continuing its sequence).  As in numpy, ``out`` is an
@@ -156,19 +149,9 @@ class WeightLaw:
     beta_moment_pos: Callable[[float], float]
     beta_moment_neg: Callable[[float], float]
     atoms: tuple = ()
-    pdf: Optional[Callable[[float], float]] = None
+    pdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     pdf_breaks: tuple = ()
     support: tuple = (-math.inf, math.inf)
-
-    def atom_mass(self, x: float) -> float:
-        for loc, m in self.atoms:
-            if loc == x:
-                return m
-        return 0.0
-
-    def cdf_left(self, x: float) -> float:
-        """Left limit F(x-)."""
-        return self.cdf(x) - self.atom_mass(x)
 
 
 def vec_eval(fn: Callable, arr: np.ndarray) -> np.ndarray:
@@ -224,71 +207,117 @@ class MultiplierLaw:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature against a weight law
+# Quadrature: graded Gauss-Legendre cells
 # ---------------------------------------------------------------------------
 
-_QUAD_LIMIT = 300
+# 16-point Gauss-Legendre cells, graded geometrically toward the ends of a
+# piece, serve quad and the grid rule of limit_laws (the head and tail tables).
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
+_RATIO = 0.125          # geometric grading ratio
+_LEVELS = 4             # graded cells toward each end of a finite piece
+_NEAR_LEVELS = 2        # tail levels folded in s
+_FAR_LEVELS = 10        # tail levels folded in w
 
 
-def _quad_piece(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    res = quad(f, lo, hi, epsabs=tol, epsrel=1e-9, limit=_QUAD_LIMIT, full_output=1)
-    if not math.isfinite(res[0]):
-        raise QuadratureError("quadrature result is not finite", partial=res[0], err=res[1])
-    if len(res) > 3:
-        # QUADPACK flags slow convergence even when the absolute target was
-        # reached (e.g. the relative goal is unattainable for near-zero
-        # values); accept results whose error bound meets the tolerance.
-        if res[1] <= tol:
-            return res[0]
-        raise QuadratureError(str(res[3]), partial=res[0], err=res[1])
-    return res[0]
+def _cells(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights of the cells between ``edges``."""
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * _GL_T).ravel(), (width * _GL_W).ravel()
 
 
-def _piece(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """One quadrature piece.  The parts beyond |t| = 1 are folded into
-    [-1, 1] by the reciprocal substitution u = 1/t, whether their edge is
-    finite or infinite.  Power-law tails become integrable endpoint
-    singularities (QAGS territory) instead of stressing the infinite-range
-    extrapolation.  However wide a piece is, the bulk of a law then lies in
-    [-1, 1] or folds onto a large part of it, within reach of QUADPACK's
-    nodes; unfolded, the nodes on (-1e3, 1e3) miss the Gaussian bulk."""
-    total = 0.0
-    if a < -1.0:
-        total += _quad_piece(lambda t: f(1.0 / t) / (t * t), 1.0 / min(b, -1.0), 1.0 / a, tol)
-    lo, hi = max(a, -1.0), min(b, 1.0)
-    if hi > lo:
-        total += _quad_piece(f, lo, hi, tol)
-    if b > 1.0:
-        total += _quad_piece(lambda t: f(1.0 / t) / (t * t), 1.0 / b, 1.0 / max(a, 1.0), tol)
-    return total
+_grade = 0.5 * _RATIO ** np.arange(_LEVELS, -1, -1)
+_PIECE_EDGES = np.concatenate([[0.0], _grade, 1.0 - _grade[::-1], [1.0]])  # 1/2 twice
+_PIECE_T, _PIECE_W = _cells(_PIECE_EDGES)
+_SPLIT_EDGES = np.unique(_PIECE_EDGES)  # the same cells but the empty one at 1/2
+_HEAD_T, _HEAD_W = _cells(np.concatenate([[0.0], _grade, [1.0]]))
+_NEAR_T, _NEAR_W = _cells(_RATIO ** np.arange(_NEAR_LEVELS, -1, -1.0))
+_FAR_T, _FAR_W = _cells(_RATIO ** np.arange(_FAR_LEVELS, -1, -1.0))
+_FAR_W = _FAR_W / (_FAR_T * _FAR_T)   # dw = c1^b dt / t^2
+_FAR_T = 1.0 / _FAR_T                 # nodes as w / c1^b
+
+# The lower-order rule embedded in the 16 nodes is the interpolatory rule on
+# all of them but the 6th and 11th, exact to degree 13.  _NULL_W is the 16-node
+# rule minus that one: |sum of f * _NULL_W| is a cell's error estimate.
+_KEEP = np.delete(np.arange(16), (5, 10))
+_NULL_W = _GL_W.copy()
+_NULL_W[_KEEP] -= np.linalg.solve(
+    np.polynomial.legendre.legvander(2.0 * _GL_T[_KEEP] - 1.0, _KEEP.size - 1).T,
+    np.eye(_KEEP.size)[0])  # Legendre moments on [-1, 1], halved for [0, 1]
+_EPSREL = 1e-13         # error budget of quad, relative to the integral of |f|
+_ROUNDS = 30            # refinement rounds before quad gives up
 
 
-def expect_weight(law: WeightLaw, g: Callable[[float], float],
+def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple:
+    """Integral of ``f`` over (edges[0], edges[-1]) and its error estimate.
+
+    ``f`` maps an array to one of the same shape; each round calls it once,
+    on the nodes of all new cells.  ``edges`` are sorted; only the outer two
+    may be infinite.  Pieces are split again at |x| = 1, and a piece beyond
+    is folded onto (-1, 1) by u = 1/x, so a power-law tail ends in an
+    integrable singularity at u = 0 and the bulk of a law stays near the
+    nodes.  Each piece starts as the cells of _SPLIT_EDGES.  Each round cuts
+    every cell whose error estimate is above an even share of the budget,
+    _EPSREL times the integral of |f|, the same way, until the estimates sum
+    to at most the budget.  A node value that is not finite, or a budget
+    missed after _ROUNDS rounds, raises QuadratureError.
+    """
+    a, b = edges[0], edges[-1]
+    knots = sorted({*edges, *(k for k in (-1.0, 1.0) if a < k < b)})
+    todo = []  # cells to cut: (lo, width, folded)
+    for p, q in zip(knots[:-1], knots[1:]):
+        folded = p >= 1.0 or q <= -1.0
+        if folded:
+            p, q = 1.0 / q, 1.0 / p  # 1/inf is 0
+        todo.append((p, q - p, folded))
+    todo = np.array(todo, dtype=float)
+    cells = np.empty((0, 6))  # lo, width, folded, value, error estimate, integral of |f|
+    for _ in range(_ROUNDS):
+        new = np.repeat(todo, _SPLIT_EDGES.size - 1, axis=0)
+        new[:, 0] += (todo[:, 1:2] * _SPLIT_EDGES[:-1]).ravel()
+        new[:, 1] = (todo[:, 1:2] * np.diff(_SPLIT_EDGES)).ravel()
+        t = new[:, :1] + new[:, 1:2] * _GL_T
+        folded = new[:, 2:] > 0.0
+        x = np.divide(1.0, t, out=t.copy(), where=folded)
+        with np.errstate(invalid="ignore"):  # a NaN (inf * 0) raises just below
+            fx = f(x.ravel()).reshape(x.shape) * np.where(folded, x * x, 1.0) * new[:, 1:2]
+        if not np.isfinite(fx).all():
+            raise QuadratureError("quadrature result is not finite")
+        cells = np.concatenate([cells, np.column_stack([
+            new, (fx * _GL_W).sum(axis=1), np.abs((fx * _NULL_W).sum(axis=1)),
+            (np.abs(fx) * _GL_W).sum(axis=1)])])
+        value, err, budget = cells[:, 3:].sum(axis=0) * (1.0, 1.0, _EPSREL)
+        if err <= budget:
+            return float(value), float(err)
+        cut = cells[:, 4] > budget / len(cells)  # over an even share of the budget
+        todo, cells = cells[cut, :3], cells[~cut]
+    raise QuadratureError(f"quadrature missed its error budget after {_ROUNDS} rounds "
+                          f"(value {value!r}, error estimate {err!r})")
+
+
+def expect_weight(law: WeightLaw, g: Callable[[np.ndarray], np.ndarray],
                   lo: float = -math.inf, hi: float = math.inf,
-                  points: Sequence[float] = (), tol: float = 1e-10) -> float:
+                  points: Sequence[float] = ()) -> float:
     """Integral of g against the law of X over the open interval (lo, hi).
 
-    Atoms count only strictly inside (lo, hi).  The continuous part is
-    integrated by adaptive quadrature, split at the declared density breaks
-    and any caller-supplied points (integrand kinks) inside the interval.
-    Each piece is accepted when QUADPACK's error estimate is at most
-    max(tol, 1e-9 * |piece|) (only ``tol`` if QUADPACK flags a problem) and
-    its value is finite, else :class:`QuadratureError` is raised; a large
-    piece may thus miss ``tol``.
+    ``g`` maps an ndarray to one of the same shape, like a law callable;
+    :func:`vec_eval` evaluates it and ``pdf``.  Atoms count only strictly
+    inside (lo, hi).  The continuous part is one :func:`quad` of g times
+    the density, split at the density breaks and the caller's ``points``
+    (kinks of g).  NaN bounds raise :class:`ParameterError`; an empty
+    interval gives 0.
     """
+    if math.isnan(lo) or math.isnan(hi):
+        raise ParameterError("expect_weight bounds must not be NaN")
     total = 0.0
-    for loc, m in law.atoms:
-        if lo < loc < hi:
-            total += m * g(loc)
-    if law.pdf is not None:
-        a = max(lo, law.support[0])
-        b = min(hi, law.support[1])
-        if b > a:
-            pdf = law.pdf
-            inner = sorted({p for p in (*points, *law.pdf_breaks) if a < p < b and math.isfinite(p)})
-            edges = [a, *inner, b]
-            total += sum(_piece(lambda x: g(x) * pdf(x), p, q, tol)
-                         for p, q in zip(edges[:-1], edges[1:]))
+    inside = [(loc, m) for loc, m in law.atoms if lo < loc < hi]
+    if inside:
+        locs, masses = np.array(inside).T
+        total = float((masses * vec_eval(g, locs)).sum())
+    a, b = max(lo, law.support[0]), min(hi, law.support[1])
+    if law.pdf is not None and b > a:
+        inner = sorted({p for p in (*points, *law.pdf_breaks) if a < p < b})
+        total += quad(lambda x: vec_eval(g, x) * vec_eval(law.pdf, x), [a, *inner, b])[0]
     return total
 
 
@@ -311,7 +340,7 @@ def _uniform01_weight() -> WeightLaw:
         abs_mean=0.5,
         beta_moment_pos=lambda b: 1.0 / (1.0 + b),
         beta_moment_neg=lambda b: 0.0,
-        pdf=lambda x: 1.0 if 0.0 <= x <= 1.0 else 0.0,
+        pdf=lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0),
         pdf_breaks=(0.0, 1.0),
         support=(0.0, 1.0),
     )
@@ -329,7 +358,7 @@ def _gaussian_weight() -> WeightLaw:
         abs_mean=math.sqrt(2.0 / math.pi),
         beta_moment_pos=beta_moment,
         beta_moment_neg=beta_moment,
-        pdf=lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+        pdf=lambda x: np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi),
         support=(-math.inf, math.inf),
     )
 
@@ -415,7 +444,8 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
         abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
         beta_moment_pos=half_moment,
         beta_moment_neg=half_moment,
-        pdf=lambda x: 0.5 * gamma * abs(x) ** (-gamma - 1.0) if abs(x) >= 1.0 else 0.0,
+        pdf=lambda x: np.where(np.abs(x) >= 1.0,
+                               0.5 * gamma * np.maximum(np.abs(x), 1.0) ** (-gamma - 1.0), 0.0),
         pdf_breaks=(-1.0, 1.0),
         support=(-math.inf, math.inf),
     )
@@ -439,7 +469,7 @@ def _abs_pareto_weight(gamma: float) -> WeightLaw:
         abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
         beta_moment_pos=lambda b: gamma / (gamma - b) if b < gamma else math.inf,
         beta_moment_neg=lambda b: 0.0,
-        pdf=lambda x: gamma * x ** (-gamma - 1.0) if x >= 1.0 else 0.0,
+        pdf=lambda x: np.where(x >= 1.0, gamma * np.maximum(x, 1.0) ** (-gamma - 1.0), 0.0),
         pdf_breaks=(1.0,),
         support=(1.0, math.inf),
     )
@@ -462,12 +492,14 @@ def make_weight_law(kind: str, *, c: float = 1.0, p: float = 0.5,
     if kind == "rademacher":
         return _atomic_weight("rademacher", [(-1.0, 0.5), (1.0, 0.5)])
     if kind == "point_mass":
+        if not math.isfinite(c):
+            raise ParameterError("point_mass c must be finite")
         return _atomic_weight(f"point_mass({c:g})", [(float(c), 1.0)])
     if kind == "bernoulli":
         if not 0.0 < p < 1.0:
             raise ParameterError("bernoulli p must lie in (0, 1)")
-        if x0 == x1:
-            raise ParameterError("bernoulli locations must differ")
+        if not (math.isfinite(x0) and math.isfinite(x1)) or x0 == x1:
+            raise ParameterError("bernoulli locations must be finite and differ")
         return _atomic_weight(f"bernoulli({p:g},{x0:g},{x1:g})",
                               [(float(x0), 1.0 - p), (float(x1), p)])
     if kind == "symmetric_pareto":
@@ -609,8 +641,8 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
     and would violate a_n -> inf.
     """
     if kind == "exponential":
-        if not rate > 0.0:
-            raise ParameterError("exponential rate must be positive")
+        if not 0.0 < rate < math.inf:
+            raise ParameterError("exponential rate must be positive and finite")
         r = float(rate)
 
         def sampler(source, count, out=None):

@@ -5,9 +5,9 @@ bivariate measure it induces jointly with the weight law, and the tail and
 truncated-moment integrals that characterise convergence of the triangular
 array ``(X_i Y_i / a_n, Y_i / a_n)``.  Each limit quantity integrates the
 jump size out in closed form for every weight value (Tonelli) and is one
-adaptive quadrature over the weight law; prelimit quantities are exact
-closed forms where the law allows and variance-reduced Monte Carlo
-otherwise.
+``expect_weight`` of a vectorized integrand over the weight law; prelimit
+quantities are exact closed forms where the law allows and variance-reduced
+Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ class LevyTail:
     of the bivariate measure reduces to ``tail`` and ``truncated_moment``,
     and ``truncated_moment(1, eps)`` bounds the mean of the jumps a cutoff
     at eps discards.  The measure has no drift: its limit is the sum of its
-    jumps.  ``tail_inverse`` maps an ndarray to one of the same shape; the
-    limit-pair engine draws jumps through it.  The other callables need
-    only take floats.
+    jumps.  ``tail``, ``tail_inverse`` and ``truncated_moment`` (in ``c``)
+    map a float to a float and an ndarray to one of the same shape, so that
+    every quadrature node or jump is evaluated in one call.
     """
 
     label: str
-    tail: Callable[[float], float]
-    truncated_moment: Callable[[int, float], float]
-    tail_inverse: Callable[[float], float]
+    tail: Callable[[np.ndarray], np.ndarray]
+    truncated_moment: Callable[[int, np.ndarray], np.ndarray]
+    tail_inverse: Callable[[np.ndarray], np.ndarray]
 
 
 def stable_levy_tail(beta: float) -> LevyTail:
@@ -174,7 +174,7 @@ def pi_bar(view: BivariateLevyView, u: float, v: float) -> float:
         raise ParameterError("need v >= 0 and (u, v) != (0, 0)")
     tail = view.levy.tail
     lo, hi = (0.0, math.inf) if u >= 0.0 else (-math.inf, 0.0)
-    return expect_weight(view.weight, lambda x: tail(max(v, u / x)), lo, hi,
+    return expect_weight(view.weight, lambda x: tail(np.maximum(v, u / x)), lo, hi,
                          points=[u / v] if v > 0.0 else [])
 
 
@@ -256,7 +256,7 @@ def _half_disk(view: BivariateLevyView, h: float, j: int, k: int) -> float:
     {(x s, s): s^2 (1 + x^2) <= h^2}, which is E[X^j m_k(h / sqrt(1 + X^2))]
     with m_k the jump measure's ``truncated_moment(k, .)``."""
     m = view.levy.truncated_moment
-    return expect_weight(view.weight, lambda x: x ** j * m(k, h / math.hypot(1.0, x)))
+    return expect_weight(view.weight, lambda x: x ** j * m(k, h / np.hypot(1.0, x)))
 
 
 def truncated_first_moments(view: BivariateLevyView, h: float):
@@ -287,6 +287,9 @@ def second_moment_smallh_scan(view: BivariateLevyView, k_max: int = 10) -> dict:
     Documents the vanishing-variance property of the limit: all three
     integrals must decay to zero as h shrinks.
     """
+    k_max = as_int(k_max, "k_max")
+    if k_max < 0:
+        raise ParameterError("k_max must be at least 0")
     return {2.0 ** (-k): truncated_second_moments(view, 2.0 ** (-k))
             for k in range(k_max + 1)}
 

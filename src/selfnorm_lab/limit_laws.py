@@ -13,7 +13,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import beta as beta_fn
 
-from .distributions import ParameterError, QuadratureError, WeightLaw
+from .distributions import (_FAR_LEVELS, _FAR_T, _FAR_W, _HEAD_T, _HEAD_W, _NEAR_LEVELS,
+                            _NEAR_T, _NEAR_W, _PIECE_T, _PIECE_W, _RATIO, ParameterError,
+                            QuadratureError, WeightLaw)
 
 # BreimanLimit checks the weight law's absolute moment at this order above beta.
 _MOMENT_MARGIN = 0.05
@@ -47,37 +49,16 @@ class BreimanLimit:
 # integrands sf(x + w^(1/b)) and cdf(x - w^(1/b)).  They are split where
 # x -/+ w^(1/b) crosses an atom, a density break or a support edge.  A
 # piece with no mass inside is a constant times its w-length.  Every other
-# finite piece gets Gauss-Legendre cells graded geometrically toward both
-# ends (a break, or a singularity of the density's continuation just past
-# one).  An infinite piece from s0 gets a head up to c = 2 max(s0, |x|, 1),
-# graded toward s0, and a tail folded onto t in (0, 1] in graded levels:
-# first s = c / t, whose levels span a ratio 8 in s and resolve the law's
-# bulk whatever b is, then w = c1^b / t, whose levels span 8^(1/b) in s and
-# reach far enough out that the terms below the last level form a
-# geometric series; that remainder is added in closed form, exact for
-# power-law tails.
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
-_RATIO = 0.125          # geometric grading ratio
-_LEVELS = 4             # graded cells toward each end of a finite piece
-_NEAR_LEVELS = 2        # tail levels folded in s
-_FAR_LEVELS = 10        # tail levels folded in w
+# finite piece gets the graded cells of distributions (_PIECE_T), toward
+# both ends (a break, or a singularity of the density's continuation just
+# past one).  An infinite piece from s0 gets a head up to
+# c = 2 max(s0, |x|, 1), graded toward s0, and a tail folded onto t in
+# (0, 1] in graded levels: first s = c / t, whose levels span a ratio 8 in s
+# and resolve the law's bulk whatever b is, then w = c1^b / t, whose levels
+# span 8^(1/b) in s and reach far enough out that the terms below the last
+# level form a geometric series; that remainder is added in closed form,
+# exact for power-law tails.
 _CHUNK = 256            # grid points per pass: each temporary under 0.5 MiB
-
-
-def _cells(edges: np.ndarray):
-    """Gauss-Legendre nodes and weights of the cells between ``edges``."""
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + width * _GL_T).ravel(), (width * _GL_W).ravel()
-
-
-_grade = 0.5 * _RATIO ** np.arange(_LEVELS, -1, -1)
-_PIECE_T, _PIECE_W = _cells(np.concatenate([[0.0], _grade, 1.0 - _grade[::-1], [1.0]]))
-_HEAD_T, _HEAD_W = _cells(np.concatenate([[0.0], _grade, [1.0]]))
-_NEAR_T, _NEAR_W = _cells(_RATIO ** np.arange(_NEAR_LEVELS, -1, -1.0))
-_FAR_T, _FAR_W = _cells(_RATIO ** np.arange(_FAR_LEVELS, -1, -1.0))
-_FAR_W = _FAR_W / (_FAR_T * _FAR_T)   # dw = c1^b dt / t^2
-_FAR_T = 1.0 / _FAR_T                 # nodes as w / c1^b
 
 
 def _rule(tail, x, w_lo, w_hi, t, wt, b):
@@ -138,7 +119,9 @@ def _fractional_moment(law: WeightLaw, x: np.ndarray, b: float, side: int) -> np
     knots = sorted({p for p in (*(loc for loc, _ in law.atoms), *law.pdf_breaks, *law.support)
                     if math.isfinite(p)})
     edges = (-math.inf, *knots, math.inf)
-    empty = [float(law.cdf(lo)) == law.cdf_left(hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    atoms = dict(law.atoms)  # no mass in (lo, hi): F(lo) equals the left limit F(hi-)
+    empty = [float(law.cdf(lo)) == law.cdf(hi) - atoms.get(hi, 0.0)
+             for lo, hi in zip(edges[:-1], edges[1:])]
     tail = law.sf
     if side < 0:  # I- of X is I+ of -X at -x
         cdf = law.cdf

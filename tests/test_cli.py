@@ -85,9 +85,12 @@ def test_simulate_accepts_float_spelled_integer_n(tmp_path):
 
 
 def test_simulate_bad_law_exits_3(tmp_path):
-    cfg = write_cfg(tmp_path, **{"y_law.kind": "zeta"})
-    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 3
+    for bad in ({"y_law.kind": "zeta"}, {"x_law.kind": "point_mass", "x_law.c": "nan"},
+                {"y_law.kind": "exponential", "y_law.rate": "inf"}):
+        cfg = write_cfg(tmp_path, **bad)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 3, bad
+        assert not (tmp_path / "o" / "tn_sample.csv").exists()
 
 
 def test_unwritable_output_exits_2(tmp_path):
@@ -198,6 +201,17 @@ def test_levy_without_limit_measure_exits_3(tmp_path, capsys, y_law):
     out = tmp_path / "out"
     assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
     assert "no limit jump measure" in capsys.readouterr().err
+    assert not out.exists()  # input is checked before --out is created
+
+
+@pytest.mark.parametrize("kmax,message", [("-1", "k_max must be at least 0"),
+                                          ("2.5", "levy.kmax")])
+def test_levy_bad_kmax_exits_3(tmp_path, capsys, kmax, message):
+    cfg = write_cfg(tmp_path, **{"levy.kmax": kmax, "levy.n_list": "100,1000",
+                                 "levy.draws": "1000"})
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()  # input is checked before --out is created
 
 

@@ -243,8 +243,9 @@ def test_trunc_second_bounded_by_x_trunc_mean():
 
 
 def test_finite_mean_rejects_bad_rate():
-    with pytest.raises(ParameterError):
-        make_finite_mean_multiplier("exponential", rate=0.0)
+    for rate in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            make_finite_mean_multiplier("exponential", rate=rate)
 
 
 @pytest.mark.parametrize("maker,args", [
@@ -488,6 +489,11 @@ def test_weight_law_validation():
         make_weight_law("symmetric_pareto", gamma=2.5)
     with pytest.raises(ParameterError):
         make_weight_law("no_such_kind")
+    for kind, kwargs in (("point_mass", {"c": math.nan}), ("point_mass", {"c": math.inf}),
+                         ("bernoulli", {"x0": math.nan}), ("bernoulli", {"x1": math.nan}),
+                         ("bernoulli", {"x1": -math.inf})):
+        with pytest.raises(ParameterError):
+            make_weight_law(kind, **kwargs)
 
 
 def test_expect_weight_mixes_atoms_and_density():
@@ -505,7 +511,19 @@ def test_expect_weight_mixes_atoms_and_density():
 def test_expect_weight_rejects_non_finite_integrand(kind, value):
     x = make_weight_law(kind)
     with pytest.raises(QuadratureError, match="not finite"):
-        expect_weight(x, lambda t: value)
+        expect_weight(x, lambda t: np.full_like(t, value))
+
+
+@pytest.mark.parametrize("kind", ["uniform01", "rademacher"])
+def test_expect_weight_validates_input(kind):
+    x = make_weight_law(kind)
+    with pytest.raises(ParameterError, match="not vectorized"):
+        expect_weight(x, lambda t: 1.0)  # a float for any input, an array too
+    for lo, hi in ((math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ParameterError, match="NaN"):
+            expect_weight(x, np.ones_like, lo, hi)
+    assert expect_weight(x, np.ones_like, 0.5, 0.5) == 0.0
+    assert expect_weight(x, np.ones_like, 2.0, -2.0) == 0.0
 
 
 def test_expect_weight_wide_finite_interval():

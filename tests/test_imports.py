@@ -41,3 +41,15 @@ def test_package_exports_resolve():
             missing += [f"{module.__name__}.{alias.name}" for alias in node.names
                         if not hasattr(module, alias.name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_scipy_integrate(path):
+    # every integral runs on the graded-cell quadrature of distributions;
+    # scipy.integrate is an oracle of the tests only
+    tree = ast.parse(path.read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module for alias in node.names]
+    assert [m for m in modules if m == "scipy.integrate" or m.startswith("scipy.integrate.")] == []

@@ -351,6 +351,9 @@ def test_second_moment_smallh_scan(view_u01):
     # the stable(1/2) measure scales: each integral is h^(3/2) times its h = 1 value
     for h in hs:
         np.testing.assert_allclose(scan[h], h ** 1.5 * top, rtol=1e-12, atol=0.0)
+    for bad in (-1, 2.5, math.nan):
+        with pytest.raises(ParameterError, match="k_max"):
+            second_moment_smallh_scan(view_u01, k_max=bad)
 
 
 def _slice_moments(kind, r):
@@ -358,6 +361,10 @@ def _slice_moments(kind, r):
     if kind == "uniform01":
         c = min(r, 1.0)
         return c, c * c / 2.0, c ** 3 / 3.0
+    if kind == "symmetric_pareto":  # gamma = 1.5: density 0.75 |x|^-2.5 on |x| >= 1
+        if r < 1.0:
+            return 0.0, 0.0, 0.0
+        return 1.0 - r ** -1.5, 0.0, 1.5 * (r ** 0.5 - 1.0) / 0.5
     mass = special.erf(r / math.sqrt(2.0))  # 2 Phi(r) - 1
     return mass, 0.0, mass - 2.0 * r * math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
 
@@ -373,8 +380,8 @@ def test_half_disk_moments_match_slice_order_oracle(stable_half):
         return quad(f, 0.0, h, points=[h / math.sqrt(2.0)],
                     epsabs=1e-14, epsrel=1e-13, limit=200)[0]
 
-    for kind in ("uniform01", "standard_gaussian"):
-        view = BivariateLevyView(make_weight_law(kind), stable_half)
+    for kind in ("uniform01", "standard_gaussian", "symmetric_pareto"):
+        view = BivariateLevyView(make_weight_law(kind, gamma=1.5), stable_half)
         for h in (0.25, 1.0, 4.0):
             first = (outer(kind, h, 0, 1), outer(kind, h, 1, 1))
             second = (outer(kind, h, 2, 2), outer(kind, h, 0, 2), outer(kind, h, 1, 2))
