@@ -237,9 +237,11 @@ _FAR_W = _FAR_W / (_FAR_T * _FAR_T)   # dw = c1^b dt / t^2
 _FAR_T = 1.0 / _FAR_T                 # nodes as w / c1^b
 
 # The lower-order rule embedded in the 16 nodes is the interpolatory rule on
-# all of them but the 6th and 11th, exact to degree 13.  _NULL_W is the 16-node
-# rule minus that one: |sum of f * _NULL_W| is a cell's error estimate.
-_KEEP = np.delete(np.arange(16), (5, 10))
+# all of them but the 4th and 11th, exact to degree 13.  _NULL_W is the 16-node
+# rule minus that one: |sum of f * _NULL_W| is a cell's error estimate.  The
+# dropped pair is not mirror-symmetric: a symmetric null rule sums to zero
+# over either half of the nodes, so it misses a jump at the cell's middle.
+_KEEP = np.delete(np.arange(16), (3, 10))
 _NULL_W = _GL_W.copy()
 _NULL_W[_KEEP] -= np.linalg.solve(
     np.polynomial.legendre.legvander(2.0 * _GL_T[_KEEP] - 1.0, _KEEP.size - 1).T,
@@ -292,7 +294,7 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
         cut = cells[:, 4] > budget / len(cells)  # over an even share of the budget
         todo, cells = cells[cut, :3], cells[~cut]
     raise QuadratureError(f"quadrature missed its error budget after {_ROUNDS} rounds "
-                          f"(value {value!r}, error estimate {err!r})")
+                          f"(value {float(value)!r}, error estimate {float(err)!r})")
 
 
 def expect_weight(law: WeightLaw, g: Callable[[np.ndarray], np.ndarray],
@@ -304,8 +306,8 @@ def expect_weight(law: WeightLaw, g: Callable[[np.ndarray], np.ndarray],
     :func:`vec_eval` evaluates it and ``pdf``.  Atoms count only strictly
     inside (lo, hi).  The continuous part is one :func:`quad` of g times
     the density, split at the density breaks and the caller's ``points``
-    (kinks of g).  NaN bounds raise :class:`ParameterError`; an empty
-    interval gives 0.
+    (kinks or jumps of g; an undeclared jump can go unseen).  NaN bounds
+    raise :class:`ParameterError`; an empty interval gives 0.
     """
     if math.isnan(lo) or math.isnan(hi):
         raise ParameterError("expect_weight bounds must not be NaN")

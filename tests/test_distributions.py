@@ -526,6 +526,13 @@ def test_expect_weight_validates_input(kind):
     assert expect_weight(x, np.ones_like, 2.0, -2.0) == 0.0
 
 
+def test_expect_weight_sees_jump_in_cell_middle():
+    # 0.3 falls in the middle node gap of the graded cell (1/16, 1/2), where a
+    # mirror-symmetric embedded rule reads no error: it returned 0.71875
+    x = make_weight_law("uniform01")
+    assert expect_weight(x, lambda t: (t > 0.3) * 1.0) == pytest.approx(0.7, abs=1e-12)
+
+
 def test_expect_weight_wide_finite_interval():
     # E[X^2; |X| <= r] = 2 Phi(r) - 1 - 2 r phi(r); on a wide finite piece
     # the nodes must still find the bulk near the origin
