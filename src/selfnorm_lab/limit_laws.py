@@ -7,8 +7,8 @@ upper-tail expansion and the regular-variation tail constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -22,16 +22,63 @@ _MOMENT_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
+class _Side:
+    """The grid rule's plan for I+ of one side of a law at one b: the same
+    for every point, so :class:`BreimanLimit` builds it once.  ``tail(u)``
+    is P{Z > u}, where Z is X (side +1) or -X (side -1).  ``pieces`` lists
+    (lo, hi, level) in order between -inf, the finite break points of Z and
+    +inf: ``level`` is None for a piece holding mass of Z, and P{Z > u} on a
+    piece without mass; pieces without mass at level 0 are left out.
+    ``near_w`` are the near fold's weights b t^(-b-1) dt."""
+
+    tail: Callable[[np.ndarray], np.ndarray]
+    pieces: tuple
+    near_w: np.ndarray
+
+
+def _make_plan(law: WeightLaw, b: float) -> Optional[tuple]:
+    """The plans (I+ side, I- side) of a law with a density, or None for a
+    law with atoms only."""
+    if law.pdf is None:
+        return None
+    knots = sorted({p for p in (*(loc for loc, _ in law.atoms), *law.pdf_breaks, *law.support)
+                    if math.isfinite(p)})
+    edges = (-math.inf, *knots, math.inf)
+    atoms = dict(law.atoms)  # no mass in (lo, hi): F(lo) equals the left limit F(hi-)
+    empty = [float(law.cdf(lo)) == law.cdf(hi) - atoms.get(hi, 0.0)
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    near_w = b * _NEAR_W * _NEAR_T ** (-b - 1.0)
+    cdf = law.cdf
+    sides = []
+    # I- of X is I+ of -X at -x
+    for tail, edges, empty in ((law.sf, edges, empty),
+                               (lambda v: cdf(-v), [-e for e in edges[::-1]], empty[::-1])):
+        pieces = []
+        for lo, hi, no_mass in zip(edges[:-1], edges[1:], empty):
+            if not no_mass:
+                pieces.append((lo, hi, None))
+                continue
+            inside = hi - 1.0 if lo == -math.inf else (lo + 1.0 if hi == math.inf else 0.5 * (lo + hi))
+            level = float(tail(inside))
+            if level > 0.0:  # only a finite piece can hold a non-zero level
+                pieces.append((lo, hi, level))
+        sides.append(_Side(tail, tuple(pieces), near_w))
+    return tuple(sides)
+
+
+@dataclass(frozen=True)
 class BreimanLimit:
     """Limit of T_n for Y with tail index beta in (0, 1) and weight law F.
 
     Requires a fractional absolute moment of X one notch above beta
     (checked at beta + _MOMENT_MARGIN).  Every evaluator of the limit CDF
-    and its tail uses the grid rule of :func:`breiman_cdf_grid`.
+    and its tail uses the grid rule of :func:`breiman_cdf_grid`, whose plan
+    for both sides of the law is built here, once per limit.
     """
 
     beta: float
     weight: WeightLaw
+    _plan: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
@@ -41,6 +88,7 @@ class BreimanLimit:
         if not math.isfinite(total):
             raise ParameterError(
                 f"weight law needs a finite absolute moment of order {b:g}")
+        object.__setattr__(self, "_plan", _make_plan(self.weight, self.beta))
 
 
 # Grid rule.  I+(x) = E[(X-x)^b; X>x] = integral over s > 0 of
@@ -57,78 +105,82 @@ class BreimanLimit:
 # and resolve the law's bulk whatever b is, then w = c1^b / t, whose levels
 # span 8^(1/b) in s and reach far enough out that the terms below the last
 # level form a geometric series; that remainder is added in closed form,
-# exact for power-law tails.
-_CHUNK = 256            # grid points per pass: each temporary under 0.5 MiB
+# exact for power-law tails.  The head and both folds of a piece take one
+# call of the tail on all their nodes.
+# Grid points per pass: a piece's largest temporary, 288 nodes per point,
+# takes 144 KiB.  Above about 200 KiB each temporary came back from glibc's
+# malloc as fresh pages (80 page faults per 224 KiB array, against 1 at 192 KiB),
+# which made every elementwise pass over it about 4x slower.
+_CHUNK = 64
+_HEAD_END = _HEAD_T.size
+_NEAR_END = _HEAD_END + _NEAR_T.size
 
 
-def _rule(tail, x, w_lo, w_hi, t, wt, b):
-    """Integral of tail(x + w^(1/b)) over (w_lo, w_hi) by the rule (t, wt)
-    on [0, 1]."""
+def _rule(tail, x, w_lo, w_hi, b):
+    """Integral of tail(x + w^(1/b)) over (w_lo, w_hi) by the graded cells
+    of a finite piece."""
     span = w_hi - w_lo
-    u = x[:, None] + (w_lo[:, None] + span[:, None] * t) ** (1.0 / b)
-    return (tail(u) * wt).sum(axis=1) * span
+    u = x[:, None] + (w_lo[:, None] + span[:, None] * _PIECE_T) ** (1.0 / b)
+    return (tail(u) * _PIECE_W).sum(axis=1) * span
 
 
-def _folded_tail(tail, x, c, b):
-    """Integral of b s^(b-1) tail(x + s) over s > c (see the grid rule)."""
-    u = x[:, None] + c[:, None] / _NEAR_T
-    near = (tail(u) * (b * _NEAR_W * _NEAR_T ** (-b - 1.0))).sum(axis=1) * c ** b
+def _infinite_piece(side, x, s0, b):
+    """Integral of b s^(b-1) tail(x + s) over s > s0: the head up to c and
+    the folded tail beyond (see the grid rule)."""
+    c = 2.0 * np.maximum(np.maximum(s0, np.abs(x)), 1.0)
+    w_lo = s0 ** b
+    span = c ** b - w_lo
     c1_b = (c * _RATIO ** -_NEAR_LEVELS) ** b
-    u = x[:, None] + (c1_b[:, None] * _FAR_T) ** (1.0 / b)
+    v = side.tail(np.concatenate([
+        x[:, None] + (w_lo[:, None] + span[:, None] * _HEAD_T) ** (1.0 / b),
+        x[:, None] + c[:, None] / _NEAR_T,
+        x[:, None] + (c1_b[:, None] * _FAR_T) ** (1.0 / b)], axis=1))
+    head = (v[:, :_HEAD_END] * _HEAD_W).sum(axis=1) * span
+    near = (v[:, _HEAD_END:_NEAR_END] * side.near_w).sum(axis=1) * c ** b
     # one sum per level; level 0 lies next to t = 0
-    levels = (tail(u) * _FAR_W).reshape(len(x), _FAR_LEVELS, -1).sum(axis=2)
+    levels = (v[:, _NEAR_END:] * _FAR_W).reshape(len(x), _FAR_LEVELS, -1).sum(axis=2)
     last, prev = levels[:, 0], levels[:, 1]
     q = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0.0)
     if np.any((q >= 1.0) & (last > 0.0)):
         raise QuadratureError("tail of the weight law is not resolved by the folded grid")
     far = levels.sum(axis=1) + np.where(q < 1.0, last * q / (1.0 - q), 0.0)
-    return near + far * c1_b
+    return head + (near + far * c1_b)
 
 
-def _upper_moment(tail, knots, empty, x, b):
-    """E[(Z-x)^b; Z>x] for every x, where tail(u) = P{Z > u}, ``knots``
-    are the sorted finite break points of Z and ``empty[j]`` flags the j-th
-    piece between -inf, the knots and +inf as holding no mass of Z."""
+def _upper_moment(side: _Side, x: np.ndarray, b: float) -> np.ndarray:
+    """E[(Z-x)^b; Z>x] for every x, by the plan of Z's side."""
     out = np.zeros_like(x)
-    edges = (-math.inf, *knots, math.inf)
-    for lo, hi, no_mass in zip(edges[:-1], edges[1:], empty):
-        sel = np.nonzero(x < hi)[0]
-        if sel.size == 0:
-            continue
-        xs = x[sel]
-        s0 = np.maximum(lo, xs) - xs  # distance to the piece
-        w_lo = s0 ** b
-        if no_mass:
-            inside = hi - 1.0 if lo == -math.inf else (lo + 1.0 if hi == math.inf else 0.5 * (lo + hi))
-            level = float(tail(inside))
-            if level > 0.0:  # only a finite piece can hold a non-zero level
-                out[sel] += level * ((hi - xs) ** b - w_lo)
-        elif hi < math.inf:
-            out[sel] += _rule(tail, xs, w_lo, (hi - xs) ** b, _PIECE_T, _PIECE_W, b)
+    for lo, hi, level in side.pieces:
+        below = x < hi
+        if below.all():  # no copy when the piece covers every point
+            sel, xs = slice(None), x
         else:
-            c = 2.0 * np.maximum(np.maximum(s0, np.abs(xs)), 1.0)
-            out[sel] += _rule(tail, xs, w_lo, c ** b, _HEAD_T, _HEAD_W, b) + _folded_tail(tail, xs, c, b)
+            sel = np.nonzero(below)[0]
+            if sel.size == 0:
+                continue
+            xs = x[sel]
+        s0 = np.maximum(lo, xs) - xs  # distance to the piece
+        if level is not None:
+            out[sel] += level * ((hi - xs) ** b - s0 ** b)
+        elif hi < math.inf:
+            out[sel] += _rule(side.tail, xs, s0 ** b, (hi - xs) ** b, b)
+        else:
+            out[sel] += _infinite_piece(side, xs, s0, b)
     return out
 
 
-def _fractional_moment(law: WeightLaw, x: np.ndarray, b: float, side: int) -> np.ndarray:
+def _fractional_moment(lim: BreimanLimit, x: np.ndarray, side: int) -> np.ndarray:
     """I+ = E[(X-x)^b; X>x] (side +1) or I- = E[(x-X)^b; X<x] (side -1)
     over the 1-d array x."""
-    if law.pdf is None:
-        return sum(m * np.maximum(side * (loc - x), 0.0) ** b for loc, m in law.atoms)
-    knots = sorted({p for p in (*(loc for loc, _ in law.atoms), *law.pdf_breaks, *law.support)
-                    if math.isfinite(p)})
-    edges = (-math.inf, *knots, math.inf)
-    atoms = dict(law.atoms)  # no mass in (lo, hi): F(lo) equals the left limit F(hi-)
-    empty = [float(law.cdf(lo)) == law.cdf(hi) - atoms.get(hi, 0.0)
-             for lo, hi in zip(edges[:-1], edges[1:])]
-    tail = law.sf
-    if side < 0:  # I- of X is I+ of -X at -x
-        cdf = law.cdf
-        tail, knots, empty, x = lambda v: cdf(-v), [-k for k in knots[::-1]], empty[::-1], -x
+    b = lim.beta
+    if lim._plan is None:
+        return sum(m * np.maximum(side * (loc - x), 0.0) ** b for loc, m in lim.weight.atoms)
+    plan = lim._plan[0 if side > 0 else 1]
+    if side < 0:
+        x = -x
     out = np.empty_like(x)
     for i in range(0, x.size, _CHUNK):
-        out[i:i + _CHUNK] = _upper_moment(tail, knots, empty, x[i:i + _CHUNK], b)
+        out[i:i + _CHUNK] = _upper_moment(plan, x[i:i + _CHUNK], b)
     return out
 
 
@@ -159,8 +211,8 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ParameterError("grid points must be finite")
     b, flat = lim.beta, x.ravel()
-    up = _fractional_moment(lim.weight, flat, b, 1)
-    down = _fractional_moment(lim.weight, flat, b, -1)
+    up = _fractional_moment(lim, flat, 1)
+    down = _fractional_moment(lim, flat, -1)
     _check_finite(flat, up, down)
     i_a, i_s = up + down, down - up
     ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
@@ -230,7 +282,7 @@ def breiman_tail(lim: BreimanLimit, x):
     if not np.all(np.isfinite(xs) & (xs > 0.0)):
         raise ParameterError("x must be positive and finite")
     b, flat = lim.beta, xs.ravel()
-    up = _fractional_moment(lim.weight, flat, b, 1)
+    up = _fractional_moment(lim, flat, 1)
     _check_finite(flat, up)
     tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up.reshape(xs.shape)
     return float(tail) if tail.ndim == 0 else tail

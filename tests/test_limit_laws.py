@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -219,6 +220,41 @@ def test_grid_raises_on_unresolved_tail():
         pdf_breaks=(math.e,), support=(math.e, math.inf))
     with pytest.raises(QuadratureError):
         breiman_cdf_grid(BreimanLimit(0.5, law), [0.0, 5.0])
+    with pytest.raises(QuadratureError):
+        breiman_tail(BreimanLimit(0.5, law), 5.0)
+
+
+# (symmetric_pareto(0.8) has no limit at beta 0.8: it lacks the 0.85 moment)
+PLAN_LAWS = [("uniform01", {}), ("standard_gaussian", {}), ("symmetric_pareto", {"gamma": 0.9}),
+             ("abs_pareto", {"gamma": 0.9}), ("bernoulli", {"p": 0.3, "x0": -1.0, "x1": 2.0})]
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("kind,kwargs", PLAN_LAWS)
+def test_scalar_calls_equal_grid_elements(kind, kwargs, beta):
+    # the plan built with the limit serves every call the same way: a point
+    # alone gives the bits it gets anywhere in a grid of several chunks
+    from selfnorm_lab.limit_laws import _CHUNK
+    lim = BreimanLimit(beta, make_weight_law(kind, **kwargs))
+    grid = np.concatenate([EDGE_GRID, np.linspace(-5.0, 5.0, 2 * _CHUNK + 3)])
+    cdf = breiman_cdf_grid(lim, grid)
+    for i in range(0, grid.size, 7):
+        assert breiman_cdf(lim, float(grid[i])) == cdf[i], grid[i]
+    xs = grid[grid > 0.0]
+    tails = breiman_tail(lim, xs)
+    for i in range(0, xs.size, 7):
+        assert breiman_tail(lim, float(xs[i])) == tails[i], xs[i]
+
+
+def test_replaced_limit_builds_its_own_plan():
+    lim = BreimanLimit(0.5, make_weight_law("uniform01"))
+    for kind, kwargs in PLAN_LAWS[1:]:
+        other = make_weight_law(kind, **kwargs)
+        got = breiman_cdf_grid(dataclasses.replace(lim, weight=other), EDGE_GRID)
+        assert np.array_equal(got, breiman_cdf_grid(BreimanLimit(0.5, other), EDGE_GRID)), kind
+    got = breiman_cdf_grid(dataclasses.replace(lim, beta=0.3), EDGE_GRID)
+    assert np.array_equal(got, breiman_cdf_grid(BreimanLimit(0.3, lim.weight), EDGE_GRID))
+    assert not np.array_equal(got, breiman_cdf_grid(lim, EDGE_GRID))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
