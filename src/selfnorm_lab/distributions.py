@@ -246,6 +246,7 @@ _NULL_W = _GL_W.copy()
 _NULL_W[_KEEP] -= np.linalg.solve(
     np.polynomial.legendre.legvander(2.0 * _GL_T[_KEEP] - 1.0, _KEEP.size - 1).T,
     np.eye(_KEEP.size)[0])  # Legendre moments on [-1, 1], halved for [0, 1]
+_SPLIT_LO, _SPLIT_W = _SPLIT_EDGES[:-1], np.diff(_SPLIT_EDGES)
 _EPSREL = 1e-13         # error budget of quad, relative to the integral of |f|
 _ROUNDS = 30            # refinement rounds before quad gives up
 
@@ -273,21 +274,27 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
             p, q = 1.0 / q, 1.0 / p  # 1/inf is 0
         todo.append((p, q - p, folded))
     todo = np.array(todo, dtype=float)
-    cells = np.empty((0, 6))  # lo, width, folded, value, error estimate, integral of |f|
+    cells = None  # lo, width, folded, value, error estimate, integral of |f|
     for _ in range(_ROUNDS):
-        new = np.repeat(todo, _SPLIT_EDGES.size - 1, axis=0)
-        new[:, 0] += (todo[:, 1:2] * _SPLIT_EDGES[:-1]).ravel()
-        new[:, 1] = (todo[:, 1:2] * np.diff(_SPLIT_EDGES)).ravel()
-        t = new[:, :1] + new[:, 1:2] * _GL_T
-        folded = new[:, 2:] > 0.0
-        x = np.divide(1.0, t, out=t.copy(), where=folded)
+        new = np.empty((len(todo) * _SPLIT_W.size, 6))
+        new[:, 0] = (todo[:, :1] + todo[:, 1:2] * _SPLIT_LO).ravel()
+        new[:, 1] = (todo[:, 1:2] * _SPLIT_W).ravel()
+        new[:, 2] = np.repeat(todo[:, 2], _SPLIT_W.size)
+        x = new[:, :1] + new[:, 1:2] * _GL_T
         with np.errstate(invalid="ignore"):  # a NaN (inf * 0) raises just below
-            fx = f(x.ravel()).reshape(x.shape) * np.where(folded, x * x, 1.0) * new[:, 1:2]
+            if todo[:, 2].any():
+                folded = new[:, 2:3] > 0.0
+                x = np.divide(1.0, x, out=x.copy(), where=folded)
+                fx = f(x.ravel()).reshape(x.shape) * np.where(folded, x * x, 1.0) * new[:, 1:2]
+            else:
+                fx = f(x.ravel()).reshape(x.shape) * new[:, 1:2]
         if not np.isfinite(fx).all():
             raise QuadratureError("quadrature result is not finite")
-        cells = np.concatenate([cells, np.column_stack([
-            new, (fx * _GL_W).sum(axis=1), np.abs((fx * _NULL_W).sum(axis=1)),
-            (np.abs(fx) * _GL_W).sum(axis=1)])])
+        new[:, 3] = (fx * _GL_W).sum(axis=1)
+        new[:, 4] = np.abs((fx * _NULL_W).sum(axis=1))
+        new[:, 5] = (np.abs(fx) * _GL_W).sum(axis=1)
+        cells = new if cells is None else np.concatenate([cells, new])
+        # the axis-0 sums add the cells in order
         value, err, budget = cells[:, 3:].sum(axis=0) * (1.0, 1.0, _EPSREL)
         if err <= budget:
             return float(value), float(err)
