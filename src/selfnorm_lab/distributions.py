@@ -158,13 +158,19 @@ def vec_eval(fn: Callable, arr: np.ndarray) -> np.ndarray:
     """Evaluate a law callable over an array in one call.
 
     A law callable must map an ndarray to an array of the same shape; any
-    other result raises :class:`ParameterError` naming the callable.
+    other result, or a TypeError from a callable that takes only scalars,
+    raises :class:`ParameterError` naming the callable.
     """
     arr = np.asarray(arr, dtype=float)
-    out = np.asarray(fn(arr), dtype=float)
+    name = getattr(fn, "__qualname__", fn)
+    try:
+        out = fn(arr)
+    except TypeError as exc:
+        raise ParameterError(f"law callable {name} is not vectorized: {exc}") from exc
+    out = np.asarray(out, dtype=float)
     if out.shape != arr.shape:
-        raise ParameterError(f"law callable {getattr(fn, '__qualname__', fn)} is not "
-                             f"vectorized: shape {out.shape} for input shape {arr.shape}")
+        raise ParameterError(f"law callable {name} is not vectorized: "
+                             f"shape {out.shape} for input shape {arr.shape}")
     return out
 
 

@@ -519,6 +519,9 @@ def test_expect_weight_validates_input(kind):
     x = make_weight_law(kind)
     with pytest.raises(ParameterError, match="not vectorized"):
         expect_weight(x, lambda t: 1.0)  # a float for any input, an array too
+    with pytest.raises(ParameterError, match="not vectorized") as info:
+        expect_weight(x, lambda t: math.exp(t))  # numpy raises TypeError
+    assert isinstance(info.value.__cause__, TypeError)
     for lo, hi in ((math.nan, 1.0), (-1.0, math.nan)):
         with pytest.raises(ParameterError, match="NaN"):
             expect_weight(x, np.ones_like, lo, hi)
