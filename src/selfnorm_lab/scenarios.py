@@ -85,10 +85,11 @@ def _write_sample_csv(path: Path, header: list, columns: list,
                       meta: Optional[dict] = None) -> None:
     """CSV of equal-length columns at 17 significant digits, plus a
     ``.meta.json`` sidecar when ``meta`` is given."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format(float(c), ".17g") for c in row) + "\n")
+        fh.writelines(row % r for r in zip(*(np.asarray(c, dtype=float).tolist()
+                                            for c in columns)))
     if meta is not None:
         _write_json(path.with_suffix(".meta.json"), meta)
 

@@ -33,6 +33,20 @@ def test_parse_config_file(tmp_path):
         parse_config_file(p)
 
 
+def test_sample_csv_matches_per_value_format(tmp_path):
+    # the row template writes what format(float(c), ".17g") gives per value
+    from selfnorm_lab.scenarios import _write_sample_csv
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 0.1, 1e300, 2.0 / 3.0]
+    single = np.array([0.1, 1e-40, -0.0, math.nan, -math.inf, 3.5, -2.25, 1e30, 7.0, 0.3],
+                      dtype=np.float32)
+    columns = [np.array(special), single, list(range(10))]
+    path = tmp_path / "s.csv"
+    _write_sample_csv(path, ["a", "b", "c"], columns)
+    want = "a,b,c\n" + "".join(",".join(format(float(c), ".17g") for c in row) + "\n"
+                               for row in zip(*columns))
+    assert path.read_bytes() == want.encode()
+
+
 def test_simulate_writes_sample_and_meta(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
