@@ -160,15 +160,17 @@ def _arctan_cdf(i_s, i_a, b):
     return np.where(i_a > 0.0, cdf, 0.5)
 
 
-@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
-def test_grid_matches_uniform_closed_form(beta):
+def _uniform_cdf(x, beta):
     # E[(X-x)^b; X>x] = ((1-x)^(b+1) - (-x)_+^(b+1)) / (b+1) for x < 1
-    x = EDGE_GRID
     up = (np.maximum(1.0 - x, 0.0) ** (beta + 1.0) - np.maximum(-x, 0.0) ** (beta + 1.0))
     down = (np.maximum(x, 0.0) ** (beta + 1.0) - np.maximum(x - 1.0, 0.0) ** (beta + 1.0))
-    want = _arctan_cdf(down - up, down + up, beta)
+    return _arctan_cdf(down - up, down + up, beta)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+def test_grid_matches_uniform_closed_form(beta):
     lim = BreimanLimit(beta, make_weight_law("uniform01"))
-    assert np.max(np.abs(breiman_cdf_grid(lim, x) - want)) <= 1e-12
+    assert np.max(np.abs(breiman_cdf_grid(lim, EDGE_GRID) - _uniform_cdf(EDGE_GRID, beta))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -247,14 +249,16 @@ def test_scalar_calls_equal_grid_elements(kind, kwargs, beta):
 
 
 def test_replaced_limit_builds_its_own_plan():
-    lim = BreimanLimit(0.5, make_weight_law("uniform01"))
-    for kind, kwargs in PLAN_LAWS[1:]:
-        other = make_weight_law(kind, **kwargs)
-        got = breiman_cdf_grid(dataclasses.replace(lim, weight=other), EDGE_GRID)
-        assert np.array_equal(got, breiman_cdf_grid(BreimanLimit(0.5, other), EDGE_GRID)), kind
-    got = breiman_cdf_grid(dataclasses.replace(lim, beta=0.3), EDGE_GRID)
-    assert np.array_equal(got, breiman_cdf_grid(BreimanLimit(0.3, lim.weight), EDGE_GRID))
-    assert not np.array_equal(got, breiman_cdf_grid(lim, EDGE_GRID))
+    # dataclasses.replace runs __post_init__ again: the copy evaluates its
+    # own law and beta, never the plan of the limit it was made from
+    gauss, unif = make_weight_law("standard_gaussian"), make_weight_law("uniform01")
+    lim = BreimanLimit(0.5, gauss)
+    want = breiman_cdf_grid(lim, EDGE_GRID)
+    for beta in (0.5, 0.3):
+        got = breiman_cdf_grid(dataclasses.replace(lim, beta=beta, weight=unif), EDGE_GRID)
+        assert np.max(np.abs(got - _uniform_cdf(EDGE_GRID, beta))) <= 1e-12, beta
+    back = dataclasses.replace(dataclasses.replace(lim, weight=unif), weight=gauss)
+    assert np.array_equal(breiman_cdf_grid(back, EDGE_GRID), want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
