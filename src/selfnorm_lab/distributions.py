@@ -233,9 +233,8 @@ def _cells(edges: np.ndarray):
 
 
 _grade = 0.5 * _RATIO ** np.arange(_LEVELS, -1, -1)
-_PIECE_EDGES = np.concatenate([[0.0], _grade, 1.0 - _grade[::-1], [1.0]])  # 1/2 twice
+_PIECE_EDGES = np.concatenate([[0.0], _grade, 1.0 - _grade[-2::-1], [1.0]])
 _PIECE_T, _PIECE_W = _cells(_PIECE_EDGES)
-_SPLIT_EDGES = np.unique(_PIECE_EDGES)  # the same cells but the empty one at 1/2
 _HEAD_T, _HEAD_W = _cells(np.concatenate([[0.0], _grade, [1.0]]))
 _NEAR_T, _NEAR_W = _cells(_RATIO ** np.arange(_NEAR_LEVELS, -1, -1.0))
 _FAR_T, _FAR_W = _cells(_RATIO ** np.arange(_FAR_LEVELS, -1, -1.0))
@@ -252,7 +251,7 @@ _NULL_W = _GL_W.copy()
 _NULL_W[_KEEP] -= np.linalg.solve(
     np.polynomial.legendre.legvander(2.0 * _GL_T[_KEEP] - 1.0, _KEEP.size - 1).T,
     np.eye(_KEEP.size)[0])  # Legendre moments on [-1, 1], halved for [0, 1]
-_SPLIT_LO, _SPLIT_W = _SPLIT_EDGES[:-1], np.diff(_SPLIT_EDGES)
+_PIECE_LO, _PIECE_WIDTH = _PIECE_EDGES[:-1], np.diff(_PIECE_EDGES)
 _EPSREL = 1e-13         # error budget of quad, relative to the integral of |f|
 _ROUNDS = 30            # refinement rounds before quad gives up
 
@@ -265,7 +264,7 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
     may be infinite.  Pieces are split again at |x| = 1, and a piece beyond
     is folded onto (-1, 1) by u = 1/x, so a power-law tail ends in an
     integrable singularity at u = 0 and the bulk of a law stays near the
-    nodes.  Each piece starts as the cells of _SPLIT_EDGES.  Each round cuts
+    nodes.  Each piece starts as the cells of _PIECE_EDGES.  Each round cuts
     every cell whose error estimate is above an even share of the budget,
     _EPSREL times the integral of |f|, the same way, until the estimates sum
     to at most the budget.  A node value that is not finite, or a budget
@@ -282,10 +281,10 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
     todo = np.array(todo, dtype=float)
     cells = None  # lo, width, folded, value, error estimate, integral of |f|
     for _ in range(_ROUNDS):
-        new = np.empty((len(todo) * _SPLIT_W.size, 6))
-        new[:, 0] = (todo[:, :1] + todo[:, 1:2] * _SPLIT_LO).ravel()
-        new[:, 1] = (todo[:, 1:2] * _SPLIT_W).ravel()
-        new[:, 2] = np.repeat(todo[:, 2], _SPLIT_W.size)
+        new = np.empty((len(todo) * _PIECE_WIDTH.size, 6))
+        new[:, 0] = (todo[:, :1] + todo[:, 1:2] * _PIECE_LO).ravel()
+        new[:, 1] = (todo[:, 1:2] * _PIECE_WIDTH).ravel()
+        new[:, 2] = np.repeat(todo[:, 2], _PIECE_WIDTH.size)
         x = new[:, :1] + new[:, 1:2] * _GL_T
         with np.errstate(invalid="ignore"):  # a NaN (inf * 0) raises just below
             if todo[:, 2].any():
