@@ -51,10 +51,10 @@ def _make_plan(law: WeightLaw, b: float) -> Optional[tuple]:
     cdf = law.cdf
     sides = []
     # I- of X is I+ of -X at -x
-    for tail, edges, empty in ((law.sf, edges, empty),
-                               (lambda v: cdf(-v), [-e for e in edges[::-1]], empty[::-1])):
+    for tail, side_edges, side_empty in ((law.sf, edges, empty),
+                                         (lambda v: cdf(-v), [-e for e in edges[::-1]], empty[::-1])):
         pieces = []
-        for lo, hi, no_mass in zip(edges[:-1], edges[1:], empty):
+        for lo, hi, no_mass in zip(side_edges[:-1], side_edges[1:], side_empty):
             if not no_mass:
                 pieces.append((lo, hi, None))
                 continue
@@ -105,11 +105,12 @@ class BreimanLimit:
 # and resolve the law's bulk whatever b is, then w = c1^b / t, whose levels
 # span 8^(1/b) in s and reach far enough out that the terms below the last
 # level form a geometric series; that remainder is added in closed form,
-# exact for power-law tails.  The head and both folds of a piece take one
-# call of the tail on all their nodes.
+# exact for power-law tails.  An infinite piece calls the tail once, on the
+# nodes of its head and both folds together.
+#
 # Grid points per pass: a piece's largest temporary, 288 nodes per point,
 # takes 144 KiB.  Above about 200 KiB each temporary came back from glibc's
-# malloc as fresh pages (80 page faults per 224 KiB array, against 1 at 192 KiB),
+# malloc as fresh pages (80 page faults per 224 KiB array, 1 at 192 KiB),
 # which made every elementwise pass over it about 4x slower.
 _CHUNK = 64
 _HEAD_END = _HEAD_T.size
