@@ -5,11 +5,13 @@ CDF table), ``diagnose`` (multiplier classification), ``levy`` (row-tail and
 truncated-moment convergence reports) and ``reproduce`` (named verification
 suites S1..S6).
 
-Configuration is a flat key=value file with dotted sections (see configs/ for
-canonical examples); ``--seed`` and ``--threads`` override the file, and the
-environment variable SELFNORM_LAB_THREADS is the thread fallback.  Exit
-codes: 0 success, 1 failed verification check, 2 I/O error, 3 configuration
-error.  Thread count never changes numerical output.
+Configuration is a flat key=value file with dotted sections; ``_KEYS`` lists
+every key with its default and configs/ holds canonical examples.  Every key
+is parsed and checked before a command writes anything, and an unknown key is
+an error.  ``--seed`` overrides the file; the thread count comes from
+``--threads``, else the environment variable SELFNORM_LAB_THREADS, else 1.
+Exit codes: 0 success, 1 failed verification check, 2 I/O error, 3
+configuration error.  Thread count never changes numerical output.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -45,37 +46,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep the exit-code contract away from argparse
         raise UsageError(message)
-
-
-_DEFAULTS = {
-    "scenario": "custom",
-    "n": "10000",
-    "reps": "20000",
-    "seed": "20260808",
-    "threads": "",
-    "outputs": "out",
-    "x_law.kind": "uniform01",
-    "y_law.kind": "pareto",
-    "y_law.beta": "0.5",
-    "y_law.rate": "1.0",
-    "x_law.c": "1.0",
-    "x_law.p": "0.5",
-    "x_law.x0": "0.0",
-    "x_law.x1": "1.0",
-    "x_law.gamma": "0.5",
-    "grid.lo": "-0.25",
-    "grid.hi": "1.25",
-    "grid.points": "1001",
-    "diag.lo": "1e2",
-    "diag.hi": "1e16",
-    "diag.points": "57",
-    "levy.n_list": "1000,10000,100000",
-    "levy.v_grid": "0.25,0.5,1,2,4",
-    "levy.u_grid": "0.5,1,2",
-    "levy.h_list": "0.25,1",
-    "levy.draws": "200000",
-    "levy.kmax": "10",
-}
 
 
 def parse_config_file(path: Path) -> dict:
@@ -109,79 +79,97 @@ def _config_int(key: str, text: str) -> int:
     return int(value)
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved experiment settings plus the raw key-value record."""
-
-    raw: dict
-
-    def get(self, key: str) -> str:
-        return self.raw.get(key, _DEFAULTS.get(key, ""))
-
-    def get_int(self, key: str) -> int:
-        return _config_int(key, self.get(key))
-
-    def get_int_list(self, key: str) -> list:
-        return [_config_int(key, tok) for tok in self.get(key).split(",") if tok.strip()]
-
-    def get_float(self, key: str) -> float:
-        try:
-            return float(self.get(key))
-        except ValueError:
-            raise ParameterError(f"config field {key!r} must be a number, "
-                                 f"got {self.get(key)!r}")
-
-    def get_list(self, key: str) -> list:
-        return [float(tok) for tok in self.get(key).split(",") if tok.strip()]
-
-    def weight_law(self):
-        kind = self.get("x_law.kind")
-        return make_weight_law(kind, c=self.get_float("x_law.c"),
-                               p=self.get_float("x_law.p"),
-                               x0=self.get_float("x_law.x0"),
-                               x1=self.get_float("x_law.x1"),
-                               gamma=self.get_float("x_law.gamma"))
-
-    def multiplier_law(self):
-        kind = self.get("y_law.kind")
-        return make_multiplier_law(kind, beta=self.get_float("y_law.beta"),
-                                   rate=self.get_float("y_law.rate"))
-
-    def resolved(self) -> dict:
-        """Full settings record embedded in every output for auditability.
-
-        Execution-context knobs (thread count, output path) are excluded:
-        they cannot influence results, and embedding them would break the
-        byte-identity of reruns under different thread counts.
-        """
-        merged = dict(_DEFAULTS)
-        merged.update(self.raw)
-        merged.pop("threads", None)
-        merged.pop("outputs", None)
-        return merged
+def _config_float(key: str, text: str) -> float:
+    """A finite float config value; anything else raises ParameterError."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParameterError(f"config field {key!r} must be a finite number, got {text!r}")
+    return value
 
 
-def _load_config(args) -> ExperimentConfig:
-    raw = {}
-    if args.config is not None:
-        raw = parse_config_file(Path(args.config))
-    cfg = ExperimentConfig(raw)
+def _config_list(parse):
+    """Parser of a comma-separated list whose entries ``parse`` reads."""
+    return lambda key, text: [parse(key, tok) for tok in text.split(",") if tok.strip()]
+
+
+_text = lambda key, text: text
+
+# Every config key: its default text and its parser, called as parse(key, text).
+_KEYS = {
+    "scenario": ("custom", _text),
+    "n": ("10000", _config_int),
+    "reps": ("20000", _config_int),
+    "seed": ("20260808", lambda key, text: SeedStream(_config_int(key, text))),
+    "outputs": ("out", _text),
+    "x_law.kind": ("uniform01", _text),
+    "y_law.kind": ("pareto", _text),
+    "y_law.beta": ("0.5", _config_float),
+    "y_law.rate": ("1.0", _config_float),
+    "x_law.c": ("1.0", _config_float),
+    "x_law.p": ("0.5", _config_float),
+    "x_law.x0": ("0.0", _config_float),
+    "x_law.x1": ("1.0", _config_float),
+    "x_law.gamma": ("0.5", _config_float),
+    "grid.lo": ("-0.25", _config_float),
+    "grid.hi": ("1.25", _config_float),
+    "grid.points": ("1001", _config_int),
+    "diag.lo": ("1e2", _config_float),
+    "diag.hi": ("1e16", _config_float),
+    "diag.points": ("57", _config_int),
+    "levy.n_list": ("1000,10000,100000", _config_list(_config_int)),
+    "levy.v_grid": ("0.25,0.5,1,2,4", _config_list(_config_float)),
+    "levy.u_grid": ("0.5,1,2", _config_list(_config_float)),
+    "levy.h_list": ("0.25,1", _config_list(_config_float)),
+    "levy.draws": ("200000", _config_int),
+    "levy.kmax": ("10", _config_int),
+}
+
+
+def _load_config(args) -> tuple:
+    """Parse and check every key once; returns (values, record).
+
+    ``values`` maps each key of ``_KEYS`` to its parsed value, and
+    ``threads`` to the thread count.  ``record`` holds the text of every key
+    and is embedded in each output for auditability.  Execution-context
+    knobs (thread count, output path) stay out of it: they cannot influence
+    results, and embedding them would break the byte-identity of reruns
+    under different thread counts.
+    """
+    raw = parse_config_file(Path(args.config)) if args.config is not None else {}
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
     if args.seed is not None:
-        cfg.raw["seed"] = str(args.seed)
+        raw["seed"] = str(args.seed)
     if args.out is not None:
-        cfg.raw["outputs"] = str(args.out)
+        raw["outputs"] = args.out
+    record = {key: raw.get(key, default) for key, (default, _) in _KEYS.items()}
+    cfg = {key: parse(key, record[key]) for key, (_, parse) in _KEYS.items()}
+    del record["outputs"]
     threads = args.threads
     if threads is None:
-        env = os.environ.get("SELFNORM_LAB_THREADS", "")
-        threads = int(env) if env else None
-    if threads is None:
-        threads = int(cfg.get("threads") or 1)
-    cfg.raw["threads"] = str(threads)
-    return cfg
+        env = os.environ.get("SELFNORM_LAB_THREADS") or "1"
+        threads = _config_int("SELFNORM_LAB_THREADS", env)
+    if threads < 1:
+        raise ParameterError(f"the thread count must be at least 1, got {threads}")
+    cfg["threads"] = threads
+    return cfg, record
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.get("outputs"))
+def _laws(cfg: dict) -> tuple:
+    """The weight and multiplier laws the config names."""
+    x = make_weight_law(cfg["x_law.kind"], c=cfg["x_law.c"], p=cfg["x_law.p"],
+                        x0=cfg["x_law.x0"], x1=cfg["x_law.x1"], gamma=cfg["x_law.gamma"])
+    y = make_multiplier_law(cfg["y_law.kind"], beta=cfg["y_law.beta"],
+                            rate=cfg["y_law.rate"])
+    return x, y
+
+
+def _outdir(cfg: dict) -> Path:
+    out = Path(cfg["outputs"])
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -192,11 +180,8 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _meta(cfg: ExperimentConfig, command: str, extra: Optional[dict] = None) -> dict:
-    payload = {"command": command, "config": cfg.resolved()}
-    if extra:
-        payload.update(extra)
-    return payload
+def _meta(record: dict, command: str, extra: dict) -> dict:
+    return {"command": command, "config": record, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +189,23 @@ def _meta(cfg: ExperimentConfig, command: str, extra: Optional[dict] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def run_simulate(cfg: ExperimentConfig) -> int:
-    x = cfg.weight_law()
-    y = cfg.multiplier_law()
-    sim = mc.SimConfig(n=cfg.get_int("n"), reps=cfg.get_int("reps"),
-                       seed=SeedStream(cfg.get_int("seed")),
-                       threads=cfg.get_int("threads"))
+def run_simulate(cfg: dict, record: dict) -> int:
+    x, y = _laws(cfg)
+    sim = mc.SimConfig(n=cfg["n"], reps=cfg["reps"], seed=cfg["seed"], threads=cfg["threads"])
     out = _outdir(cfg)
     sample = mc.simulate_tn(x, y, sim)
     scenarios._write_sample_csv(out / "tn_sample.csv", ["tn"], [sample.values],
-                                meta=_meta(cfg, "simulate", {"law_meta": sample.law_meta}))
+                                meta=_meta(record, "simulate", {"law_meta": sample.law_meta}))
     return 0
 
 
-def run_limit(cfg: ExperimentConfig) -> int:
-    x = cfg.weight_law()
-    beta = cfg.get_float("y_law.beta")
+def run_limit(cfg: dict, record: dict) -> int:
+    x, y = _laws(cfg)
+    if y.tail_class.kind != "pareto":  # a finite-mean or slowly varying Y has no arctan limit
+        raise ParameterError(f"limit needs a pareto multiplier with beta < 1, got {y.label}")
+    beta = y.tail_class.beta
     lim = ll.BreimanLimit(beta, x)
-    lo, hi = cfg.get_float("grid.lo"), cfg.get_float("grid.hi")
-    points = cfg.get_int("grid.points")
+    lo, hi, points = cfg["grid.lo"], cfg["grid.hi"], cfg["grid.points"]
     if points < 2 or hi <= lo:
         raise ParameterError("grid.points must be >= 2 and grid.hi > grid.lo")
     grid = np.linspace(lo, hi, points)
@@ -232,46 +215,38 @@ def run_limit(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     scenarios._write_sample_csv(out / "limit_table.csv", ["x", "breiman_cdf", "breiman_tail"],
                                 [grid, cdf_vals, tails],
-                                meta=_meta(cfg, "limit", {"beta": beta}))
+                                meta=_meta(record, "limit", {"beta": beta}))
     return 0
 
 
-def run_diagnose(cfg: ExperimentConfig) -> int:
-    y = cfg.multiplier_law()
-    grid = np.logspace(math.log10(cfg.get_float("diag.lo")),
-                       math.log10(cfg.get_float("diag.hi")),
-                       cfg.get_int("diag.points"))
+def run_diagnose(cfg: dict, record: dict) -> int:
+    _, y = _laws(cfg)
+    grid = np.logspace(math.log10(cfg["diag.lo"]), math.log10(cfg["diag.hi"]),
+                       cfg["diag.points"])
     scans = cd.ratio_scans(y, grid)
     verdict = cd.verdict_from_scans(*scans)
     out = _outdir(cfg)
     _write_json(out / "class_verdict.json",
-                _meta(cfg, "diagnose", {"verdict": verdict.__dict__}))
+                _meta(record, "diagnose", {"verdict": verdict.__dict__}))
     scenarios._write_sample_csv(out / "ratio_scan.csv", ["x", "feller", "centered", "griffin"],
                                 list(scans))
     return 0
 
 
-def run_levy(cfg: ExperimentConfig) -> int:
-    x = cfg.weight_law()
-    y = cfg.multiplier_law()
-    seed = SeedStream(cfg.get_int("seed"))
-    n_list = cfg.get_int_list("levy.n_list")
-    v_grid = cfg.get_list("levy.v_grid")
-    u_grid = cfg.get_list("levy.u_grid")
-    h_list = cfg.get_list("levy.h_list")
-    draws = cfg.get_int("levy.draws")
-
+def run_levy(cfg: dict, record: dict) -> int:
+    x, y = _laws(cfg)
+    n_list = cfg["levy.n_list"]
     if y.tail_class.kind == "pareto" and 0.0 < (y.tail_class.beta or 0.0) < 1.0:
         view = lc.BivariateLevyView(x, lc.stable_levy_tail(y.tail_class.beta))
     else:
         view = None
     result = lc.check_levy_convergence(
-        x, y, view, n_list=n_list, v_grid=v_grid,
-        uv_grid=[(u, 0.0) for u in u_grid] if view is not None else (),
-        stream=seed.child(1), draws=draws)
+        x, y, view, n_list=n_list, v_grid=cfg["levy.v_grid"],
+        uv_grid=[(u, 0.0) for u in cfg["levy.u_grid"]] if view is not None else (),
+        stream=cfg["seed"].child(1), draws=cfg["levy.draws"])
     payload = {}
     if view is not None:
-        for h in h_list:
+        for h in cfg["levy.h_list"]:
             lim = lc.truncated_first_moments(view, h)
             alpha_lim = lc.alpha_h(view.levy, h)
             alpha_pre = lc.prelimit_alpha_h(y, n_list[-1], h)
@@ -281,20 +256,18 @@ def run_levy(cfg: ExperimentConfig) -> int:
                 "first_moments_limit": list(lim),
                 "second_moments_limit": list(lc.truncated_second_moments(view, h)),
             }
-        scan = lc.second_moment_smallh_scan(view, k_max=cfg.get_int("levy.kmax"))
+        scan = lc.second_moment_smallh_scan(view, k_max=cfg["levy.kmax"])
         payload["smallh_scan"] = {format(h, ".10g"): list(v) for h, v in scan.items()}
     out = _outdir(cfg)  # only once the input has passed its checks
     _write_json(out / "levy_convergence.json", asdict(result))
-    _write_json(out / "levy_moments.json", _meta(cfg, "levy", {"reports": payload}))
+    _write_json(out / "levy_moments.json", _meta(record, "levy", {"reports": payload}))
     return 0
 
 
-def run_reproduce(suite: str, cfg: ExperimentConfig) -> int:
+def run_reproduce(suite: str, cfg: dict, record: dict) -> int:
     out = _outdir(cfg)
-    seed = SeedStream(cfg.get_int("seed"))
-    threads = cfg.get_int("threads")
-    result = scenarios.run_suite(suite, seed, threads=threads, outdir=out)
-    result["config"] = cfg.resolved()
+    result = scenarios.run_suite(suite, cfg["seed"], threads=cfg["threads"], outdir=out)
+    result["config"] = record
     _write_json(out / f"{suite.lower()}_summary.json", result)
     if not result["passed"]:
         failing = [c["name"] for c in result["checks"] if not c["passed"]]
@@ -329,30 +302,20 @@ def _build_parser() -> _Parser:
                        help="worker threads; results do not depend on it "
                             "(fallback: SELFNORM_LAB_THREADS)")
         if name == "reproduce":
-            p.add_argument("suite", type=str, help="one of S1..S6")
+            p.add_argument("suite", type=str.upper, choices=scenarios.SUITES,
+                           help="verification suite")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        cfg = _load_config(args)
-        if args.command == "simulate":
-            return run_simulate(cfg)
-        if args.command == "limit":
-            return run_limit(cfg)
-        if args.command == "diagnose":
-            return run_diagnose(cfg)
-        if args.command == "levy":
-            return run_levy(cfg)
+        args = _build_parser().parse_args(argv)
+        cfg, record = _load_config(args)
         if args.command == "reproduce":
-            return run_reproduce(args.suite.upper(), cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+            return run_reproduce(args.suite, cfg, record)
+        run = {"simulate": run_simulate, "limit": run_limit, "diagnose": run_diagnose,
+               "levy": run_levy}[args.command]
+        return run(cfg, record)
     except (ParameterError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

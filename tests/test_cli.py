@@ -107,6 +107,20 @@ def test_simulate_bad_law_exits_3(tmp_path):
         assert not (tmp_path / "o" / "tn_sample.csv").exists()
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "y_law.bta", "0.9"),  # misspelt key: would silently run at beta = 0.5
+    ("simulate", "threads", "2"),  # the thread count is not a config key
+    ("simulate", "grid.hi", "inf"),  # checked although simulate does not read it
+    ("levy", "levy.v_grid", "0.5,abc"),
+])
+def test_bad_config_key_exits_3_before_output(tmp_path, capsys, command, key, value):
+    cfg = write_cfg(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_2(tmp_path):
     cfg = write_cfg(tmp_path)
     rc = main(["simulate", "--config", str(cfg), "--out", "/dev/null/cannot"])
@@ -133,6 +147,20 @@ def test_limit_table_monotone_and_symmetric(tmp_path):
     assert at_zero == pytest.approx(0.5, abs=1e-9)
     tails = [float(r[2]) for r in rows]
     assert all(math.isnan(t) for t, x in zip(tails, xs) if x <= 0.0)
+
+
+@pytest.mark.parametrize("config,law", [("degenerate_mean", "exponential"),
+                                        ("slowly_varying", "slowly_varying")])
+def test_limit_needs_pareto_multiplier(tmp_path, capsys, config, law):
+    # a finite-mean Y has an atom at E X as its limit, not the arctan law
+    if config == "degenerate_mean":
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "degenerate_mean.cfg"
+    else:
+        cfg = write_cfg(tmp_path, **{"y_law.kind": law})
+    out = tmp_path / "o"
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert law in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_limit_table_stable_under_grid_refinement(tmp_path):
@@ -236,9 +264,39 @@ def test_levy_non_integer_n_list_exits_3(tmp_path, capsys):
     assert "levy.n_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["levy.n_list", "levy.v_grid"])
+def test_levy_empty_list_exits_3(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, **{key: ",", "levy.draws": "1000"})
+    out = tmp_path / "o"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_unknown_suite_exits_3(tmp_path):
     rc = main(["reproduce", "S9", "--out", str(tmp_path / "o"), "--seed", "1"])
     assert rc == 3
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags,env", [(["--threads", "0"], None), (["--seed", "-1"], None),
+                                       ([], "0")], ids=["threads0", "seed-1", "env_threads0"])
+def test_reproduce_bad_run_settings_exit_3_before_output(tmp_path, monkeypatch, capsys,
+                                                         flags, env):
+    if env is not None:
+        monkeypatch.setenv("SELFNORM_LAB_THREADS", env)
+    assert main(["reproduce", "S5", "--out", str(tmp_path / "o"), *flags]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_reproduce_suite_name_is_case_insensitive(tmp_path, monkeypatch):
+    import selfnorm_lab.scenarios as scenarios
+
+    monkeypatch.setitem(scenarios._SUITE_FNS, "S1", lambda seed, threads=1, outdir=None: [])
+    assert main(["reproduce", "s1", "--out", str(tmp_path / "o"), "--seed", "1"]) == 0
+    summary = json.loads((tmp_path / "o" / "s1_summary.json").read_text())
+    assert summary["suite"] == "S1"
 
 
 def test_reproduce_failing_check_exits_1(tmp_path, monkeypatch, capsys):
@@ -277,14 +335,14 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     from selfnorm_lab.cli import _load_config
 
     monkeypatch.setenv("SELFNORM_LAB_THREADS", "2")
-    cfg = _load_config(Namespace(config=None, seed=None, out=None, threads=None))
-    assert cfg.get("threads") == "2"
+    cfg, record = _load_config(Namespace(config=None, seed=None, out=None, threads=None))
+    assert cfg["threads"] == 2
     # explicit flag wins over the environment
-    cfg = _load_config(Namespace(config=None, seed=None, out=None, threads=5))
-    assert cfg.get("threads") == "5"
+    cfg, record = _load_config(Namespace(config=None, seed=None, out=None, threads=5))
+    assert cfg["threads"] == 5
     # execution-context knobs stay out of the embedded record
-    assert "threads" not in cfg.resolved()
-    assert "outputs" not in cfg.resolved()
+    assert "threads" not in record
+    assert "outputs" not in record
 
 
 def test_seed_flag_overrides_config(tmp_path):
