@@ -84,10 +84,12 @@ def _is_growing(grid: np.ndarray, vals: np.ndarray) -> bool:
 def ratio_scans(y: MultiplierLaw, x_grid: Sequence[float]):
     """The Feller, centered Feller and Griffin ratios over x_grid.
 
-    The grid must be increasing and span at least six decades.  Returns
+    The grid must be finite, increasing and span at least six decades.  Returns
     (grid, feller, centered, griffin) as float arrays.
     """
     grid = np.asarray(list(x_grid), dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError("x_grid must be finite")
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
         raise ParameterError("x_grid must be strictly increasing")
     if grid[-1] / grid[0] < 1e6:
@@ -146,8 +148,8 @@ def atom_scan(sample: EmpiricalSample, eps: float) -> list:
     subtracted from the mass.  Returns [] when no window clears the
     threshold.
     """
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ParameterError("eps must be positive and finite")
     v = sample.values
     reps = len(v)
     if reps == 0:

@@ -715,8 +715,11 @@ def levy_cdf(z, c: float):
     """CDF of the Levy(0, c) law, 2 * (1 - Phi(sqrt(c/z))) for z > 0.
 
     This is the beta = 1/2 positive stable family: the limit of Pareto(1/2)
-    partial sums under a_n = n^2 follows Levy(0, pi/2).
+    partial sums under a_n = n^2 follows Levy(0, pi/2).  The scale c must be
+    positive and finite.
     """
+    if not 0.0 < c < math.inf:
+        raise ParameterError("levy_cdf scale c must be positive and finite")
     z = np.asarray(z, dtype=float)
     tail = 2.0 * (1.0 - _norm_cdf(np.sqrt(c / np.where(z > 0.0, z, 1.0))))
     return np.where(z > 0.0, tail, 0.0)[()]

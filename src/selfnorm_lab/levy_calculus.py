@@ -199,9 +199,11 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     which removes the rare-event variance entirely.
     """
     n = _sample_size(n)
+    if not math.isfinite(u):
+        raise ParameterError("u must be finite")
     if u == 0.0 and v == 0.0:
         raise ParameterError("(u, v) must differ from (0, 0)")
-    if v < 0.0:
+    if not v >= 0.0:
         raise ParameterError("v must be non-negative")
     a_n = _norming(y, n)
     if u == 0.0:
@@ -384,6 +386,8 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
     n_list = [as_int(n, "n_list entry") for n in n_list]
     if any(n < 1 for n in n_list):
         raise ParameterError("n_list entries must be >= 1")
+    if not n_list or not len(v_grid):
+        raise ParameterError("n_list and v_grid must not be empty")
     if view is None and y.tail_class.kind != "slowly_varying":
         raise ParameterError(f"{y.label} has no limit jump measure to compare against; "
                              "only a slowly varying multiplier is checked without one")

@@ -15,7 +15,7 @@ from scipy.special import beta as beta_fn
 
 from .distributions import (_FAR_LEVELS, _FAR_T, _FAR_W, _HEAD_T, _HEAD_W, _NEAR_LEVELS,
                             _NEAR_T, _NEAR_W, _PIECE_T, _PIECE_W, _RATIO, ParameterError,
-                            QuadratureError, WeightLaw)
+                            QuadratureError, WeightLaw, as_int)
 
 # BreimanLimit checks the weight law's absolute moment at this order above beta.
 _MOMENT_MARGIN = 0.05
@@ -259,8 +259,11 @@ def quantile_grid(values: np.ndarray, points: int) -> np.ndarray:
     The outermost ``_TRIM`` quantile on each side is excluded; for
     heavy-tailed samples those stragglers would stretch the table by orders
     of magnitude while moving the CDF by less than ``_TRIM``.  The grid
-    extends ``_PAD`` beyond the outermost kept quantiles.
+    extends ``_PAD`` beyond the outermost kept quantiles.  ``points`` is
+    the number of quantiles, at least 1.
     """
+    if as_int(points, "points") < 1:
+        raise ParameterError("points must be at least 1")
     qs = np.quantile(np.asarray(values, dtype=float),
                      np.linspace(_TRIM, 1.0 - _TRIM, points))
     return np.unique(np.concatenate([[qs[0] - _PAD], qs, [qs[-1] + _PAD]]))

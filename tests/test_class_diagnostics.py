@@ -141,6 +141,10 @@ def test_classify_rejects_short_grid():
         classify(make_pareto_multiplier(0.5), np.logspace(2, 5, 10))
     with pytest.raises(ParameterError):
         classify(make_pareto_multiplier(0.5), [10.0, 5.0, 20.0])
+    # a NaN compares False in the increasing check; an inf end passes it
+    for bad in ([1e2, math.nan, 1e10], [1e2, 1e5, math.inf]):
+        with pytest.raises(ParameterError, match="finite"):
+            ratio_scans(make_pareto_multiplier(0.5), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +195,9 @@ def test_atom_scan_two_atoms():
 
 
 def test_atom_scan_validation():
-    with pytest.raises(ParameterError):
-        atom_scan(_sample([1.0]), 0.0)
+    for eps in (0.0, math.nan, math.inf):  # NaN or inf would read as "no atoms"
+        with pytest.raises(ParameterError):
+            atom_scan(_sample([1.0]), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,12 @@ def test_levy_cdf_matches_scipy(c):
     assert levy_cdf(np.array([-1.0, 0.0]), c).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("c", [math.nan, 0.0, -1.0, math.inf])
+def test_levy_cdf_rejects_bad_scale(c):
+    with pytest.raises(ParameterError):
+        levy_cdf(np.array([0.5, 1.0]), c)
+
+
 # ---------------------------------------------------------------------------
 # Sampler sources and fast transforms
 # ---------------------------------------------------------------------------

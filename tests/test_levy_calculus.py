@@ -219,6 +219,15 @@ def test_prelimit_pi_negative_branch(stable_half):
     assert abs(est - pi_bar(view, -1.0, 0.0)) <= 3.0 * se + 1e-6
 
 
+@pytest.mark.parametrize("u,v", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                 (1.0, math.nan)])
+def test_prelimit_pi_rejects_non_finite_input(u, v):
+    y = make_pareto_multiplier(0.5)
+    for kind in ("uniform01", "standard_gaussian"):  # restricted and plain MC paths
+        with pytest.raises(ParameterError):
+            prelimit_pi_n(make_weight_law(kind), y, 100, u, v, SeedStream(3, 6), draws=1_000)
+
+
 def test_prelimit_pi_variance_reported():
     x = make_weight_law("standard_gaussian")  # unbounded: plain MC path
     y = make_pareto_multiplier(0.5)
@@ -423,7 +432,7 @@ def test_check_levy_convergence_slowly_varying_documents_escape(tmp_path):
     assert payload["lambda_reports"][0]["name"].startswith("interval_mass")
 
 
-@pytest.mark.parametrize("n_list", [(10.5, 100), (10, 100.0), (0, 100)])
+@pytest.mark.parametrize("n_list", [(10.5, 100), (10, 100.0), (0, 100), ()])
 def test_check_levy_convergence_rejects_bad_n(n_list):
     with pytest.raises(ParameterError):
         check_levy_convergence(make_weight_law("uniform01"),

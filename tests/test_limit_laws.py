@@ -18,6 +18,7 @@ from selfnorm_lab.limit_laws import (
     breiman_cdf,
     breiman_cdf_grid,
     breiman_tail,
+    quantile_grid,
     regvar_tail_constant,
     tabulated_cdf,
 )
@@ -349,6 +350,13 @@ def test_cdf_plus_tail_consistency():
         upper, lower = breiman_cdf(lim, x), breiman_cdf(lim, -x)
         assert math.isfinite(upper) and math.isfinite(lower)
         assert 1.0 - upper == pytest.approx(breiman_tail(lim, x), rel=0.02)
+
+
+@pytest.mark.parametrize("points", [0, -3, 2.5, 3.0])
+def test_quantile_grid_rejects_bad_points(points):
+    with pytest.raises(ParameterError):
+        quantile_grid(np.linspace(0.0, 1.0, 11), points)
+    assert len(quantile_grid(np.linspace(0.0, 1.0, 11), 1)) == 3  # one quantile, padded
 
 
 def test_breiman_tail_validation(lim_u01):
