@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -336,7 +336,6 @@ class MaxShareStats:
     a_n_eps_prob: dict
     delta_sample: np.ndarray
     r_n_sample: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def max_share_stats(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
@@ -358,7 +357,7 @@ def max_share_stats(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     shares, deltas, rns = _finite_n(x, y, cfg, reduce, width=3, scale_free=True)
     deltas, rns = np.sort(deltas), np.sort(rns)
     probs = {e: float((shares > 1.0 - e).mean()) for e in eps_list}
-    return MaxShareStats(probs, deltas, rns, _law_meta(x, y, cfg))
+    return MaxShareStats(probs, deltas, rns)
 
 
 @dataclass
@@ -367,7 +366,6 @@ class DivergenceProbe:
 
     medians: dict
     loglog_slope: float
-    meta: dict = field(default_factory=dict)
 
 
 def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
@@ -387,4 +385,4 @@ def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
         sample = simulate_tn(x, y, sub)
         medians[n] = float(np.median(np.abs(sample.values)))
     slope = float(np.polyfit(np.log(n_list), np.log(list(medians.values())), 1)[0])
-    return DivergenceProbe(medians, slope, _law_meta(x, y, cfg))
+    return DivergenceProbe(medians, slope)
