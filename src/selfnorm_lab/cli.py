@@ -90,6 +90,16 @@ def _config_float(key: str, text: str) -> float:
     return value
 
 
+def _config_seed(key: str, text: str) -> SeedStream:
+    """The master stream of a seed in [0, 2**64); anything else raises
+    ParameterError naming the key, which ``--seed`` also sets."""
+    value = _config_int(key, text)
+    if not 0 <= value < 2**64:
+        raise ParameterError(f"config field {key!r} (or --seed) must be in [0, 2**64), "
+                             f"got {text!r}")
+    return SeedStream(value)
+
+
 def _config_list(parse):
     """Parser of a comma-separated list whose entries ``parse`` reads."""
     return lambda key, text: [parse(key, tok) for tok in text.split(",") if tok.strip()]
@@ -102,7 +112,7 @@ _KEYS = {
     "scenario": ("custom", _text),
     "n": ("10000", _config_int),
     "reps": ("20000", _config_int),
-    "seed": ("20260808", lambda key, text: SeedStream(_config_int(key, text))),
+    "seed": ("20260808", _config_seed),
     "outputs": ("out", _text),
     "x_law.kind": ("uniform01", _text),
     "y_law.kind": ("pareto", _text),
@@ -149,12 +159,12 @@ def _load_config(args) -> tuple:
     record = {key: raw.get(key, default) for key, (default, _) in _KEYS.items()}
     cfg = {key: parse(key, record[key]) for key, (_, parse) in _KEYS.items()}
     del record["outputs"]
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None:
-        env = os.environ.get("SELFNORM_LAB_THREADS") or "1"
-        threads = _config_int("SELFNORM_LAB_THREADS", env)
+        source = "SELFNORM_LAB_THREADS"
+        threads = _config_int(source, os.environ.get(source) or "1")
     if threads < 1:
-        raise ParameterError(f"the thread count must be at least 1, got {threads}")
+        raise ParameterError(f"{source} must be at least 1, got {threads}")
     cfg["threads"] = threads
     return cfg, record
 
@@ -221,8 +231,14 @@ def run_limit(cfg: dict, record: dict) -> int:
 
 def run_diagnose(cfg: dict, record: dict) -> int:
     _, y = _laws(cfg)
-    grid = np.logspace(math.log10(cfg["diag.lo"]), math.log10(cfg["diag.hi"]),
-                       cfg["diag.points"])
+    lo, hi, points = cfg["diag.lo"], cfg["diag.hi"], cfg["diag.points"]
+    if lo <= 0.0:
+        raise ParameterError(f"diag.lo must be positive, got {lo!r}")
+    if hi <= lo:
+        raise ParameterError(f"diag.hi must exceed diag.lo, got {hi!r} <= {lo!r}")
+    if points < 2:
+        raise ParameterError(f"diag.points must be at least 2, got {points}")
+    grid = np.logspace(math.log10(lo), math.log10(hi), points)
     scans = cd.ratio_scans(y, grid)
     verdict = cd.verdict_from_scans(*scans)
     out = _outdir(cfg)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 
@@ -73,16 +74,103 @@ class SeedStream:
                 raise ParameterError("stream_index and substream indices must be in [0, 2**32)")
 
     def generator(self) -> np.random.Generator:
-        # one uint32 array contributes the same key words as the tuple
-        # (stream_index, *path) of one-word ints, and numpy coerces it in one step
-        key = np.array((self.stream_index, *self.path), dtype=np.uint32)
-        seq = np.random.SeedSequence(entropy=int(self.master_seed), spawn_key=(key,))
-        return np.random.Generator(np.random.PCG64(seq))
+        return np.random.Generator(np.random.PCG64(self._sequence()))
+
+    def _sequence(self, *tail: int) -> np.random.SeedSequence:
+        """numpy's seed sequence of key ``(stream_index, *path, *tail)``."""
+        # one uint32 array contributes the same key words as the tuple of
+        # one-word ints, and numpy coerces it in one step
+        key = np.array((self.stream_index, *self.path, *tail), dtype=np.uint32)
+        return np.random.SeedSequence(entropy=int(self.master_seed), spawn_key=(key,))
 
     def child(self, k: int) -> "SeedStream":
         """Derive substream ``k`` (k < 2**32) without state sharing."""
         return SeedStream(self.master_seed, self.stream_index,
                           (*self.path, as_int(k, "substream index")))
+
+    def block_seeds(self, blocks: int) -> np.ndarray:
+        """The PCG64 seed words of ``child(b).child(s)`` for every
+        ``b < blocks`` and ``s`` in {0, 1}, as a (blocks, 2, 4) uint64 array.
+
+        Row ``[b, s]`` is ``SeedSequence(master_seed, spawn_key=(stream_index,
+        *path, b, s)).generate_state(4, np.uint64)``, the words that
+        ``child(b).child(s).generator()`` seeds its PCG64 with;
+        :func:`seeded_generator` turns a row into that generator.  numpy's
+        ``SeedSequence`` hashes the shared key prefix once (its ``pool``);
+        the two trailing key words and ``generate_state`` are numpy's hash
+        steps, applied to every block at once.  A single block uses numpy's
+        own hash, which is cheaper than setting up the arrays.
+        """
+        if not 1 <= as_int(blocks, "blocks") <= 2**32:
+            raise ParameterError("blocks must be in [1, 2**32]")
+        if blocks == 1:
+            return np.array([[self._sequence(0, s).generate_state(4, np.uint64)
+                              for s in (0, 1)]])
+        pool = self._sequence().pool
+        # the prefix took 4 + 12 + 4 * (1 + len(path)) hashmix steps; each
+        # trailing word takes 4 more, one per pool word (uint32 arrays wrap
+        # mod 2**32)
+        a = _hash_consts(_INIT_A, _MULT_A, 20 + 4 * len(self.path), 9)
+        h = np.arange(blocks, dtype=np.uint32)[:, None] ^ np.array(a[:4], dtype=np.uint32)
+        h *= np.array(a[1:5], dtype=np.uint32)
+        h ^= h >> 16
+        pool = _MIX_L * pool - _MIX_R * h  # (blocks, 4): mix(pool, hashmix(b))
+        pool ^= pool >> 16
+        mix_s = [[_MIX_R * _hashmix(s, a[4 + i], a[5 + i]) & _M32 for i in range(4)]
+                 for s in (0, 1)]
+        pool = _MIX_L * pool[:, None, :] - np.array(mix_s, dtype=np.uint32)
+        pool ^= pool >> 16  # (blocks, 2, 4): mix(pool, hashmix(s))
+        # generate_state(4, uint64): 8 words hashed from the pool in cycle
+        words = np.concatenate([pool, pool], axis=2)
+        words ^= _STATE_XOR
+        words *= _STATE_MUL
+        words ^= words >> 16
+        return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
+# k-th hashmix step xors with INIT * MULT**k and multiplies by INIT *
+# MULT**(k + 1), mod 2**32, A for mixing entropy and B for generate_state.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, start: int, count: int) -> list:
+    c = init * pow(mult, start, 2**32) & _M32
+    out = [c]
+    for _ in range(count - 1):
+        c = c * mult & _M32
+        out.append(c)
+    return out
+
+
+def _hashmix(value: int, xor: int, mul: int) -> int:
+    v = (value ^ xor) * mul & _M32
+    return v ^ v >> 16
+
+
+_STATE_XOR = np.array(_hash_consts(_INIT_B, _MULT_B, 0, 8), dtype=np.uint32)
+_STATE_MUL = np.array(_hash_consts(_INIT_B, _MULT_B, 1, 8), dtype=np.uint32)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence that hands its bit generator fixed state words: PCG64
+    asks for ``generate_state(4, np.uint64)``, which ``words`` holds."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seeded_generator(words: np.ndarray) -> np.random.Generator:
+    """The PCG64 generator seeded with one row of
+    :meth:`SeedStream.block_seeds`: it draws what the generator of the
+    row's stream draws."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 RandomSource = Union[SeedStream, np.random.Generator]

@@ -9,12 +9,20 @@ replications are drawn in blocks of ``rows`` consecutive replications, with
 ``rows`` fixed by the input alone.  Block b covers replications
 ``[b * rows, min((b + 1) * rows, reps))``, derives one multiplier generator
 from ``seed.child(b).child(0)`` and one weight generator from
-``seed.child(b).child(1)``, and draws its rows in order from these two.  For
+``seed.child(b).child(1)``, and draws its rows in order from these two.  An
+engine call derives the seed words of all its blocks in one pass
+(``SeedStream.block_seeds``, bit-identical to the streams' own generators)
+and builds no ``SeedStream`` per block.  For
 the finite-n engines ``rows = max(16, BLOCK_ELEMS // n)``.  The limit pair
 draws ``max(1, BLOCK_ELEMS // ceil(poisson_mean))`` rows per block as one
 array.  Blocks are stacked in block order, so output is bit-identical for any
 thread count.  Layout 3 draws symmetric_pareto's sign and magnitude from one
 uniform.
+
+Engines on more than one thread share one worker pool per thread count,
+created on first use and kept for the life of the process (importing the
+module starts no thread; a forked child starts without the parent's pools).
+Several caller threads may run engines at once.
 
 The finite-n engines fill a block in sub-chunks of up to
 ``max(1, SUB_ELEMS // n)`` rows, one sampler call per generator and
@@ -35,6 +43,7 @@ one ulp outside).
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +57,7 @@ from .distributions import (
     SeedStream,
     WeightLaw,
     as_int,
+    seeded_generator,
 )
 from .levy_calculus import BivariateLevyView
 
@@ -130,7 +140,9 @@ def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], blocks: int, wi
     fn(b) returns ``width`` statistics, each an array with one value per
     replication of block b; blocks are joined in block order.  Threads take
     contiguous chunks of blocks and every block depends only on its index,
-    so scheduling cannot change the result.
+    so scheduling cannot change the result.  With more than one thread the
+    chunks run on the process's persistent pool (:func:`_pool`); fn never
+    calls an engine on more than one thread, so no task submits to it.
     """
     step = max(1, math.ceil(blocks / (threads * 8)))
 
@@ -142,9 +154,26 @@ def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], blocks: int, wi
     if threads <= 1:
         parts = [chunk(lo) for lo in starts]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, starts))
+        parts = list(_pool(threads).map(chunk, starts))
     return np.concatenate(parts, axis=1)
+
+
+# thread count -> executor; a forked child has none of the parent's worker
+# threads, so it starts with an empty cache
+_POOLS: dict = {}
+os.register_at_fork(after_in_child=_POOLS.clear)
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's executor with ``threads`` workers.  Callers in several
+    threads may share it; a task must never submit to it (a worker waiting
+    on a task queued behind it would deadlock the pool)."""
+    pool = _POOLS.get(threads)
+    if pool is None:
+        # setdefault is atomic: a racing caller's spare executor, which has
+        # started no thread yet, is dropped
+        pool = _POOLS.setdefault(threads, ThreadPoolExecutor(max_workers=threads))
+    return pool
 
 
 def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
@@ -204,13 +233,13 @@ def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     rows, blocks = _block_layout(cfg.reps, cfg.n, MIN_BLOCK_ROWS)
     chunk = max(1, min(rows, cfg.reps, SUB_ELEMS // cfg.n))
     local = threading.local()  # one buffer pair per worker thread and call
+    seeds = cfg.seed.block_seeds(blocks)
 
     def block(b: int) -> np.ndarray:
         bufs = getattr(local, "bufs", None)
         if bufs is None:
             bufs = local.bufs = (np.empty(chunk * cfg.n), np.empty(chunk * cfg.n))
-        stream = cfg.seed.child(b)
-        y_gen, x_gen = stream.child(_Y_SUB).generator(), stream.child(_X_SUB).generator()
+        y_gen, x_gen = seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB])
         rows_b = min(rows, cfg.reps - b * rows)
         return np.concatenate([
             reduce(*_draw_rows(x, y, y_gen, x_gen, bufs, (min(chunk, rows_b - lo), cfg.n),
@@ -295,13 +324,13 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     from .distributions import vec_eval  # looked up per call: a rebinding applies
 
     rows, blocks = _block_layout(cfg.reps, math.ceil(lam))
+    seeds = cfg.seed.block_seeds(blocks)
 
     def block(b: int) -> tuple:
-        stream = cfg.seed.child(b)
-        gen = stream.child(_Y_SUB).generator()
+        gen = seeded_generator(seeds[b, _Y_SUB])
         counts = gen.poisson(lam, min(rows, cfg.reps - b * rows))
         jumps = vec_eval(inverse, (1.0 - gen.random(int(counts.sum()))) * lam)
-        xs = x.sampler(stream.child(_X_SUB), jumps.size)
+        xs = x.sampler(seeded_generator(seeds[b, _X_SUB]), jumps.size)
         owner = np.repeat(np.arange(counts.size), counts)
         return np.bincount(owner, xs * jumps, counts.size), np.bincount(owner, jumps, counts.size)
 

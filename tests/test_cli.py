@@ -112,6 +112,8 @@ def test_simulate_bad_law_exits_3(tmp_path):
     ("simulate", "threads", "2"),  # the thread count is not a config key
     ("simulate", "grid.hi", "inf"),  # checked although simulate does not read it
     ("levy", "levy.v_grid", "0.5,abc"),
+    ("simulate", "seed", "-1"),
+    ("simulate", "seed", str(2**64)),
 ])
 def test_bad_config_key_exits_3_before_output(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path, **{key: value})
@@ -208,6 +210,18 @@ def test_diagnose_scans_each_ratio_once(tmp_path, monkeypatch):
     assert len((tmp_path / "out" / "ratio_scan.csv").read_text().splitlines()) == 1 + 29
 
 
+@pytest.mark.parametrize("key,value", [("diag.lo", "0"), ("diag.lo", "-1e2"),
+                                       ("diag.hi", "1e2"), ("diag.hi", "10"),
+                                       ("diag.points", "1")])
+def test_diagnose_bad_grid_exits_3_before_output(tmp_path, capsys, key, value):
+    # the default grid runs from diag.lo = 1e2 to diag.hi = 1e16
+    cfg = write_cfg(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_levy_reports(tmp_path):
     cfg = write_cfg(tmp_path, **{"levy.n_list": "100,1000",
                                  "levy.v_grid": "0.5,1,2",
@@ -279,14 +293,19 @@ def test_reproduce_unknown_suite_exits_3(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flags,env", [(["--threads", "0"], None), (["--seed", "-1"], None),
-                                       ([], "0")], ids=["threads0", "seed-1", "env_threads0"])
+@pytest.mark.parametrize("flags,env,key", [
+    (["--threads", "0"], None, "--threads"),
+    (["--seed", "-1"], None, "seed"),
+    ([], "0", "SELFNORM_LAB_THREADS"),
+    (["--seed", str(2**64)], None, "seed"),
+], ids=["threads0", "seed-1", "env_threads0", "seed2**64"])
 def test_reproduce_bad_run_settings_exit_3_before_output(tmp_path, monkeypatch, capsys,
-                                                         flags, env):
+                                                         flags, env, key):
     if env is not None:
         monkeypatch.setenv("SELFNORM_LAB_THREADS", env)
     assert main(["reproduce", "S5", "--out", str(tmp_path / "o"), *flags]) == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
     assert not (tmp_path / "o").exists()
 
 

@@ -20,6 +20,7 @@ from selfnorm_lab.distributions import (
     make_pareto_multiplier,
     make_slowly_varying_multiplier,
     make_weight_law,
+    seeded_generator,
     vec_eval,
 )
 
@@ -121,6 +122,41 @@ def test_seed_stream_distinct_paths_give_distinct_states(a, b):
         assert _stream_state(*a) == _stream_state(*b)
     else:
         assert _stream_state(*a) != _stream_state(*b)
+
+
+def _sequence_words(master, index, path, b, s):
+    key = (index, *path, b, s)
+    return np.random.SeedSequence(master, spawn_key=key).generate_state(4, np.uint64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(master=st.integers(0, 2**64 - 1), key=_KEY, blocks=st.integers(1, 3000),
+       data=st.data())
+@example(master=0, key=(0, []), blocks=1, data=None)
+@example(master=2**64 - 1, key=(2**32 - 1, [2**32 - 1] * 4), blocks=2, data=None)
+@example(master=2**64 - 1, key=(0, [0, 2**32 - 1]), blocks=3000, data=None)
+def test_block_seeds_equal_seed_sequence(master, key, blocks, data):
+    # one-pass derivation against numpy's SeedSequence at the full key
+    index, path = key
+    stream = SeedStream(master, index, tuple(path))
+    words = stream.block_seeds(blocks)
+    assert words.shape == (blocks, 2, 4) and words.dtype == np.uint64
+    picks = {*range(min(blocks, 4)), blocks // 2, blocks - 1}
+    if data is not None:
+        picks.add(data.draw(st.integers(0, blocks - 1), label="block"))
+    for b in sorted(picks):
+        for s in (0, 1):
+            assert np.array_equal(words[b, s], _sequence_words(master, index, path, b, s))
+    b = max(picks)
+    for s in (0, 1):
+        assert np.array_equal(seeded_generator(words[b, s]).random(4),
+                              stream.child(b).child(s).generator().random(4))
+
+
+@pytest.mark.parametrize("blocks", [0, -1, 2**32 + 1, 2.0])
+def test_block_seeds_rejects_bad_block_count(blocks):
+    with pytest.raises(ParameterError):
+        SeedStream(1).block_seeds(blocks)
 
 
 # ---------------------------------------------------------------------------

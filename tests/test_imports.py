@@ -1,8 +1,12 @@
-"""Import hygiene of the package, checked with the standard library's ``ast``
-so that it needs no linter."""
+"""Import hygiene of the package: its import statements, checked with the
+standard library's ``ast`` so that it needs no linter, and what importing it
+starts."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,14 @@ def test_module_imports_no_scipy_integrate(path):
     modules += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module for alias in node.names]
     assert [m for m in modules if m == "scipy.integrate" or m.startswith("scipy.integrate.")] == []
+
+
+def test_import_starts_no_thread():
+    # the engines' worker pools are created on first use, not at import
+    code = ("import threading, selfnorm_lab, selfnorm_lab.cli, selfnorm_lab.scenarios; "
+            "print(threading.active_count())")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1"

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import multiprocessing
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -419,3 +423,77 @@ def test_divergence_probe_rejects_non_integer_n():
             divergence_probe(x, y, cfg(reps=10), n_list)
     probe = divergence_probe(x, y, cfg(reps=10), (np.int64(10), 100))
     assert list(probe.medians) == [10, 100]
+
+
+# ---------------------------------------------------------------------------
+# the persistent worker pool
+# ---------------------------------------------------------------------------
+
+
+def _engine_bits(threads):
+    """The bytes of one call of each engine, every call over several blocks."""
+    x, y = make_weight_law("uniform01"), make_pareto_multiplier(0.5)
+    tn = simulate_tn(x, y, cfg(n=100, reps=600, seed=21, threads=threads))
+    pair = simulate_normed_pair(x, y, cfg(n=50, reps=1_200, seed=22, threads=threads))
+    share = max_share_stats(make_weight_law("standard_gaussian"), make_slowly_varying_multiplier(),
+                            cfg(n=200, reps=300, seed=23, threads=threads), (0.1,))
+    lim = simulate_limit_pair(view_half(), cfg(n=1, reps=5_000, seed=24, cutoff=0.01,
+                                               threads=threads))
+    arrays = (tn.values, pair.w1, pair.w2, share.delta_sample, share.r_n_sample, lim.w1, lim.w2)
+    return [a.tobytes() for a in arrays] + [share.a_n_eps_prob[0.1]]
+
+
+def test_concurrent_callers_get_single_thread_bits():
+    # three callers share the pools of 2 and 3 workers; a short switch
+    # interval makes their tasks interleave on the workers
+    ref = _engine_bits(1)
+    results, errors = {k: [] for k in range(3)}, []
+
+    def caller(k):
+        try:
+            for _ in range(2):
+                results[k].append(_engine_bits(2 + k % 2))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == []
+    assert all(bits == ref for runs in results.values() for bits in runs)
+
+
+def _child_bits(conn):
+    conn.send(hashlib.sha256(repr(_engine_bits(2)).encode()).hexdigest())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_runs_pooled_engines():
+    # the child inherits the parent's pool but none of its worker threads;
+    # it must start its own pool instead of waiting on the dead one
+    parent_bits = _engine_bits(2)  # the parent's pool of 2 now exists
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_bits, args=(send,))
+    child.start()
+    try:
+        send.close()
+        got = recv.recv() if recv.poll(120.0) else None
+        child.join(timeout=30.0)
+        assert not child.is_alive()
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10.0)
+    assert child.exitcode == 0
+    assert got == hashlib.sha256(repr(parent_bits).encode()).hexdigest()
