@@ -79,6 +79,17 @@ def _config_int(key: str, text: str) -> int:
     return int(value)
 
 
+def _config_count(least: int):
+    """Parser of an integer config value of at least ``least``."""
+    def parse(key: str, text: str) -> int:
+        value = _config_int(key, text)
+        if value < least:
+            raise ParameterError(f"config field {key!r} must be at least {least}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _config_float(key: str, text: str) -> float:
     """A finite float config value; anything else raises ParameterError."""
     try:
@@ -128,12 +139,12 @@ _KEYS = {
     "grid.points": ("1001", _config_int),
     "diag.lo": ("1e2", _config_float),
     "diag.hi": ("1e16", _config_float),
-    "diag.points": ("57", _config_int),
+    "diag.points": ("57", _config_count(2)),
     "levy.n_list": ("1000,10000,100000", _config_list(_config_int)),
     "levy.v_grid": ("0.25,0.5,1,2,4", _config_list(_config_float)),
     "levy.u_grid": ("0.5,1,2", _config_list(_config_float)),
     "levy.h_list": ("0.25,1", _config_list(_config_float)),
-    "levy.draws": ("200000", _config_int),
+    "levy.draws": ("200000", _config_count(2)),
     "levy.kmax": ("10", _config_int),
 }
 
@@ -236,8 +247,6 @@ def run_diagnose(cfg: dict, record: dict) -> int:
         raise ParameterError(f"diag.lo must be positive, got {lo!r}")
     if hi <= lo:
         raise ParameterError(f"diag.hi must exceed diag.lo, got {hi!r} <= {lo!r}")
-    if points < 2:
-        raise ParameterError(f"diag.points must be at least 2, got {points}")
     grid = np.logspace(math.log10(lo), math.log10(hi), points)
     scans = cd.ratio_scans(y, grid)
     verdict = cd.verdict_from_scans(*scans)

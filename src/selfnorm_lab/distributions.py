@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import special
 
 
 class ParameterError(ValueError):
@@ -88,6 +87,11 @@ class SeedStream:
         return SeedStream(self.master_seed, self.stream_index,
                           (*self.path, as_int(k, "substream index")))
 
+    def record(self) -> dict:
+        """The stream as the ``seed`` record of a run's metadata."""
+        return {"master_seed": self.master_seed, "stream_index": self.stream_index,
+                "path": list(self.path)}
+
     def block_seeds(self, blocks: int) -> np.ndarray:
         """The PCG64 seed words of ``child(b).child(s)`` for every
         ``b < blocks`` and ``s`` in {0, 1}, as a (blocks, 2, 4) uint64 array.
@@ -98,32 +102,27 @@ class SeedStream:
         :func:`seeded_generator` turns a row into that generator.  numpy's
         ``SeedSequence`` hashes the shared key prefix once (its ``pool``);
         the two trailing key words and ``generate_state`` are numpy's hash
-        steps, applied to every block at once.  A single block uses numpy's
-        own hash, which is cheaper than setting up the arrays.
+        steps, applied to every block at once.
         """
         if not 1 <= as_int(blocks, "blocks") <= 2**32:
             raise ParameterError("blocks must be in [1, 2**32]")
-        if blocks == 1:
-            return np.array([[self._sequence(0, s).generate_state(4, np.uint64)
-                              for s in (0, 1)]])
         pool = self._sequence().pool
         # the prefix took 4 + 12 + 4 * (1 + len(path)) hashmix steps; each
         # trailing word takes 4 more, one per pool word (uint32 arrays wrap
         # mod 2**32)
         a = _hash_consts(_INIT_A, _MULT_A, 20 + 4 * len(self.path), 9)
-        h = np.arange(blocks, dtype=np.uint32)[:, None] ^ np.array(a[:4], dtype=np.uint32)
-        h *= np.array(a[1:5], dtype=np.uint32)
-        h ^= h >> 16
-        pool = _MIX_L * pool - _MIX_R * h  # (blocks, 4): mix(pool, hashmix(b))
-        pool ^= pool >> 16
-        mix_s = [[_MIX_R * _hashmix(s, a[4 + i], a[5 + i]) & _M32 for i in range(4)]
-                 for s in (0, 1)]
-        pool = _MIX_L * pool[:, None, :] - np.array(mix_s, dtype=np.uint32)
-        pool ^= pool >> 16  # (blocks, 2, 4): mix(pool, hashmix(s))
+        # mix(pool, hashmix(word)) for the block word, then the sub-stream
+        # word: pool broadcasts from (4,) to (blocks, 1, 4) to (blocks, 2, 4)
+        for k, word in enumerate((np.arange(blocks, dtype=np.uint32)[:, None, None],
+                                  np.arange(2, dtype=np.uint32)[:, None])):
+            h = (word ^ a[4 * k:4 * k + 4]) * a[4 * k + 1:4 * k + 5]
+            h ^= h >> 16
+            pool = _MIX_L * pool - _MIX_R * h
+            pool ^= pool >> 16
         # generate_state(4, uint64): 8 words hashed from the pool in cycle
         words = np.concatenate([pool, pool], axis=2)
-        words ^= _STATE_XOR
-        words *= _STATE_MUL
+        words ^= _STATE[:8]
+        words *= _STATE[1:]
         words ^= words >> 16
         return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
@@ -134,25 +133,17 @@ class SeedStream:
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
 
 
-def _hash_consts(init: int, mult: int, start: int, count: int) -> list:
-    c = init * pow(mult, start, 2**32) & _M32
-    out = [c]
+def _hash_consts(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """The xor constants of hashmix steps ``start .. start + count - 1``."""
+    c = [init * pow(mult, start, 2**32) % 2**32]
     for _ in range(count - 1):
-        c = c * mult & _M32
-        out.append(c)
-    return out
+        c.append(c[-1] * mult % 2**32)
+    return np.array(c, dtype=np.uint32)
 
 
-def _hashmix(value: int, xor: int, mul: int) -> int:
-    v = (value ^ xor) * mul & _M32
-    return v ^ v >> 16
-
-
-_STATE_XOR = np.array(_hash_consts(_INIT_B, _MULT_B, 0, 8), dtype=np.uint32)
-_STATE_MUL = np.array(_hash_consts(_INIT_B, _MULT_B, 1, 8), dtype=np.uint32)
+_STATE = _hash_consts(_INIT_B, _MULT_B, 0, 9)
 
 
 class _StateWords(ISeedSequence):
@@ -210,9 +201,8 @@ class TailClass:
 class WeightLaw:
     """Distribution of the weight factor X.
 
-    ``beta_moment_pos(b)`` is the fractional moment of the positive part,
-    the integral of x**b over (0, inf); ``beta_moment_neg`` mirrors it on the
-    negative half line.  ``pdf`` is the density of the continuous part, zero
+    ``abs_moment(b)`` is the absolute moment E|X|**b of order b > 0, inf
+    where it is infinite.  ``pdf`` is the density of the continuous part, zero
     outside ``support``; ``pdf_breaks`` lists points where the density is
     kinked or discontinuous (quadrature split points).  ``atoms`` holds the
     discrete part as (location, mass) pairs.  ``cdf`` is P{X <= x} and
@@ -233,9 +223,7 @@ class WeightLaw:
     cdf: Callable[[float], float]
     sf: Callable[[float], float]
     sampler: Callable[..., np.ndarray]
-    abs_mean: float
-    beta_moment_pos: Callable[[float], float]
-    beta_moment_neg: Callable[[float], float]
+    abs_moment: Callable[[float], float]
     atoms: tuple = ()
     pdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     pdf_breaks: tuple = ()
@@ -427,9 +415,6 @@ def expect_weight(law: WeightLaw, g: Callable[[np.ndarray], np.ndarray],
 # Built-in weight laws
 # ---------------------------------------------------------------------------
 
-_norm_cdf = special.ndtr
-
-
 def _uniform01_weight() -> WeightLaw:
     def cdf(x):
         return np.clip(x, 0.0, 1.0)
@@ -439,9 +424,7 @@ def _uniform01_weight() -> WeightLaw:
         cdf=cdf,
         sf=lambda x: np.clip(1.0 - x, 0.0, 1.0),
         sampler=lambda source, count, out=None: _rng(source).random(count, out=out),
-        abs_mean=0.5,
-        beta_moment_pos=lambda b: 1.0 / (1.0 + b),
-        beta_moment_neg=lambda b: 0.0,
+        abs_moment=lambda b: 1.0 / (1.0 + b),
         pdf=lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0),
         pdf_breaks=(0.0, 1.0),
         support=(0.0, 1.0),
@@ -449,17 +432,14 @@ def _uniform01_weight() -> WeightLaw:
 
 
 def _gaussian_weight() -> WeightLaw:
-    def beta_moment(b):
-        return 2.0 ** ((b - 1.0) / 2.0) * math.gamma((b + 1.0) / 2.0) / math.sqrt(2.0 * math.pi)
+    from scipy.special import ndtr  # bound here: importing scipy is slow
 
     return WeightLaw(
         label="standard_gaussian",
-        cdf=_norm_cdf,
-        sf=lambda x: _norm_cdf(np.negative(x)),
+        cdf=ndtr,
+        sf=lambda x: ndtr(np.negative(x)),
         sampler=lambda source, count, out=None: _rng(source).standard_normal(count, out=out),
-        abs_mean=math.sqrt(2.0 / math.pi),
-        beta_moment_pos=beta_moment,
-        beta_moment_neg=beta_moment,
+        abs_moment=lambda b: 2.0 ** (b / 2.0) * math.gamma((b + 1.0) / 2.0) / math.sqrt(math.pi),
         pdf=lambda x: np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi),
         support=(-math.inf, math.inf),
     )
@@ -477,19 +457,12 @@ def _atom_index(inner_cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _atomic_weight(label: str, atoms: Sequence) -> WeightLaw:
     atoms = tuple(sorted(atoms))
-    abs_mean = sum(m * abs(loc) for loc, m in atoms)
 
     def cdf(x):
         return sum(m * (np.asarray(x) >= loc) for loc, m in atoms)
 
     def sf(x):
         return sum(m * (np.asarray(x) < loc) for loc, m in atoms)
-
-    def bmp(b):
-        return sum(m * loc ** b for loc, m in atoms if loc > 0)
-
-    def bmn(b):
-        return sum(m * (-loc) ** b for loc, m in atoms if loc < 0)
 
     locs = np.array([loc for loc, _ in atoms])
     # atom j takes U in [cum[j-1], cum[j]); counting all but the last
@@ -502,10 +475,15 @@ def _atomic_weight(label: str, atoms: Sequence) -> WeightLaw:
         return np.take(locs, _atom_index(inner_cum, u), out=u, mode="clip")
 
     return WeightLaw(
-        label=label, cdf=cdf, sf=sf, sampler=sampler, abs_mean=abs_mean,
-        beta_moment_pos=bmp, beta_moment_neg=bmn, atoms=atoms, pdf=None,
+        label=label, cdf=cdf, sf=sf, sampler=sampler, atoms=atoms, pdf=None,
+        abs_moment=lambda b: sum(m * abs(loc) ** b for loc, m in atoms),
         support=(atoms[0][0], atoms[-1][0]),
     )
+
+
+def _pareto_moment(gamma: float, b: float) -> float:
+    """E|X|**b for P{|X| > x} = x^-gamma on [1, inf)."""
+    return gamma / (gamma - b) if b < gamma else math.inf
 
 
 def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
@@ -535,17 +513,12 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
         np.power(u, -1.0 / gamma, out=u)
         return np.copysign(u, np.negative(neg, dtype=np.int8), out=u)  # -1 or +0
 
-    def half_moment(b):
-        return gamma / (2.0 * (gamma - b)) if b < gamma else math.inf
-
     return WeightLaw(
         label=f"symmetric_pareto({gamma:g})",
         cdf=cdf,
         sf=sf,
         sampler=sampler,
-        abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
-        beta_moment_pos=half_moment,
-        beta_moment_neg=half_moment,
+        abs_moment=lambda b: _pareto_moment(gamma, b),
         pdf=lambda x: np.where(np.abs(x) >= 1.0,
                                0.5 * gamma * np.maximum(np.abs(x), 1.0) ** (-gamma - 1.0), 0.0),
         pdf_breaks=(-1.0, 1.0),
@@ -568,9 +541,7 @@ def _abs_pareto_weight(gamma: float) -> WeightLaw:
         cdf=cdf,
         sf=lambda x: np.maximum(x, 1.0) ** (-gamma),
         sampler=sampler,
-        abs_mean=gamma / (gamma - 1.0) if gamma > 1.0 else math.inf,
-        beta_moment_pos=lambda b: gamma / (gamma - b) if b < gamma else math.inf,
-        beta_moment_neg=lambda b: 0.0,
+        abs_moment=lambda b: _pareto_moment(gamma, b),
         pdf=lambda x: np.where(x >= 1.0, gamma * np.maximum(x, 1.0) ** (-gamma - 1.0), 0.0),
         pdf_breaks=(1.0,),
         support=(1.0, math.inf),
@@ -679,6 +650,8 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
     where Ei is the exponential integral.  The quantile norming a_n = e^n
     overflows doubles for n > 709, so the log-space hooks are essential here.
     """
+    from scipy.special import expi  # bound here: importing scipy is slow
+
     e = math.e
 
     def survival(y):
@@ -687,14 +660,14 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
     def trunc_mean(x):
         xm = np.maximum(x, e)
         lx = np.log(xm)
-        return np.where(x <= e, 0.0, special.expi(lx) - xm / lx + e - special.expi(1.0))[()]
+        return np.where(x <= e, 0.0, expi(lx) - xm / lx + e - expi(1.0))[()]
 
     def trunc_second(x):
         xm = np.maximum(x, e)
         lx = np.log(xm)
         z = 2.0 * lx
         with np.errstate(over="ignore", invalid="ignore"):
-            direct = 2.0 * special.expi(z) - xm * xm / lx + e * e - 2.0 * special.expi(2.0)
+            direct = 2.0 * expi(z) - xm * xm / lx + e * e - 2.0 * expi(2.0)
             # past z = 700 both terms overflow; their difference is
             # (x^2 / log x) sum_{k>=1} k!/z^k (asymptotic series of Ei, ten
             # terms reach 1e-19 there), overflowing only with the value
@@ -806,8 +779,10 @@ def levy_cdf(z, c: float):
     partial sums under a_n = n^2 follows Levy(0, pi/2).  The scale c must be
     positive and finite.
     """
+    from scipy.special import ndtr  # bound here: importing scipy is slow
+
     if not 0.0 < c < math.inf:
         raise ParameterError("levy_cdf scale c must be positive and finite")
     z = np.asarray(z, dtype=float)
-    tail = 2.0 * (1.0 - _norm_cdf(np.sqrt(c / np.where(z > 0.0, z, 1.0))))
+    tail = 2.0 * (1.0 - ndtr(np.sqrt(c / np.where(z > 0.0, z, 1.0))))
     return np.where(z > 0.0, tail, 0.0)[()]

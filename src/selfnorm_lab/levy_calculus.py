@@ -124,12 +124,13 @@ def lambda_bar(levy: LevyTail, v: float) -> float:
     return float(levy.tail(v))
 
 
-def _sample_size(n) -> int:
-    """``n`` as an int of at least 1; anything else raises ParameterError."""
-    n = as_int(n, "n")
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    return n
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; anything else raises
+    ParameterError naming ``name``."""
+    value = as_int(value, name)
+    if value < least:
+        raise ParameterError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _check_level(h: float) -> None:
@@ -152,7 +153,7 @@ def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     Evaluated in log space when the law provides the hooks, so it stays
     finite even when a_n itself overflows (slowly varying law, large n).
     """
-    n = _sample_size(n)
+    n = _count(n, "n", 1)
     if not v > 0.0:
         raise ParameterError("v must be positive")
     if y.survival_logarg is not None and y.log_norming is not None:
@@ -198,7 +199,7 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     sampling restricts to the sub-event where the integrand can be non-zero,
     which removes the rare-event variance entirely.
     """
-    n = _sample_size(n)
+    n, draws = _count(n, "n", 1), _count(draws, "draws", 2)
     if not math.isfinite(u):
         raise ParameterError("u must be finite")
     if u == 0.0 and v == 0.0:
@@ -221,10 +222,10 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
         # restrict to Y > y0 where the X-tail factor can be positive
         c0 = max(v, abs(u) / edge)
         y0 = a_n * c0
-        ys = y.tail_sampler(stream, int(draws), y0)
+        ys = y.tail_sampler(stream, draws, y0)
         scale = prelimit_lambda_n(y, n, c0)
     else:
-        ys = y.sampler(stream, int(draws))
+        ys = y.sampler(stream, draws)
         scale = float(n)
     with np.errstate(divide="ignore"):
         ratio = np.where(ys > 0.0, au / np.maximum(ys, 1e-300), math.inf)
@@ -248,7 +249,7 @@ def prelimit_alpha_h(y: MultiplierLaw, n: int, h: float) -> float:
     """(n / a_n) E[Y 1{Y <= a_n h}], the row counterpart of :func:`alpha_h`,
     computed from the law's truncated mean."""
     _check_level(h)
-    n = _sample_size(n)
+    n = _count(n, "n", 1)
     a_n = _norming(y, n)
     return n * y.trunc_mean(a_n * h) / a_n
 
@@ -271,7 +272,7 @@ def truncated_first_moments(view: BivariateLevyView, h: float):
     (n/a_n) E[XY 1{...}].
     """
     _check_level(h)
-    if not math.isfinite(view.weight.abs_mean):
+    if not math.isfinite(view.weight.abs_moment(1.0)):
         raise ParameterError("weight law must have finite absolute mean")
     return _half_disk(view, h, 0, 1), _half_disk(view, h, 1, 1)
 
@@ -312,9 +313,9 @@ def _prelimit_half_disk(x: WeightLaw, y: MultiplierLaw, n: int, h: float,
     simulated.  Returns one (value, se) pair per j.
     """
     _check_level(h)
-    n = _sample_size(n)
+    n, draws = _count(n, "n", 1), _count(draws, "draws", 2)
     a_n = _norming(y, n)
-    xs = x.sampler(stream, int(draws))
+    xs = x.sampler(stream, draws)
     cap = a_n * h / np.sqrt(1.0 + xs * xs)
     if k == 1:
         scale, moment = n / a_n, vec_eval(y.trunc_mean, cap)
@@ -383,9 +384,8 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
     are then compared against zero and the report documents the escaping
     mass.  Any other multiplier without a view raises ParameterError.
     """
-    n_list = [as_int(n, "n_list entry") for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise ParameterError("n_list entries must be >= 1")
+    n_list = [_count(n, "n_list entry", 1) for n in n_list]
+    draws = _count(draws, "draws", 2)
     if not n_list or not len(v_grid):
         raise ParameterError("n_list and v_grid must not be empty")
     if view is None and y.tail_class.kind != "slowly_varying":

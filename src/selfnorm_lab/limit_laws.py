@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .distributions import (_FAR_LEVELS, _FAR_T, _FAR_W, _HEAD_T, _HEAD_W, _NEAR_LEVELS,
                             _NEAR_T, _NEAR_W, _PIECE_T, _PIECE_W, _RATIO, ParameterError,
@@ -84,8 +83,7 @@ class BreimanLimit:
         if not 0.0 < self.beta < 1.0:
             raise ParameterError("beta must lie in (0, 1)")
         b = self.beta + _MOMENT_MARGIN
-        total = self.weight.beta_moment_pos(b) + self.weight.beta_moment_neg(b)
-        if not math.isfinite(total):
+        if not math.isfinite(self.weight.abs_moment(b)):
             raise ParameterError(
                 f"weight law needs a finite absolute moment of order {b:g}")
         object.__setattr__(self, "_plan", _make_plan(self.weight, self.beta))
@@ -302,5 +300,7 @@ def regvar_tail_constant(beta: float, alpha_rv: float) -> float:
         raise ParameterError("beta must lie in (0, 1)")
     if not alpha_rv > beta:
         raise ParameterError("alpha_rv must exceed beta")
+    from scipy.special import beta as beta_fn  # bound here: importing scipy is slow
+
     return 2.0 * beta * float(beta_fn(beta, alpha_rv - beta)) * _TAIL_PREF(beta)
 

@@ -29,8 +29,8 @@ The finite-n engines fill a block in sub-chunks of up to
 sub-chunk.  Every built-in sampler fills its output in order, so the
 sub-chunk size bounds memory only and is not part of the layout.  Each
 worker thread draws into one pair of buffers of at most ``max(SUB_ELEMS, n)``
-values that it reuses for the whole engine call, so no sub-chunk allocates
-fresh draw arrays.
+values that it reuses for the whole engine call (it grows them once if the
+short last block was its first), so no sub-chunk allocates fresh draw arrays.
 
 Each sub-chunk is reduced per row.  ``sum X Y`` is taken as
 ``np.multiply(xs, ys, out=xs).sum(axis=1)``, which adds the products in the
@@ -126,13 +126,6 @@ class PairSample:
         return _ratios(self.w2, self.w1)[0]
 
 
-def _block_layout(reps: int, values_per_rep: int, min_rows: int = 1) -> tuple:
-    """Rows per block and number of blocks for ``reps`` replications that
-    draw about ``values_per_rep`` values each."""
-    rows = max(min_rows, BLOCK_ELEMS // max(1, values_per_rep))
-    return rows, -(-reps // rows)
-
-
 def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], blocks: int, width: int,
                       threads: int) -> np.ndarray:
     """Evaluate fn(b) for b in range(blocks) into a (width, reps) array.
@@ -176,11 +169,29 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return pool
 
 
+def _run_blocks(cfg: SimConfig, values_per_rep: int, min_rows: int, width: int,
+                body: Callable[..., Sequence[np.ndarray]]) -> np.ndarray:
+    """``body(y_gen, x_gen, rows_b)`` for every block of the stream layout
+    (module docstring), as a (width, reps) array in replication order.
+
+    ``y_gen`` and ``x_gen`` are the block's multiplier and weight
+    generators, and ``rows_b`` its row count:
+    ``max(min_rows, BLOCK_ELEMS // values_per_rep)``, fewer in the last block.
+    """
+    rows = max(min_rows, BLOCK_ELEMS // max(1, values_per_rep))
+    blocks = -(-cfg.reps // rows)
+    seeds = cfg.seed.block_seeds(blocks)
+
+    def block(b: int) -> Sequence[np.ndarray]:
+        return body(seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB]),
+                    min(rows, cfg.reps - b * rows))
+
+    return _run_replications(block, blocks, width, cfg.threads)
+
+
 def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
     meta = {"n": cfg.n, "reps": cfg.reps, "stream_layout": STREAM_LAYOUT,
-            "seed": {"master_seed": cfg.seed.master_seed,
-                     "stream_index": cfg.seed.stream_index,
-                     "path": list(cfg.seed.path)}}
+            "seed": cfg.seed.record()}
     if x is not None:
         meta["x_law"] = x.label
     if y is not None:
@@ -230,23 +241,20 @@ def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     """``reduce(xs, ys, m)`` over every sub-chunk of ``_draw_rows``, as a
     (width, reps) array in replication order.  ``reduce`` may overwrite
     ``xs`` and ``ys``, which live in the calling thread's buffers."""
-    rows, blocks = _block_layout(cfg.reps, cfg.n, MIN_BLOCK_ROWS)
-    chunk = max(1, min(rows, cfg.reps, SUB_ELEMS // cfg.n))
+    chunk = max(1, SUB_ELEMS // cfg.n)  # rows per sub-chunk
     local = threading.local()  # one buffer pair per worker thread and call
-    seeds = cfg.seed.block_seeds(blocks)
 
-    def block(b: int) -> np.ndarray:
+    def block(y_gen, x_gen, rows_b: int) -> np.ndarray:
+        size = min(chunk, rows_b) * cfg.n
         bufs = getattr(local, "bufs", None)
-        if bufs is None:
-            bufs = local.bufs = (np.empty(chunk * cfg.n), np.empty(chunk * cfg.n))
-        y_gen, x_gen = seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB])
-        rows_b = min(rows, cfg.reps - b * rows)
+        if bufs is None or bufs[0].size < size:
+            bufs = local.bufs = (np.empty(size), np.empty(size))
         return np.concatenate([
             reduce(*_draw_rows(x, y, y_gen, x_gen, bufs, (min(chunk, rows_b - lo), cfg.n),
                                scale_free))
             for lo in range(0, rows_b, chunk)], axis=1)
 
-    return _run_replications(block, blocks, width, cfg.threads)
+    return _run_blocks(cfg, cfg.n, MIN_BLOCK_ROWS, width, block)
 
 
 def _ratios(den: np.ndarray, *nums: np.ndarray) -> list:
@@ -323,26 +331,23 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     inverse, x = view.levy.tail_inverse, view.weight
     from .distributions import vec_eval  # looked up per call: a rebinding applies
 
-    rows, blocks = _block_layout(cfg.reps, math.ceil(lam))
-    seeds = cfg.seed.block_seeds(blocks)
-
-    def block(b: int) -> tuple:
-        gen = seeded_generator(seeds[b, _Y_SUB])
-        counts = gen.poisson(lam, min(rows, cfg.reps - b * rows))
-        jumps = vec_eval(inverse, (1.0 - gen.random(int(counts.sum()))) * lam)
-        xs = x.sampler(seeded_generator(seeds[b, _X_SUB]), jumps.size)
+    def block(y_gen, x_gen, rows_b: int) -> tuple:
+        counts = y_gen.poisson(lam, rows_b)
+        jumps = vec_eval(inverse, (1.0 - y_gen.random(int(counts.sum()))) * lam)
+        xs = x.sampler(x_gen, jumps.size)
         owner = np.repeat(np.arange(counts.size), counts)
         return np.bincount(owner, xs * jumps, counts.size), np.bincount(owner, jumps, counts.size)
 
-    w1, w2 = _run_replications(block, blocks, 2, cfg.threads)
+    w1, w2 = _run_blocks(cfg, math.ceil(lam), 1, 2, block)
     bias_y = view.levy.truncated_moment(1, eps)
+    abs_mean = x.abs_moment(1.0)
     meta = _law_meta(x, None, cfg)
     meta.update({
         "levy": view.levy.label,
         "cutoff": eps,
         "poisson_mean": lam,
         "bias_bound_w2": bias_y,
-        "bias_bound_w1": bias_y * x.abs_mean if math.isfinite(x.abs_mean) else math.inf,
+        "bias_bound_w1": bias_y * abs_mean if math.isfinite(abs_mean) else math.inf,
     })
     return PairSample(w1, w2, meta)
 
@@ -406,6 +411,8 @@ def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     slope at zero.
     """
     n_list = [as_int(n, "n_list entry") for n in n_list]
+    if len(n_list) < 2:
+        raise ParameterError("n_list needs at least two sizes for a slope")
     if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ParameterError("n_list must be strictly increasing")
     medians = {}

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import class_diagnostics as cd
 from . import levy_calculus as lc
@@ -226,6 +225,8 @@ def criterion_7(stream: SeedStream, threads: int = 1) -> list:
     tn = mc.simulate_tn(x, make_pareto_multiplier(0.5),
                         mc.SimConfig(10_000, 20_000, stream, threads=threads))
     cdf = ll.tabulated_cdf(lim, grid=ll.quantile_grid(tn.values, points=3001))
+    from scipy.optimize import brentq  # bound here: importing scipy is slow
+
     x_star = brentq(lambda t: ll.breiman_cdf(lim, t) - 0.995, 1.0, 1e5)
     tail_ratio = (1.0 - ll.breiman_cdf(lim, x_star)) / (0.5 * x_star ** -0.8)
     const = ll.regvar_tail_constant(0.5, 0.8)
@@ -361,8 +362,7 @@ def run_suite(suite: str, seed: SeedStream, threads: int = 1,
     checks = _SUITE_FNS[suite](seed, threads=threads, outdir=outdir)
     return {
         "suite": suite,
-        "seed": {"master_seed": seed.master_seed, "stream_index": seed.stream_index,
-                 "path": list(seed.path)},
+        "seed": seed.record(),
         "stream_layout": mc.STREAM_LAYOUT,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

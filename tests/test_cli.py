@@ -114,6 +114,8 @@ def test_simulate_bad_law_exits_3(tmp_path):
     ("levy", "levy.v_grid", "0.5,abc"),
     ("simulate", "seed", "-1"),
     ("simulate", "seed", str(2**64)),
+    ("levy", "levy.draws", "1"),  # one draw has no standard error
+    ("levy", "levy.draws", "0"),
 ])
 def test_bad_config_key_exits_3_before_output(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path, **{key: value})

@@ -369,39 +369,42 @@ def test_vec_eval_rejects_scalar_only_callable():
 
 def test_uniform01_beta_moment():
     x = make_weight_law("uniform01")
-    assert x.beta_moment_pos(0.5) == pytest.approx(2.0 / 3.0)
-    assert x.beta_moment_neg(0.5) == 0.0
+    assert x.abs_moment(0.5) == pytest.approx(2.0 / 3.0)
+    assert x.abs_moment(1.0) == 0.5  # the limit pair's bias bound uses E|X| exactly
 
 
 def test_rademacher_atoms():
     x = make_weight_law("rademacher")
     assert sum(m * loc for loc, m in x.atoms) == 0.0  # the mean
     assert x.atoms == ((-1.0, 0.5), (1.0, 0.5))
-    assert x.beta_moment_pos(0.77) == pytest.approx(0.5)
+    assert x.abs_moment(0.77) == pytest.approx(1.0)
 
 
 def test_point_mass_moments():
     x = make_weight_law("point_mass", c=1.0)
     for b in (0.1, 0.5, 1.3):
-        assert x.beta_moment_pos(b) == pytest.approx(1.0)
+        assert x.abs_moment(b) == pytest.approx(1.0)
+    x = make_weight_law("bernoulli", p=0.25, x0=-2.0, x1=0.0)  # an atom at 0 adds nothing
+    assert x.abs_moment(0.5) == pytest.approx(0.75 * 2.0 ** 0.5)
 
 
 def test_gaussian_beta_moment_matches_quadrature():
     x = make_weight_law("standard_gaussian")
     for b in (0.5, 1.0, 1.7):
-        oracle = quad(lambda t: t ** b * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
-                      0, np.inf)[0]
-        assert x.beta_moment_pos(b) == pytest.approx(oracle, rel=1e-9)
+        oracle = 2.0 * quad(lambda t: t ** b * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
+                            0, np.inf)[0]  # symmetric: twice the positive half
+        assert x.abs_moment(b) == pytest.approx(oracle, rel=1e-9)
+    assert x.abs_moment(1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
 
 
 def test_symmetric_pareto_infinite_mean_flags():
     x = make_weight_law("symmetric_pareto", gamma=0.8)
-    assert math.isinf(x.abs_mean)
-    assert x.beta_moment_pos(0.5) == pytest.approx(0.8 / (2 * 0.3))
-    assert math.isinf(x.beta_moment_pos(0.9))
+    assert math.isinf(x.abs_moment(1.0))
+    assert x.abs_moment(0.5) == pytest.approx(0.8 / 0.3)
+    assert math.isinf(x.abs_moment(0.9))
     x2 = make_weight_law("symmetric_pareto", gamma=1.5)
-    assert x2.abs_mean == pytest.approx(3.0)
-    assert x2.beta_moment_pos(1.0) == x2.beta_moment_neg(1.0) == pytest.approx(1.5)
+    assert x2.abs_moment(1.0) == pytest.approx(3.0)
+    assert make_weight_law("abs_pareto", gamma=1.5).abs_moment(1.0) == pytest.approx(3.0)
 
 
 def test_cdf_jump_equals_atom_mass():

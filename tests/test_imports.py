@@ -68,3 +68,14 @@ def test_import_starts_no_thread():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "1"
+
+
+def test_import_loads_no_scipy():
+    # scipy takes most of a cold start; the functions that need it import it
+    code = ("import sys, selfnorm_lab, selfnorm_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -101,6 +101,29 @@ def test_prelimit_routines_reject_non_integer_n(name, bad):
     call(np.int64(10))  # numpy integers pass
 
 
+_VIEW_GAUSS = BivariateLevyView(_GAUSS, stable_levy_tail(0.5))
+PRELIMIT_DRAWS_CALLS = {
+    "prelimit_pi_n": lambda d: prelimit_pi_n(_GAUSS, _PARETO, 10, 1.0, 0.0,
+                                             SeedStream(3), draws=d),
+    "prelimit_truncated_first_moments": lambda d: prelimit_truncated_first_moments(
+        _GAUSS, _PARETO, 10, 1.0, SeedStream(3), draws=d),
+    "prelimit_truncated_second_moments": lambda d: prelimit_truncated_second_moments(
+        _GAUSS, _PARETO, 10, 1.0, SeedStream(3), draws=d),
+    "check_levy_convergence": lambda d: check_levy_convergence(
+        _GAUSS, _PARETO, _VIEW_GAUSS, (10,), (1.0,), ((1.0, 0.0),), SeedStream(3), draws=d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRELIMIT_DRAWS_CALLS))
+@pytest.mark.parametrize("bad", [1, 0, 2.7, 2.0])
+def test_prelimit_routines_reject_bad_draws(name, bad):
+    # a standard error needs two draws, and a fraction is no count
+    call = PRELIMIT_DRAWS_CALLS[name]
+    with pytest.raises(ParameterError, match="draws must"):
+        call(bad)
+    call(np.int64(2))
+
+
 def test_prelimit_lambda_pareto_exact():
     y = make_pareto_multiplier(0.5)
     for n in (10, 10_000):
@@ -141,16 +164,15 @@ def test_pi_bar_uniform01_values(view_u01):
 
 
 def test_pi_bar_substitution_identity(stable_half):
-    # pi_bar(u, 0) = u^-beta E[(X+)^beta], pi_bar(-u, 0) = u^-beta E[(X-)^beta]
-    for kind in ("uniform01", "rademacher", "standard_gaussian"):
-        x = make_weight_law(kind)
-        view = BivariateLevyView(x, stable_half)
+    # pi_bar(u, 0) = u^-beta E[(X+)^beta], pi_bar(-u, 0) = u^-beta E[(X-)^beta];
+    # the half moments of order 1/2 are (E[(X+)^b], E[(X-)^b]) in closed form
+    gaussian_half = 2.0 ** -0.75 * math.gamma(0.75) / math.sqrt(math.pi)
+    for kind, pos, neg in (("uniform01", 2.0 / 3.0, 0.0), ("rademacher", 0.5, 0.5),
+                           ("standard_gaussian", gaussian_half, gaussian_half)):
+        view = BivariateLevyView(make_weight_law(kind), stable_half)
         for u in (0.5, 1.0, 2.0):
-            want = u ** -0.5 * x.beta_moment_pos(0.5)
-            assert pi_bar(view, u, 0.0) == pytest.approx(want, rel=1e-7), (kind, u)
-            if x.support[0] < 0.0:
-                want_n = u ** -0.5 * x.beta_moment_neg(0.5)
-                assert pi_bar(view, -u, 0.0) == pytest.approx(want_n, rel=1e-7)
+            assert pi_bar(view, u, 0.0) == pytest.approx(u ** -0.5 * pos, rel=1e-7), (kind, u)
+            assert pi_bar(view, -u, 0.0) == pytest.approx(u ** -0.5 * neg, rel=1e-7), (kind, u)
 
 
 def test_pi_neg_nonnegative_weight_is_zero(view_u01):

@@ -217,7 +217,7 @@ def test_grid_raises_on_unresolved_tail():
         label="log_tail", cdf=lambda u: 1.0 - 1.0 / np.log(np.maximum(u, math.e)),
         sf=lambda u: 1.0 / np.log(np.maximum(u, math.e)),
         sampler=lambda stream, count, out=None: np.full(count, math.e),
-        abs_mean=math.inf, beta_moment_pos=lambda b: 1.0, beta_moment_neg=lambda b: 0.0,
+        abs_moment=lambda b: 1.0,
         pdf=lambda u: np.where(u >= math.e,
                                1.0 / (u * np.log(np.maximum(u, math.e)) ** 2), 0.0),
         pdf_breaks=(math.e,), support=(math.e, math.inf))

@@ -287,6 +287,56 @@ def test_max_share_validates_eps():
 
 
 # ---------------------------------------------------------------------------
+# exact laws at n = 2
+# ---------------------------------------------------------------------------
+
+# X Rademacher, Y Pareto(1/2), n = 2.  With R = Y1/Y2, P{R <= r} = r^beta / 2
+# for r <= 1 and 1 - r^-beta / 2 above.  Equal weights (probability 1/2) give
+# T_2 = +-1, atoms of 1/4; otherwise T_2 = +-(R - 1)/(R + 1).  The max share
+# S = max(W, 1 - W), W = Y1/(Y1 + Y2), has P{S > s} = ((1 - s)/s)^beta.
+EXACT_BETA, EXACT_REPS = 0.5, 1_000_000
+# Massart's DKW bound at a 1e-6 false-alarm rate; it holds for any law,
+# atoms included, and for a sup over any subset of points
+EXACT_DKW = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * EXACT_REPS))  # 0.00269
+
+
+def _ks_exact(values, cdf, left):
+    """sup |F_N - F| of the sorted ``values`` against a law with CDF values
+    ``cdf`` and left limits ``left`` at them."""
+    i = np.arange(1, values.size + 1)
+    return max(np.max(i / values.size - cdf), np.max(left - (i - 1) / values.size))
+
+
+def test_tn_exact_law_at_n_2():
+    c = cfg(n=2, reps=EXACT_REPS, seed=41, threads=2)
+    t = simulate_tn(make_weight_law("rademacher"), make_pareto_multiplier(EXACT_BETA), c).values
+    h = 0.5 * ((1.0 - np.abs(t)) / (1.0 + np.abs(t))) ** EXACT_BETA
+    mixed = 0.5 * np.where(t < 0.0, h, 1.0 - h)  # unequal weights, (-1, 1)
+    cdf = 0.25 + mixed + 0.25 * (t >= 1.0)
+    left = 0.25 * (t > -1.0) + mixed
+    assert _ks_exact(t, cdf, left) <= EXACT_DKW
+    assert set(t[np.abs(t) >= 1.0]) == {-1.0, 1.0}  # the atoms are exact
+
+
+def test_max_share_exact_law_at_n_2():
+    eps = np.linspace(0.01, 0.5, 50)
+    c = cfg(n=2, reps=EXACT_REPS, seed=42, threads=2)
+    st = max_share_stats(make_weight_law("rademacher"), make_pareto_multiplier(EXACT_BETA),
+                         c, eps)
+    # P{S > 1 - eps} on a grid: a sup over grid points of the share's ECDF
+    want = (eps / (1.0 - eps)) ** EXACT_BETA
+    assert np.max(np.abs(np.array(list(st.a_n_eps_prob.values())) - want)) <= EXACT_DKW
+    # r_n = sqrt(S^2 + (1 - S)^2) increases with S on [1/2, 1)
+    s = 0.5 * (1.0 + np.sqrt(np.maximum(2.0 * st.r_n_sample ** 2 - 1.0, 0.0)))
+    cdf = 1.0 - ((1.0 - s) / s) ** EXACT_BETA
+    assert _ks_exact(st.r_n_sample, cdf, cdf) <= EXACT_DKW
+    # unequal weights put X at the argmax 2 (1 - S) from T_2, equal ones at 0
+    d = st.delta_sample
+    cdf = 0.5 + 0.5 * (d / (2.0 - d)) ** EXACT_BETA
+    assert _ks_exact(d, cdf, np.where(d > 0.0, cdf, 0.0)) <= EXACT_DKW
+
+
+# ---------------------------------------------------------------------------
 # block kernel against a per-replication loop on the same block draws
 # ---------------------------------------------------------------------------
 
@@ -414,6 +464,14 @@ def test_divergence_probe_requires_increasing_n():
     with pytest.raises(ParameterError):
         divergence_probe(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
                          cfg(reps=10), (100, 100))
+
+
+def test_divergence_probe_needs_two_sizes():
+    # one point has no slope
+    for n_list in ((100,), ()):
+        with pytest.raises(ParameterError, match="two sizes"):
+            divergence_probe(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
+                             cfg(reps=10), n_list)
 
 
 def test_divergence_probe_rejects_non_integer_n():
