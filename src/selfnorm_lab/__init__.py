@@ -29,6 +29,7 @@ from .levy_calculus import (
     alpha_h,
     check_levy_convergence,
     lambda_bar,
+    limit_view,
     pi_bar,
     prelimit_alpha_h,
     prelimit_lambda_n,

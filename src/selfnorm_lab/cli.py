@@ -136,7 +136,7 @@ _KEYS = {
     "x_law.gamma": ("0.5", _config_float),
     "grid.lo": ("-0.25", _config_float),
     "grid.hi": ("1.25", _config_float),
-    "grid.points": ("1001", _config_int),
+    "grid.points": ("1001", _config_count(2)),
     "diag.lo": ("1e2", _config_float),
     "diag.hi": ("1e16", _config_float),
     "diag.points": ("57", _config_count(2)),
@@ -145,7 +145,7 @@ _KEYS = {
     "levy.u_grid": ("0.5,1,2", _config_list(_config_float)),
     "levy.h_list": ("0.25,1", _config_list(_config_float)),
     "levy.draws": ("200000", _config_count(2)),
-    "levy.kmax": ("10", _config_int),
+    "levy.kmax": ("10", _config_count(0)),
 }
 
 
@@ -227,8 +227,8 @@ def run_limit(cfg: dict, record: dict) -> int:
     beta = y.tail_class.beta
     lim = ll.BreimanLimit(beta, x)
     lo, hi, points = cfg["grid.lo"], cfg["grid.hi"], cfg["grid.points"]
-    if points < 2 or hi <= lo:
-        raise ParameterError("grid.points must be >= 2 and grid.hi > grid.lo")
+    if hi <= lo:
+        raise ParameterError(f"grid.hi must exceed grid.lo, got {hi!r} <= {lo!r}")
     grid = np.linspace(lo, hi, points)
     cdf_vals = ll.breiman_cdf_grid(lim, grid)
     tails = np.full_like(grid, math.nan)
@@ -260,15 +260,9 @@ def run_diagnose(cfg: dict, record: dict) -> int:
 
 def run_levy(cfg: dict, record: dict) -> int:
     x, y = _laws(cfg)
-    n_list = cfg["levy.n_list"]
-    if y.tail_class.kind == "pareto" and 0.0 < (y.tail_class.beta or 0.0) < 1.0:
-        view = lc.BivariateLevyView(x, lc.stable_levy_tail(y.tail_class.beta))
-    else:
-        view = None
-    result = lc.check_levy_convergence(
-        x, y, view, n_list=n_list, v_grid=cfg["levy.v_grid"],
-        uv_grid=[(u, 0.0) for u in cfg["levy.u_grid"]] if view is not None else (),
-        stream=cfg["seed"].child(1), draws=cfg["levy.draws"])
+    n_list, view = cfg["levy.n_list"], lc.limit_view(x, y)
+    result = lc.check_levy_convergence(x, y, n_list, cfg["levy.v_grid"], cfg["levy.u_grid"],
+                                       cfg["seed"].child(1), cfg["levy.draws"])
     payload = {}
     if view is not None:
         for h in cfg["levy.h_list"]:

@@ -75,11 +75,11 @@ class SeedStream:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self._sequence()))
 
-    def _sequence(self, *tail: int) -> np.random.SeedSequence:
-        """numpy's seed sequence of key ``(stream_index, *path, *tail)``."""
+    def _sequence(self) -> np.random.SeedSequence:
+        """numpy's seed sequence of key ``(stream_index, *path)``."""
         # one uint32 array contributes the same key words as the tuple of
         # one-word ints, and numpy coerces it in one step
-        key = np.array((self.stream_index, *self.path, *tail), dtype=np.uint32)
+        key = np.array((self.stream_index, *self.path), dtype=np.uint32)
         return np.random.SeedSequence(entropy=int(self.master_seed), spawn_key=(key,))
 
     def child(self, k: int) -> "SeedStream":
@@ -626,6 +626,12 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
         lo = max(1.0, y0)
         return lo * _open_uniform(source, count) ** (-1.0 / b)
 
+    def norming(n):
+        try:
+            return float(n) ** (1.0 / b)
+        except OverflowError:  # inf, as for the slowly varying law
+            return math.inf
+
     return MultiplierLaw(
         label=f"pareto(beta={b:g})",
         survival=survival,
@@ -633,7 +639,7 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
             _open_uniform(source, count, out), b),
         trunc_mean=trunc_mean,
         trunc_second=trunc_second,
-        norming=lambda n: float(n) ** (1.0 / b),
+        norming=norming,
         tail_class=TailClass("pareto", b),
         log_norming=lambda n: math.log(n) / b,
         survival_logarg=lambda t: np.exp(-b * np.maximum(t, 0.0)),

@@ -86,6 +86,21 @@ class BivariateLevyView:
     levy: LevyTail
 
 
+def limit_view(x: WeightLaw, y: MultiplierLaw) -> Optional[BivariateLevyView]:
+    """The limit measure of the rows ``(X Y / a_n, Y / a_n)``, which the
+    multiplier's tail class alone decides: the stable jump measure of index
+    beta for a Pareto(beta) multiplier with beta < 1, and None for the slowly
+    varying multiplier, whose row measure has no non-degenerate limit.  Any
+    other multiplier raises ParameterError."""
+    tc = y.tail_class
+    if tc.kind == "pareto" and tc.beta < 1.0:
+        return BivariateLevyView(x, stable_levy_tail(tc.beta))
+    if tc.kind != "slowly_varying":
+        raise ParameterError(f"{y.label} has no limit jump measure; only a pareto "
+                             "multiplier with beta < 1 or a slowly varying one is checked")
+    return None
+
+
 @dataclass
 class ConvergenceReport:
     """Grid-indexed comparison of a prelimit quantity against its limit."""
@@ -193,8 +208,9 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     """Estimate n P{XY > a_n u, Y > a_n v} (u > 0) or
     n P{XY <= -a_n |u|, Y > a_n v} (u < 0), returning (estimate, std error).
 
-    X is integrated out analytically through its CDF, so the Monte Carlo
-    averages n * F-tail(a_n u / Y) over Y draws.  When the weight has bounded
+    X is integrated out analytically through its tail (``sf`` for u > 0,
+    ``cdf`` for u < 0), so the Monte Carlo averages n * F-tail(a_n u / Y)
+    over Y draws.  When the weight has bounded
     support and the multiplier law can sample its conditional tail exactly,
     sampling restricts to the sub-event where the integrand can be non-zero,
     which removes the rare-event variance entirely.
@@ -208,11 +224,11 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
         raise ParameterError("v must be non-negative")
     a_n = _norming(y, n)
     if u == 0.0:
-        return prelimit_lambda_n(y, n, v) * (1.0 - x.cdf(0.0)), 0.0
+        return prelimit_lambda_n(y, n, v) * x.sf(0.0), 0.0
 
     if u > 0.0:
         edge = x.support[1]
-        weight_tail = lambda t: 1.0 - vec_eval(x.cdf, t)
+        weight_tail = lambda t: vec_eval(x.sf, t)
     else:
         edge = -x.support[0]
         weight_tail = lambda t: vec_eval(x.cdf, -t)
@@ -369,28 +385,22 @@ class LevyConvergenceResult:
     note: str = ""
 
 
-def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
-                           view: Optional[BivariateLevyView],
-                           n_list: Sequence[int],
-                           v_grid: Sequence[float],
-                           uv_grid: Sequence = (),
-                           stream: Optional[SeedStream] = None,
-                           draws: int = 1_000_000) -> LevyConvergenceResult:
-    """Compare row tails n P{Y > a_n v} and n P{XY > a_n u, Y > a_n v}
-    against their limit counterparts along n_list.
+def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int],
+                           v_grid: Sequence[float], u_grid: Sequence[float],
+                           stream: SeedStream, draws: int) -> LevyConvergenceResult:
+    """Compare row tails n P{Y > a_n v} and n P{XY > a_n u, Y > 0}
+    against their limit counterparts along n_list, the limit measure being
+    :func:`limit_view`'s.
 
-    ``view=None`` is for the slowly varying multiplier, which has no
-    non-degenerate limit measure: the interval masses of the row measure
-    are then compared against zero and the report documents the escaping
-    mass.  Any other multiplier without a view raises ParameterError.
+    The slowly varying multiplier has no non-degenerate limit measure: the
+    interval masses of the row measure are then compared against zero and
+    the report documents the escaping mass.
     """
     n_list = [_count(n, "n_list entry", 1) for n in n_list]
     draws = _count(draws, "draws", 2)
     if not n_list or not len(v_grid):
         raise ParameterError("n_list and v_grid must not be empty")
-    if view is None and y.tail_class.kind != "slowly_varying":
-        raise ParameterError(f"{y.label} has no limit jump measure to compare against; "
-                             "only a slowly varying multiplier is checked without one")
+    view = limit_view(x, y)
     lam_reports = []
     pi_reports = []
     if view is None:
@@ -420,24 +430,18 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw,
         lam_reports.append(ConvergenceReport.build(
             name=f"lambda_n={n}", grid=list(v_grid), prelimit=pre, limit=lim,
             tol=1e-9 * scale))
-    if uv_grid:
-        if stream is None:
-            raise ParameterError("uv_grid comparisons need a SeedStream")
-        for j, n in enumerate(n_list):
-            pre, ses, lim = [], [], []
-            for i, (u, v) in enumerate(uv_grid):
-                est, se = prelimit_pi_n(x, y, n, u, v,
-                                        stream.child(j * len(uv_grid) + i),
-                                        draws=draws)
-                pre.append(est)
-                ses.append(se)
-                lim.append(pi_bar(view, u, v))
-            tol = 3.0 * max(ses) + 1e-9
-            pi_reports.append(ConvergenceReport.build(
-                name=f"pi_n={n}", grid=[list(p) for p in uv_grid],
-                prelimit=pre, limit=lim, tol=tol, se=ses))
+    for j, n in enumerate(n_list if len(u_grid) else ()):  # no u point, no pi report
+        pre, ses, lim = [], [], []
+        for i, u in enumerate(u_grid):
+            est, se = prelimit_pi_n(x, y, n, u, 0.0, stream.child(j * len(u_grid) + i),
+                                    draws=draws)
+            pre.append(est)
+            ses.append(se)
+            lim.append(pi_bar(view, u, 0.0))
+        pi_reports.append(ConvergenceReport.build(
+            name=f"pi_n={n}", grid=[[u, 0.0] for u in u_grid],
+            prelimit=pre, limit=lim, tol=3.0 * max(ses) + 1e-9, se=ses))
     gaps = [r.sup_abs_gap for r in (pi_reports or lam_reports)]
-    mono = all(g2 <= g1 + 3.0 * 1e-3 for g1, g2 in zip(gaps[:-1], gaps[1:])) \
-        if len(gaps) > 1 else True
+    mono = all(g2 <= g1 + 3.0 * 1e-3 for g1, g2 in zip(gaps[:-1], gaps[1:]))
     verdict = all(r.verdict for r in lam_reports + pi_reports)
     return LevyConvergenceResult(n_list, lam_reports, pi_reports, mono, verdict)

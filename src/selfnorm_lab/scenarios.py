@@ -103,13 +103,12 @@ def criterion_1(tn_stream: SeedStream, pair_stream: SeedStream, threads: int = 1
     """Finite-n ratio and jump-sum limit-pair ratio against the arctan limit
     CDF, for X uniform01 and Y Pareto(1/2).  Returns (checks, T_n sample,
     limit pair)."""
-    x = make_weight_law("uniform01")
-    cdf = ll.tabulated_cdf(ll.BreimanLimit(0.5, x), np.linspace(-0.05, 1.05, 2201))
-    tn = mc.simulate_tn(x, make_pareto_multiplier(0.5),
-                        mc.SimConfig(10_000, 20_000, tn_stream, threads=threads))
-    view = lc.BivariateLevyView(x, lc.stable_levy_tail(0.5))
-    pair = mc.simulate_limit_pair(view, mc.SimConfig(1, 20_000, pair_stream,
-                                                     cutoff=1e-4, threads=threads))
+    x, y = make_weight_law("uniform01"), make_pareto_multiplier(0.5)
+    cdf = ll.tabulated_cdf(ll.BreimanLimit(y.tail_class.beta, x),
+                           np.linspace(-0.05, 1.05, 2201))
+    tn = mc.simulate_tn(x, y, mc.SimConfig(10_000, 20_000, tn_stream, threads=threads))
+    pair = mc.simulate_limit_pair(lc.limit_view(x, y), mc.SimConfig(
+        1, 20_000, pair_stream, cutoff=1e-4, threads=threads))
     ratio = mc.EmpiricalSample(pair.ratio(), 0, pair.meta)
     checks = [
         _le("tn_vs_limit_cdf_ks", cd.ks_distance(tn, cdf), 0.02),
@@ -136,7 +135,7 @@ def criterion_3(stream: SeedStream) -> list:
     the product tail at (1, 0) against its moment constant."""
     x = make_weight_law("uniform01")
     y = make_pareto_multiplier(0.5)
-    levy = lc.stable_levy_tail(0.5)
+    levy = lc.limit_view(x, y).levy
     worst = 0.0
     for n in (10, 1_000, 100_000):
         for v in _V_GRID:
@@ -157,7 +156,7 @@ def criterion_4(streams) -> tuple:
     of the quadratic integrals.  Returns (checks, small-h scan)."""
     x = make_weight_law("uniform01")
     y = make_pareto_multiplier(0.5)
-    view = lc.BivariateLevyView(x, lc.stable_levy_tail(0.5))
+    view = lc.limit_view(x, y)
     checks = []
     for h, stream in zip((0.25, 1.0), streams, strict=True):
         y_lim, xy_lim = lc.truncated_first_moments(view, h)
@@ -272,56 +271,48 @@ def criterion_9(stream: SeedStream, threads: int = 1) -> list:
 # Suites: the criteria at the suites' own streams, plus suite-only checks.
 
 
-def suite_s1(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) -> list:
+def suite_s1(seed: SeedStream, threads: int, outdir: Path) -> list:
     """Criteria 1 and 2: three-route agreement for X uniform01, Y
     Pareto(1/2), plus the exact half-stable marginal of the plain sums."""
     checks, tn, pair = criterion_1(seed.child(1), seed.child(2), threads)
     marginal, npair = criterion_2(seed.child(3), threads)
-    if outdir is not None:
-        _write_sample_csv(outdir / "s1_tn_sample.csv", ["tn"], [tn.values],
-                          meta=tn.law_meta)
-        _write_sample_csv(outdir / "s1_limit_pair.csv", ["w1", "w2"],
-                          [pair.w1, pair.w2], meta=pair.meta)
-        _write_sample_csv(outdir / "s1_normed_pair.csv", ["w1", "w2"],
-                          [npair.w1, npair.w2], meta=npair.meta)
+    _write_sample_csv(outdir / "s1_tn_sample.csv", ["tn"], [tn.values], meta=tn.law_meta)
+    _write_sample_csv(outdir / "s1_limit_pair.csv", ["w1", "w2"], [pair.w1, pair.w2],
+                      meta=pair.meta)
+    _write_sample_csv(outdir / "s1_normed_pair.csv", ["w1", "w2"], [npair.w1, npair.w2],
+                      meta=npair.meta)
     return checks + marginal
 
 
-def suite_s2(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) -> list:
+def suite_s2(seed: SeedStream, threads: int, outdir: Path) -> list:
     """Criterion 3, plus the full row-tail and product-tail convergence
     report along n = 1e3, 1e4, 1e5."""
     checks = criterion_3(seed.child(1))
-    x = make_weight_law("uniform01")
-    view = lc.BivariateLevyView(x, lc.stable_levy_tail(0.5))
     result = lc.check_levy_convergence(
-        x, make_pareto_multiplier(0.5), view, n_list=(1_000, 10_000, 100_000),
-        v_grid=_V_GRID, uv_grid=((0.5, 0.0), (1.0, 0.0), (2.0, 0.0)),
-        stream=seed.child(2), draws=200_000)
+        make_weight_law("uniform01"), make_pareto_multiplier(0.5), (1_000, 10_000, 100_000),
+        _V_GRID, (0.5, 1.0, 2.0), seed.child(2), draws=200_000)
     checks.append(_eq("levy_convergence_verdict", result.verdict, True,
                       detail=f"sup gaps {[r.sup_abs_gap for r in result.pi_reports]}"))
-    if outdir is not None:
-        _write_json(outdir / "s2_levy_convergence.json", dataclasses.asdict(result))
+    _write_json(outdir / "s2_levy_convergence.json", dataclasses.asdict(result))
     return checks
 
 
-def suite_s3(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) -> list:
+def suite_s3(seed: SeedStream, threads: int, outdir: Path) -> list:
     """Criterion 4: truncated moments and the small-h decay."""
     checks, scan = criterion_4((seed.child(0), seed.child(1)))
-    if outdir is not None:
-        _write_json(outdir / "s3_smallh_scan.json",
-                    {format(h, ".10g"): list(v) for h, v in scan.items()})
+    _write_json(outdir / "s3_smallh_scan.json",
+                {format(h, ".10g"): list(v) for h, v in scan.items()})
     return checks
 
 
-def suite_s4(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) -> list:
+def suite_s4(seed: SeedStream, threads: int, outdir: Path) -> list:
     """Criterion 5: the continuity dichotomy."""
     checks, continuous = criterion_5((seed.child(1), seed.child(2), seed.child(3)), threads)
-    if outdir is not None:
-        _write_sample_csv(outdir / "s4_tn_continuous.csv", ["tn"], [continuous.values])
+    _write_sample_csv(outdir / "s4_tn_continuous.csv", ["tn"], [continuous.values])
     return checks
 
 
-def suite_s5(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) -> list:
+def suite_s5(seed: SeedStream, threads: int, outdir: Path) -> list:
     """Criterion 6, plus the equal-index control (weight tail index 0.8),
     whose median ratio stays flat."""
     checks, probe = criterion_6(seed.child(1), threads)
@@ -331,22 +322,20 @@ def suite_s5(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) 
                                   _DIVERGENCE_N)
     checks.append(_le("control_slope_abs", abs(control.loglog_slope), 0.15,
                       detail=f"slope={control.loglog_slope:.4f}"))
-    if outdir is not None:
-        _write_json(outdir / "s5_divergence.json",
-                    {"medians": {str(k): v for k, v in probe.medians.items()},
-                     "slope": probe.loglog_slope,
-                     "control_slope": control.loglog_slope})
+    _write_json(outdir / "s5_divergence.json",
+                {"medians": {str(k): v for k, v in probe.medians.items()},
+                 "slope": probe.loglog_slope,
+                 "control_slope": control.loglog_slope})
     return checks
 
 
-def suite_s6(seed: SeedStream, threads: int = 1, outdir: Optional[Path] = None) -> list:
+def suite_s6(seed: SeedStream, threads: int, outdir: Path) -> list:
     """Criteria 8, 9 and 7: classification table, max-share statistics and
     the infinite-mean weight regime."""
     checks, labels = criterion_8()
     checks += criterion_9(seed.child(1), threads)
     checks += criterion_7(seed.child(2), threads)
-    if outdir is not None:
-        _write_json(outdir / "s6_classification.json", labels)
+    _write_json(outdir / "s6_classification.json", labels)
     return checks
 
 
@@ -354,8 +343,7 @@ _SUITE_FNS = {"S1": suite_s1, "S2": suite_s2, "S3": suite_s3,
               "S4": suite_s4, "S5": suite_s5, "S6": suite_s6}
 
 
-def run_suite(suite: str, seed: SeedStream, threads: int = 1,
-              outdir: Optional[Path] = None) -> dict:
+def run_suite(suite: str, seed: SeedStream, threads: int, outdir: Path) -> dict:
     """Run one named suite; returns {suite, seed, stream_layout, checks, passed}."""
     if suite not in _SUITE_FNS:
         raise ParameterError(f"unknown suite {suite!r}; choose from {SUITES}")

@@ -116,6 +116,7 @@ def test_simulate_bad_law_exits_3(tmp_path):
     ("simulate", "seed", str(2**64)),
     ("levy", "levy.draws", "1"),  # one draw has no standard error
     ("levy", "levy.draws", "0"),
+    ("limit", "grid.points", "1"),
 ])
 def test_bad_config_key_exits_3_before_output(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path, **{key: value})
@@ -262,14 +263,23 @@ def test_levy_without_limit_measure_exits_3(tmp_path, capsys, y_law):
     assert not out.exists()  # input is checked before --out is created
 
 
-@pytest.mark.parametrize("kmax,message", [("-1", "k_max must be at least 0"),
-                                          ("2.5", "levy.kmax")])
+@pytest.mark.parametrize("kmax,message", [("-1", "levy.kmax"), ("2.5", "levy.kmax")])
 def test_levy_bad_kmax_exits_3(tmp_path, capsys, kmax, message):
     cfg = write_cfg(tmp_path, **{"levy.kmax": kmax, "levy.n_list": "100,1000",
                                  "levy.draws": "1000"})
     out = tmp_path / "out"
     assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()  # input is checked before --out is created
+
+
+def test_levy_overflowing_norming_exits_3(tmp_path, capsys):
+    # a_n = n^100 overflows a double at n = 1e4
+    cfg = write_cfg(tmp_path, **{"y_law.beta": "0.01", "levy.n_list": "10000",
+                                 "levy.draws": "1000"})
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "norming overflows" in capsys.readouterr().err
     assert not out.exists()  # input is checked before --out is created
 
 

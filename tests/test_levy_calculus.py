@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from selfnorm_lab.distributions import (
     ParameterError,
     SeedStream,
+    make_finite_mean_multiplier,
     make_pareto_multiplier,
     make_slowly_varying_multiplier,
     make_weight_law,
@@ -21,6 +22,7 @@ from selfnorm_lab.levy_calculus import (
     alpha_h,
     check_levy_convergence,
     lambda_bar,
+    limit_view,
     pi_bar,
     prelimit_alpha_h,
     prelimit_lambda_n,
@@ -101,7 +103,6 @@ def test_prelimit_routines_reject_non_integer_n(name, bad):
     call(np.int64(10))  # numpy integers pass
 
 
-_VIEW_GAUSS = BivariateLevyView(_GAUSS, stable_levy_tail(0.5))
 PRELIMIT_DRAWS_CALLS = {
     "prelimit_pi_n": lambda d: prelimit_pi_n(_GAUSS, _PARETO, 10, 1.0, 0.0,
                                              SeedStream(3), draws=d),
@@ -110,7 +111,7 @@ PRELIMIT_DRAWS_CALLS = {
     "prelimit_truncated_second_moments": lambda d: prelimit_truncated_second_moments(
         _GAUSS, _PARETO, 10, 1.0, SeedStream(3), draws=d),
     "check_levy_convergence": lambda d: check_levy_convergence(
-        _GAUSS, _PARETO, _VIEW_GAUSS, (10,), (1.0,), ((1.0, 0.0),), SeedStream(3), draws=d),
+        _GAUSS, _PARETO, (10,), (1.0,), (1.0,), SeedStream(3), draws=d),
 }
 
 
@@ -257,6 +258,18 @@ def test_prelimit_pi_variance_reported():
     assert se > 0.0
 
 
+@pytest.mark.parametrize("u", [1e25, 1e30])
+def test_prelimit_pi_reads_far_weight_tail_through_sf(u):
+    # n mean(sf(a_n u / Y)) on the same draws; 1 - cdf cancels to 0 at
+    # u = 1e30 and loses 0.1% at u = 1e25
+    x, y = make_weight_law("symmetric_pareto", gamma=0.8), make_pareto_multiplier(0.5)
+    est, se = prelimit_pi_n(x, y, 10, u, 0.0, SeedStream(5), draws=10_000)
+    ys = y.sampler(SeedStream(5), 10_000)
+    want = 10.0 * x.sf(y.norming(10) * u / ys).mean()
+    assert want > 0.0
+    assert est == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Truncated first moment of the jump part
 # ---------------------------------------------------------------------------
@@ -295,6 +308,16 @@ def test_alpha_h_prelimit_pareto():
             assert got == pytest.approx(want, rel=1e-10)
     # converges to the limit form as n grows
     assert prelimit_alpha_h(y, 10**8, 1.0) == pytest.approx(1.0, abs=1e-7)
+
+
+def test_prelimit_alpha_h_rejects_overflowing_norming():
+    # a_n = n^100 overflows a double at n = 1e4; it reads inf, and the
+    # prelimit raises ParameterError instead of OverflowError
+    y = make_pareto_multiplier(0.01)
+    assert y.norming(100) == 100.0 ** 100.0
+    assert y.norming(10_000) == math.inf
+    with pytest.raises(ParameterError, match="norming overflows"):
+        prelimit_alpha_h(y, 10_000, 1.0)
 
 
 def test_alpha_h_validation(stable_half, view_u01):
@@ -427,14 +450,34 @@ def test_half_disk_moments_match_slice_order_oracle(stable_half):
 # ---------------------------------------------------------------------------
 
 
-def test_check_levy_convergence_pareto(view_u01):
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.99])
+def test_limit_view_of_pareto_is_stable(beta):
+    x = make_weight_law("uniform01")
+    view = limit_view(x, make_pareto_multiplier(beta))
+    assert view.weight is x
+    assert view.levy.tail(2.0) == pytest.approx(2.0 ** -beta, rel=1e-15)
+
+
+@pytest.mark.parametrize("y", [make_pareto_multiplier(1.0), make_pareto_multiplier(1.5),
+                               make_finite_mean_multiplier("exponential"),
+                               make_finite_mean_multiplier("uniform01")],
+                         ids=["pareto1.0", "pareto1.5", "exponential", "uniform01"])
+def test_limit_view_rejects_multiplier_without_limit_measure(y):
+    with pytest.raises(ParameterError, match="no limit jump measure") as err:
+        limit_view(make_weight_law("uniform01"), y)
+    assert y.label in str(err.value)
+
+
+def test_limit_view_of_slowly_varying_is_none():
+    assert limit_view(make_weight_law("uniform01"), make_slowly_varying_multiplier()) is None
+
+
+def test_check_levy_convergence_pareto():
     x = make_weight_law("uniform01")
     y = make_pareto_multiplier(0.5)
     res = check_levy_convergence(
-        x, y, view_u01, n_list=(1_000, 10_000, 100_000),
-        v_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
-        uv_grid=((0.5, 0.0), (1.0, 0.0), (2.0, 0.0)),
-        stream=SeedStream(11, 0), draws=100_000)
+        x, y, n_list=(1_000, 10_000, 100_000), v_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
+        u_grid=(0.5, 1.0, 2.0), stream=SeedStream(11, 0), draws=100_000)
     assert res.verdict
     for rep in res.lambda_reports:
         assert rep.sup_abs_gap < 1e-10
@@ -442,11 +485,17 @@ def test_check_levy_convergence_pareto(view_u01):
         assert rep.verdict
 
 
+def test_check_levy_convergence_pi_grid_is_at_v_0():
+    res = check_levy_convergence(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
+                                 (10, 100), (1.0,), (0.5, 2.0), SeedStream(11), 100)
+    assert [rep.grid for rep in res.pi_reports] == [[[0.5, 0.0], [2.0, 0.0]]] * 2
+
+
 def test_check_levy_convergence_slowly_varying_documents_escape(tmp_path):
     x = make_weight_law("uniform01")
     y = make_slowly_varying_multiplier()
-    res = check_levy_convergence(x, y, None, n_list=(100, 10_000),
-                                 v_grid=(0.25, 1.0, 4.0))
+    res = check_levy_convergence(x, y, n_list=(100, 10_000), v_grid=(0.25, 1.0, 4.0),
+                                 u_grid=(1.0,), stream=SeedStream(11), draws=100)
     assert res.verdict
     assert "non-Feller" in res.note
     _write_json(tmp_path / "conv.json", asdict(res))
@@ -458,8 +507,9 @@ def test_check_levy_convergence_slowly_varying_documents_escape(tmp_path):
 def test_check_levy_convergence_rejects_bad_n(n_list):
     with pytest.raises(ParameterError):
         check_levy_convergence(make_weight_law("uniform01"),
-                               make_slowly_varying_multiplier(), None,
-                               n_list=n_list, v_grid=(0.25, 1.0))
+                               make_slowly_varying_multiplier(),
+                               n_list=n_list, v_grid=(0.25, 1.0), u_grid=(1.0,),
+                               stream=SeedStream(11), draws=100)
 
 
 def test_convergence_report_roundtrip(tmp_path):
