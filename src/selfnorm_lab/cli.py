@@ -32,6 +32,7 @@ from . import montecarlo as mc
 from . import scenarios
 from .distributions import (
     ParameterError,
+    QuadratureError,
     SeedStream,
     make_multiplier_law,
     make_weight_law,
@@ -230,9 +231,13 @@ def run_limit(cfg: dict, record: dict) -> int:
     if hi <= lo:
         raise ParameterError(f"grid.hi must exceed grid.lo, got {hi!r} <= {lo!r}")
     grid = np.linspace(lo, hi, points)
-    cdf_vals = ll.breiman_cdf_grid(lim, grid)
     tails = np.full_like(grid, math.nan)
-    tails[grid > 0.0] = ll.breiman_tail(lim, grid[grid > 0.0])
+    try:
+        cdf_vals = ll.breiman_cdf_grid(lim, grid)
+        tails[grid > 0.0] = ll.breiman_tail(lim, grid[grid > 0.0])
+    except QuadratureError as exc:  # a far grid point overflows the rule's nodes
+        raise ParameterError(f"grid.lo = {lo!r} .. grid.hi = {hi!r} reaches past the range "
+                             f"of the limit evaluators: {exc}") from exc
     out = _outdir(cfg)
     scenarios._write_sample_csv(out / "limit_table.csv", ["x", "breiman_cdf", "breiman_tail"],
                                 [grid, cdf_vals, tails],

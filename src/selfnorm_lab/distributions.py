@@ -606,6 +606,8 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
 
     The norming sequence is the upper 1/n quantile, a_n = n**(1/beta), which
     makes n * P{Y > a_n v} = v^-beta exactly whenever a_n v >= 1.
+    ``tail_sampler`` returns inf, without a warning, for a draw past the
+    largest double: a Y beyond every finite bound.
     """
     if not 0.0 < beta < 2.0:
         raise ParameterError("pareto beta must lie in (0, 2)")
@@ -624,7 +626,8 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
 
     def tail_sampler(source, count, y0):
         lo = max(1.0, y0)
-        return lo * _open_uniform(source, count) ** (-1.0 / b)
+        with np.errstate(over="ignore"):  # inf past a double, as Y lies beyond it
+            return lo * _open_uniform(source, count) ** (-1.0 / b)
 
     def norming(n):
         try:

@@ -28,11 +28,12 @@ class _Side:
     (lo, hi, level) in order between -inf, the finite break points of Z and
     +inf: ``level`` is None for a piece holding mass of Z, and P{Z > u} on a
     piece without mass; pieces without mass at level 0 are left out.
-    ``near_w`` are the near fold's weights b t^(-b-1) dt."""
+    ``weights`` are an infinite piece's node weights in the order of its
+    node buffer: the head's, the near fold's b t^(-b-1) dt, the far fold's."""
 
     tail: Callable[[np.ndarray], np.ndarray]
     pieces: tuple
-    near_w: np.ndarray
+    weights: np.ndarray
 
 
 def _make_plan(law: WeightLaw, b: float) -> Optional[tuple]:
@@ -46,7 +47,7 @@ def _make_plan(law: WeightLaw, b: float) -> Optional[tuple]:
     atoms = dict(law.atoms)  # no mass in (lo, hi): F(lo) equals the left limit F(hi-)
     empty = [float(law.cdf(lo)) == law.cdf(hi) - atoms.get(hi, 0.0)
              for lo, hi in zip(edges[:-1], edges[1:])]
-    near_w = b * _NEAR_W * _NEAR_T ** (-b - 1.0)
+    weights = np.concatenate([_HEAD_W, b * _NEAR_W * _NEAR_T ** (-b - 1.0), _FAR_W])
     cdf = law.cdf
     sides = []
     # I- of X is I+ of -X at -x
@@ -61,7 +62,7 @@ def _make_plan(law: WeightLaw, b: float) -> Optional[tuple]:
             level = float(tail(inside))
             if level > 0.0:  # only a finite piece can hold a non-zero level
                 pieces.append((lo, hi, level))
-        sides.append(_Side(tail, tuple(pieces), near_w))
+        sides.append(_Side(tail, tuple(pieces), weights))
     return tuple(sides)
 
 
@@ -106,13 +107,17 @@ class BreimanLimit:
 # exact for power-law tails.  An infinite piece calls the tail once, on the
 # nodes of its head and both folds together.
 #
-# Grid points per pass: a piece's largest temporary, 288 nodes per point,
-# takes 144 KiB.  Above about 200 KiB each temporary came back from glibc's
-# malloc as fresh pages (80 page faults per 224 KiB array, 1 at 192 KiB),
-# which made every elementwise pass over it about 4x slower.
+# Grid points per pass: an infinite piece writes its 288 nodes per point
+# into one buffer, 64 x 288 doubles = 144 KiB, and then its weighted tail
+# values over them; the largest other temporary, a finite piece's 160 nodes
+# per point, is smaller.  Above about 200 KiB each temporary came back from
+# glibc's malloc as fresh pages (80 page faults per 224 KiB array, 1 at
+# 192 KiB), which made every elementwise pass over it about 4x slower.
 _CHUNK = 64
 _HEAD_END = _HEAD_T.size
 _NEAR_END = _HEAD_END + _NEAR_T.size
+_NODES = _NEAR_END + _FAR_T.size
+_DOUBLE = np.finfo(float)
 
 
 def _rule(tail, x, w_lo, w_hi, b):
@@ -123,40 +128,60 @@ def _rule(tail, x, w_lo, w_hi, b):
     return (tail(u) * _PIECE_W).sum(axis=1) * span
 
 
-def _infinite_piece(side, x, s0, b):
+def _infinite_piece(side, x, s0, b, strict):
     """Integral of b s^(b-1) tail(x + s) over s > s0: the head up to c and
-    the folded tail beyond (see the grid rule)."""
+    the folded tail beyond (see the grid rule).  The far fold's largest
+    node, about c 8^(2 + 10/b), overflows a double for large |x| or small b.
+    Its nodes past a double read tail(inf) = 0 and drop the mass there,
+    which is at most tail(largest double) times their w-length.  With
+    ``strict``, a point where that bound exceeds the rounding of the value
+    raises QuadratureError."""
     c = 2.0 * np.maximum(np.maximum(s0, np.abs(x)), 1.0)
+    c_b = c ** b
     w_lo = s0 ** b
-    span = c ** b - w_lo
+    span = c_b - w_lo
     c1_b = (c * _RATIO ** -_NEAR_LEVELS) ** b
-    v = side.tail(np.concatenate([
-        x[:, None] + (w_lo[:, None] + span[:, None] * _HEAD_T) ** (1.0 / b),
-        x[:, None] + c[:, None] / _NEAR_T,
-        x[:, None] + (c1_b[:, None] * _FAR_T) ** (1.0 / b)], axis=1))
-    head = (v[:, :_HEAD_END] * _HEAD_W).sum(axis=1) * span
-    near = (v[:, _HEAD_END:_NEAR_END] * side.near_w).sum(axis=1) * c ** b
+    nodes = np.empty((x.size, _NODES))
+    head_u, near_u, far_u = (nodes[:, :_HEAD_END], nodes[:, _HEAD_END:_NEAR_END],
+                             nodes[:, _NEAR_END:])
+    np.add(w_lo[:, None], np.multiply(span[:, None], _HEAD_T, out=head_u), out=head_u)
+    np.power(head_u, 1.0 / b, out=head_u)
+    np.divide(c[:, None], _NEAR_T, out=near_u)
+    np.power(np.multiply(c1_b[:, None], _FAR_T, out=far_u), 1.0 / b, out=far_u)
+    nodes += x[:, None]
+    over = np.isinf(far_u[:, 0]) if strict else None  # the far fold's largest node
+    v = np.multiply(side.tail(nodes), side.weights, out=nodes)
+    head = v[:, :_HEAD_END].sum(axis=1) * span
+    near = v[:, _HEAD_END:_NEAR_END].sum(axis=1) * c_b
     # one sum per level; level 0 lies next to t = 0
-    levels = (v[:, _NEAR_END:] * _FAR_W).reshape(len(x), _FAR_LEVELS, -1).sum(axis=2)
+    levels = v[:, _NEAR_END:].reshape(x.size, _FAR_LEVELS, -1).sum(axis=2)
     last, prev = levels[:, 0], levels[:, 1]
     q = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0.0)
     if np.any((q >= 1.0) & (last > 0.0)):
         raise QuadratureError("tail of the weight law is not resolved by the folded grid")
     far = levels.sum(axis=1) + np.where(q < 1.0, last * q / (1.0 - q), 0.0)
-    return head + (near + far * c1_b)
+    value = head + (near + far * c1_b)
+    if strict and over.any():
+        dropped = float(side.tail(np.array([_DOUBLE.max]))[0]) * _FAR_W.sum() * c1_b
+        lost = over & (dropped > _DOUBLE.eps * value)
+        if lost.any():
+            raise QuadratureError(f"the folded grid overflows a double at x = "
+                                  f"{float(x[lost][0])!r}, dropping tail mass beyond it")
+    return value
 
 
-def _upper_moment(side: _Side, x: np.ndarray, b: float) -> np.ndarray:
-    """E[(Z-x)^b; Z>x] for every x, by the plan of Z's side."""
+def _upper_moment(side: _Side, x: np.ndarray, b: float, strict: bool) -> np.ndarray:
+    """E[(Z-x)^b; Z>x] for every x of a non-empty chunk, by the plan of Z's
+    side."""
     out = np.zeros_like(x)
+    x_min, x_max = float(x.min()), float(x.max())
     for lo, hi, level in side.pieces:
-        below = x < hi
-        if below.all():  # no copy when the piece covers every point
+        if x_min >= hi:  # the piece lies below every point
+            continue
+        if x_max < hi:  # no copy when the piece covers every point
             sel, xs = slice(None), x
         else:
-            sel = np.nonzero(below)[0]
-            if sel.size == 0:
-                continue
+            sel = np.nonzero(x < hi)[0]
             xs = x[sel]
         s0 = np.maximum(lo, xs) - xs  # distance to the piece
         if level is not None:
@@ -164,30 +189,38 @@ def _upper_moment(side: _Side, x: np.ndarray, b: float) -> np.ndarray:
         elif hi < math.inf:
             out[sel] += _rule(side.tail, xs, s0 ** b, (hi - xs) ** b, b)
         else:
-            out[sel] += _infinite_piece(side, xs, s0, b)
+            out[sel] += _infinite_piece(side, xs, s0, b, strict)
     return out
 
 
-def _fractional_moment(lim: BreimanLimit, x: np.ndarray, side: int) -> np.ndarray:
+def _fractional_moment(lim: BreimanLimit, x: np.ndarray, side: int,
+                       strict: bool = False) -> np.ndarray:
     """I+ = E[(X-x)^b; X>x] (side +1) or I- = E[(x-X)^b; X<x] (side -1)
-    over the 1-d array x."""
+    over the 1-d array x, ``_CHUNK`` points at a time.  ``strict`` is that
+    of :func:`_infinite_piece`.  Overflow does not warn: a far fold past a
+    double drops its mass as :func:`_infinite_piece` describes, and further
+    out the moment is not finite."""
     b = lim.beta
     if lim._plan is None:
         return sum(m * np.maximum(side * (loc - x), 0.0) ** b for loc, m in lim.weight.atoms)
     plan = lim._plan[0 if side > 0 else 1]
     if side < 0:
         x = -x
-    out = np.empty_like(x)
-    for i in range(0, x.size, _CHUNK):
-        out[i:i + _CHUNK] = _upper_moment(plan, x[i:i + _CHUNK], b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 0 < x.size <= _CHUNK:
+            return _upper_moment(plan, x, b, strict)
+        out = np.empty_like(x)
+        for i in range(0, x.size, _CHUNK):
+            out[i:i + _CHUNK] = _upper_moment(plan, x[i:i + _CHUNK], b, strict)
     return out
 
 
-def _check_finite(x: np.ndarray, *moments: np.ndarray) -> None:
+def _check_finite(x: np.ndarray, moment: np.ndarray) -> None:
     """Raise QuadratureError at the first point of x where a fractional
-    moment is not finite (the rule overflows for |x| beyond about 1e306)."""
-    bad = ~np.all(np.isfinite(moments), axis=0)
-    if np.any(bad):
+    moment is not finite (the rule's moments on an unbounded piece stop
+    being finite for |x| beyond about 1.4e306)."""
+    if not np.isfinite(moment).all():
+        bad = ~np.isfinite(moment)
         raise QuadratureError(f"fractional moment is not finite at x = {x[bad][0]!r}")
 
 
@@ -212,8 +245,8 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     b, flat = lim.beta, x.ravel()
     up = _fractional_moment(lim, flat, 1)
     down = _fractional_moment(lim, flat, -1)
-    _check_finite(flat, up, down)
     i_a, i_s = up + down, down - up
+    _check_finite(flat, i_a)
     ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
     cdf = 0.5 + np.arctan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
     return np.where(i_a > 0.0, cdf, 0.5).reshape(x.shape)
@@ -258,12 +291,29 @@ def quantile_grid(values: np.ndarray, points: int) -> np.ndarray:
     heavy-tailed samples those stragglers would stretch the table by orders
     of magnitude while moving the CDF by less than ``_TRIM``.  The grid
     extends ``_PAD`` beyond the outermost kept quantiles.  ``points`` is
-    the number of quantiles, at least 1.
+    the number of quantiles, at least 1; ``values`` must be a non-empty
+    sample of finite numbers.
+
+    The quantiles are numpy's default (linear) ones, bit for bit, from one
+    sort: quantile q of the sorted sample s of size n sits at index
+    h = (n - 1) q; with i = floor(h), g = h - i and d = s[i+1] - s[i] it is
+    s[i] + d g, or s[i+1] - d (1 - g) where g >= 1/2.
     """
     if as_int(points, "points") < 1:
         raise ParameterError("points must be at least 1")
-    qs = np.quantile(np.asarray(values, dtype=float),
-                     np.linspace(_TRIM, 1.0 - _TRIM, points))
+    s = np.sort(np.asarray(values, dtype=float), axis=None)
+    if s.size == 0 or not (math.isfinite(s[0]) and math.isfinite(s[-1])):  # NaN sorts last
+        raise ParameterError("values must be a non-empty sample of finite numbers")
+    h = (s.size - 1) * np.linspace(_TRIM, 1.0 - _TRIM, points)
+    # h < n - 1, so i + 1 is an index; for n = 1, i = -1 and g = 1, which is
+    # numpy's rule at the last index
+    i = np.minimum(np.floor(h), s.size - 2)
+    g = h - i
+    i = i.astype(np.intp)
+    lo, hi = s[i], s[i + 1]
+    d = hi - lo
+    qs = lo + d * g
+    np.subtract(hi, d * (1.0 - g), out=qs, where=g >= 0.5)
     return np.unique(np.concatenate([[qs[0] - _PAD], qs, [qs[-1] + _PAD]]))
 
 
@@ -278,13 +328,16 @@ def breiman_tail(lim: BreimanLimit, x):
     The expectation is ``x^-b I+(x)`` with ``I+`` from the grid rule of
     :func:`breiman_cdf_grid` (exact sums for a law with atoms only).  ``x``
     is a float or an array of positive finite points; an array gives an
-    array of the same shape.
+    array of the same shape.  On a law with an unbounded upper tail the
+    rule's far fold passes a double beyond some x (about 1.3e288 at
+    b = 1/2 for a power-law tail); a point where the mass it would drop
+    can exceed the value's rounding raises QuadratureError naming it.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs) & (xs > 0.0)):
         raise ParameterError("x must be positive and finite")
     b, flat = lim.beta, xs.ravel()
-    up = _fractional_moment(lim, flat, 1)
+    up = _fractional_moment(lim, flat, 1, strict=True)
     _check_finite(flat, up)
     tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up.reshape(xs.shape)
     return float(tail) if tail.ndim == 0 else tail

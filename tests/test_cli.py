@@ -283,6 +283,32 @@ def test_levy_overflowing_norming_exits_3(tmp_path, capsys):
     assert not out.exists()  # input is checked before --out is created
 
 
+def test_levy_tail_draws_past_a_double_do_not_warn(tmp_path, capsys):
+    # at n = 100 a_n = 1e200 is finite and the Pareto tail sampler's draws
+    # pass a double; they are inf without a RuntimeWarning (an error under
+    # this suite's settings), and the n = 1e4 row still exits 3
+    cfg = write_cfg(tmp_path, **{"y_law.beta": "0.01", "levy.n_list": "100,10000",
+                                 "levy.draws": "1000"})
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "norming overflows" in capsys.readouterr().err
+
+
+def test_limit_grid_past_evaluator_range_exits_3(tmp_path, capsys):
+    # breiman_tail's far fold drops tail mass past about 1.3e288 at beta = 1/2
+    cfg = write_cfg(tmp_path, **{"x_law.kind": "symmetric_pareto", "x_law.gamma": "0.8",
+                                 "grid.lo": "1e299", "grid.hi": "1e300", "grid.points": "3"})
+    out = tmp_path / "out"
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "grid.hi" in err and "grid.lo" in err and repr(1e299) in err
+    assert not out.exists()
+    # within the range the same command writes its table
+    cfg = write_cfg(tmp_path, **{"x_law.kind": "symmetric_pareto", "x_law.gamma": "0.8",
+                                 "grid.lo": "-1e280", "grid.hi": "1e280", "grid.points": "3"})
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_levy_non_integer_n_list_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **{"levy.n_list": "10.5,100"})
     rc = main(["levy", "--config", str(cfg), "--out", str(tmp_path / "o")])

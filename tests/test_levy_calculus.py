@@ -270,6 +270,18 @@ def test_prelimit_pi_reads_far_weight_tail_through_sf(u):
     assert est == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_prelimit_pi_with_tail_draws_past_a_double():
+    # beta = 0.01 at n = 100: a_n = 1e200, and y0 U^-100 passes a double for
+    # U below about 0.08.  Those draws are inf without a warning, a Y beyond
+    # every bound (a_n u / inf = 0), and the estimate keeps its exact value
+    # u^-beta E[X^beta] = u^-beta / (1 + beta) for X uniform on (0, 1)
+    x, y, u = make_weight_law("uniform01"), make_pareto_multiplier(0.01), 2.0
+    assert np.isinf(y.tail_sampler(SeedStream(8), 10_000, y.norming(100) * u)).any()
+    est, se = prelimit_pi_n(x, y, 100, u, 0.0, SeedStream(8), draws=10_000)
+    assert se > 0.0
+    assert abs(est - u ** -0.01 / 1.01) <= 4.89 * se
+
+
 # ---------------------------------------------------------------------------
 # Truncated first moment of the jump part
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
@@ -262,7 +263,6 @@ def test_replaced_limit_builds_its_own_plan():
     assert np.array_equal(breiman_cdf_grid(back, EDGE_GRID), want)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_validation(lim_u01):
     with pytest.raises(ParameterError):
         breiman_cdf_grid(lim_u01, [0.1, math.nan])
@@ -272,7 +272,8 @@ def test_grid_validation(lim_u01):
         with pytest.raises(ParameterError):
             breiman_cdf(lim_u01, bad)
     assert breiman_cdf_grid(lim_u01, np.array([[0.2, 0.5], [0.7, 2.0]])).shape == (2, 2)
-    # far tail: the rule overflows beyond about 1e306 on an unbounded piece
+    # far tail: the rule's moments stop being finite beyond about 1e306 on an
+    # unbounded piece, without a warning (pytest turns RuntimeWarnings into errors)
     for kind in ("symmetric_pareto", "standard_gaussian", "abs_pareto"):
         lim = BreimanLimit(0.5, make_weight_law(kind, gamma=0.8))
         assert breiman_cdf(lim, 1e306) == 1.0
@@ -284,6 +285,66 @@ def test_grid_validation(lim_u01):
         with pytest.raises(QuadratureError, match=re.escape(repr(1e307))):
             breiman_tail(lim, 1e307)
     assert breiman_cdf_grid(lim_u01, [1e306, 2e306, 1e307, -1e307]).tolist() == [1.0, 1.0, 1.0, 0.0]
+
+
+def test_breiman_tail_raises_where_far_fold_drops_mass():
+    # at b = 1/2 the far fold's largest node, about 2x 8^22, passes a double
+    # near x = 1.3e288; the nodes past it read tail(inf) = 0, which drops
+    # 0.23% of the tail at 1e300 and 16% at 1e306.  The CDF keeps its values.
+    lim = BreimanLimit(0.5, make_weight_law("symmetric_pareto", gamma=0.8))
+    exact = lambda x: _tail_pref(0.5) * 0.5 * beta_fn(0.5, 0.3) * x ** -0.8
+    assert breiman_tail(lim, 1e288) == pytest.approx(exact(1e288), rel=1e-10)
+    for far in (1e300, 1e306):
+        with pytest.raises(QuadratureError, match=re.escape(repr(far))):
+            breiman_tail(lim, far)
+        with pytest.raises(QuadratureError, match=re.escape(repr(far))):
+            breiman_tail(lim, [2.0, far])
+        assert breiman_cdf(lim, far) == 1.0 and breiman_cdf(lim, -far) == 0.0
+    # nothing to drop: a tail that is 0 past a double, and a small b whose
+    # fold passes a double at every x while the mass there is below rounding
+    assert breiman_tail(BreimanLimit(0.5, make_weight_law("standard_gaussian")), 1e300) == 0.0
+    small = BreimanLimit(0.1, make_weight_law("symmetric_pareto", gamma=0.8))
+    want = _tail_pref(0.1) * 0.1 * beta_fn(0.1, 0.7) * 1e10 ** -0.8
+    assert breiman_tail(small, 1e10) == pytest.approx(want, rel=1e-10)
+    assert breiman_tail(BreimanLimit(0.02, lim.weight), 2.0) > 0.0
+
+
+BIT_LAWS = [("uniform01", {}), ("standard_gaussian", {}), ("symmetric_pareto", {"gamma": 1.2}),
+            ("abs_pareto", {"gamma": 1.2}), ("bernoulli", {"p": 0.3, "x0": -1.0, "x1": 2.0})]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=st.sampled_from(BIT_LAWS),
+       b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       size=st.sampled_from([1, 64, 65, 200]), data=st.data())
+@example(law=BIT_LAWS[2], b=0.5, size=200, data=None)
+@example(law=BIT_LAWS[4], b=0.3, size=65, data=None)
+def test_scalar_calls_equal_vector_entries_bit_for_bit(law, b, size, data):
+    # one code path for every input size: a point alone gives the bits it
+    # gets in a vector call of 1, 64 (one chunk), 65 or 200 points, whose
+    # points straddle every piece edge of the law
+    kind, kwargs = law
+    weight = make_weight_law(kind, **kwargs)
+    lim = BreimanLimit(b, weight)
+    knots = {*(loc for loc, _ in weight.atoms), *weight.pdf_breaks, *weight.support}
+    edges = [float(t) for k in knots if math.isfinite(k)
+             for t in (np.nextafter(k, -math.inf), k, np.nextafter(k, math.inf))]
+    if data is None:
+        pts = edges + list(np.linspace(-50.0, 50.0, size))
+    else:
+        spread = st.floats(-1e6, 1e6) | st.floats(-3.0, 3.0)
+        pts = data.draw(st.permutations(edges + data.draw(
+            st.lists(spread, min_size=size, max_size=size), label="points")), label="order")
+    xs = np.array(pts[:size])
+    cdf = breiman_cdf_grid(lim, xs)
+    assert np.array_equal(_bits([breiman_cdf(lim, t) for t in xs]), _bits(cdf))
+    pos = xs[xs > 0.0]
+    tails = breiman_tail(lim, pos)
+    assert np.array_equal(_bits([breiman_tail(lim, float(t)) for t in pos]), _bits(tails))
 
 
 def test_symmetric_weight_reflection():
@@ -357,6 +418,41 @@ def test_quantile_grid_rejects_bad_points(points):
     with pytest.raises(ParameterError):
         quantile_grid(np.linspace(0.0, 1.0, 11), points)
     assert len(quantile_grid(np.linspace(0.0, 1.0, 11), 1)) == 3  # one quantile, padded
+
+
+@pytest.mark.parametrize("values", [[], np.empty((0, 3)), [0.5, math.nan], [0.5, math.inf],
+                                    [-math.inf, 0.5, 1.0]])
+def test_quantile_grid_rejects_bad_samples(values):
+    # unchecked, np.quantile raises IndexError on an empty sample and gives
+    # NaN or inf grid points for the others
+    with pytest.raises(ParameterError, match="finite"):
+        quantile_grid(values, 5)
+
+
+def _np_quantile_grid(values, points):
+    """The grid from np.quantile, the oracle for quantile_grid's one sort."""
+    from selfnorm_lab.limit_laws import _PAD, _TRIM
+    qs = np.quantile(np.asarray(values, dtype=float), np.linspace(_TRIM, 1.0 - _TRIM, points))
+    return np.unique(np.concatenate([[qs[0] - _PAD], qs, [qs[-1] + _PAD]]))
+
+
+# |values| <= 1e300: a sample spanning more than a double overflows the
+# interpolation's difference, in np.quantile as in quantile_grid
+_SAMPLE = st.lists(st.floats(-1e300, 1e300) | st.sampled_from([-1.0, 0.0, 0.25, 3.0]),
+                   min_size=1, max_size=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_SAMPLE, points=st.integers(1, 500))
+@example(values=[2.5], points=1)
+@example(values=[-0.0], points=4)
+@example(values=[1.0, 1.0, 1.0], points=1)
+@example(values=list(np.random.default_rng(3).standard_cauchy(20000)), points=3001)
+def test_quantile_grid_equals_numpy_quantile(values, points):
+    got, want = quantile_grid(values, points), _np_quantile_grid(values, points)
+    # bit for bit; + 0.0 maps -0.0 to 0.0, since among tied zeros
+    # np.quantile's partial sort leaves the sign of a zero to chance
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_breiman_tail_validation(lim_u01):
