@@ -34,6 +34,7 @@ from .distributions import (
     ParameterError,
     QuadratureError,
     SeedStream,
+    as_int,
     make_multiplier_law,
     make_weight_law,
 )
@@ -82,13 +83,7 @@ def _config_int(key: str, text: str) -> int:
 
 def _config_count(least: int):
     """Parser of an integer config value of at least ``least``."""
-    def parse(key: str, text: str) -> int:
-        value = _config_int(key, text)
-        if value < least:
-            raise ParameterError(f"config field {key!r} must be at least {least}, got {text!r}")
-        return value
-
-    return parse
+    return lambda key, text: as_int(_config_int(key, text), f"config field {key!r}", least)
 
 
 def _config_float(key: str, text: str) -> float:
@@ -175,9 +170,7 @@ def _load_config(args) -> tuple:
     if threads is None:
         source = "SELFNORM_LAB_THREADS"
         threads = _config_int(source, os.environ.get(source) or "1")
-    if threads < 1:
-        raise ParameterError(f"{source} must be at least 1, got {threads}")
-    cfg["threads"] = threads
+    cfg["threads"] = as_int(threads, source, 1)
     return cfg, record
 
 
@@ -214,8 +207,8 @@ def _meta(record: dict, command: str, extra: dict) -> dict:
 def run_simulate(cfg: dict, record: dict) -> int:
     x, y = _laws(cfg)
     sim = mc.SimConfig(n=cfg["n"], reps=cfg["reps"], seed=cfg["seed"], threads=cfg["threads"])
-    out = _outdir(cfg)
     sample = mc.simulate_tn(x, y, sim)
+    out = _outdir(cfg)  # only once the sample is drawn
     scenarios._write_sample_csv(out / "tn_sample.csv", ["tn"], [sample.values],
                                 meta=_meta(record, "simulate", {"law_meta": sample.law_meta}))
     return 0

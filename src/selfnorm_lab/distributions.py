@@ -32,12 +32,26 @@ class ParameterError(ValueError):
     """A law or operation parameter is outside its admissible range."""
 
 
-def as_int(value, name: str) -> int:
-    """``value`` as an int; numpy integers pass, floats (even 10.0) raise."""
+def as_int(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int of at least ``least`` (when given); numpy
+    integers pass, floats (even 10.0) raise ParameterError naming ``name``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ParameterError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def stable_index(beta) -> float:
+    """``beta`` as a float stable index in (0, 1), or ParameterError.  The
+    floor is the smallest normal double: at a subnormal beta the limit CDF's
+    arctan(ratio tan(pi b / 2)) / (pi b) is rounded to values outside [0, 1]."""
+    if not np.finfo(float).tiny <= beta < 1.0:
+        raise ParameterError(f"stable index beta must be a normal double in (0, 1), "
+                             f"got {beta!r}")
+    return float(beta)
 
 
 class QuadratureError(RuntimeError):
@@ -286,6 +300,15 @@ class MultiplierLaw:
     log_norming: Optional[Callable[[int], float]] = None
     survival_logarg: Optional[Callable[[float], float]] = None
     log_sampler: Optional[Callable[..., np.ndarray]] = None
+
+
+def finite_norming(y: MultiplierLaw, n: int) -> float:
+    """a_n of ``y`` at n; raises ParameterError unless 0 < a_n < inf."""
+    a_n = y.norming(n)
+    if not 0.0 < a_n < math.inf:
+        raise ParameterError(f"{y.label} norming overflows a double or is not positive "
+                             f"at n={n}: a_n = {a_n!r}")
+    return a_n
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from .distributions import (
     WeightLaw,
     as_int,
     expect_weight,
+    finite_norming,
+    stable_index,
     vec_eval,
 )
 
@@ -62,9 +64,7 @@ def stable_levy_tail(beta: float) -> LevyTail:
     This is the measure of the positive stable limit of Pareto(beta) sums
     under quantile norming.
     """
-    if not 0.0 < beta < 1.0:
-        raise ParameterError("stable index beta must lie in (0, 1)")
-    b = float(beta)
+    b = stable_index(beta)
     return LevyTail(
         label=f"stable(beta={b:g})",
         tail=lambda v: v ** (-b),
@@ -139,27 +139,10 @@ def lambda_bar(levy: LevyTail, v: float) -> float:
     return float(levy.tail(v))
 
 
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an int of at least ``least``; anything else raises
-    ParameterError naming ``name``."""
-    value = as_int(value, name)
-    if value < least:
-        raise ParameterError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 def _check_level(h: float) -> None:
     """Raise ParameterError unless the truncation level h is positive and finite."""
     if not 0.0 < h < math.inf:
         raise ParameterError("h must be positive and finite")
-
-
-def _norming(y: MultiplierLaw, n: int) -> float:
-    """a_n of ``y`` at n; raises ParameterError where it overflows a double."""
-    a_n = y.norming(n)
-    if not math.isfinite(a_n):
-        raise ParameterError("norming overflows a double at this n")
-    return a_n
 
 
 def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
@@ -168,7 +151,7 @@ def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     Evaluated in log space when the law provides the hooks, so it stays
     finite even when a_n itself overflows (slowly varying law, large n).
     """
-    n = _count(n, "n", 1)
+    n = as_int(n, "n", 1)
     if not v > 0.0:
         raise ParameterError("v must be positive")
     if y.survival_logarg is not None and y.log_norming is not None:
@@ -215,14 +198,14 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     sampling restricts to the sub-event where the integrand can be non-zero,
     which removes the rare-event variance entirely.
     """
-    n, draws = _count(n, "n", 1), _count(draws, "draws", 2)
+    n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
     if not math.isfinite(u):
         raise ParameterError("u must be finite")
     if u == 0.0 and v == 0.0:
         raise ParameterError("(u, v) must differ from (0, 0)")
     if not v >= 0.0:
         raise ParameterError("v must be non-negative")
-    a_n = _norming(y, n)
+    a_n = finite_norming(y, n)
     if u == 0.0:
         return prelimit_lambda_n(y, n, v) * x.sf(0.0), 0.0
 
@@ -265,8 +248,8 @@ def prelimit_alpha_h(y: MultiplierLaw, n: int, h: float) -> float:
     """(n / a_n) E[Y 1{Y <= a_n h}], the row counterpart of :func:`alpha_h`,
     computed from the law's truncated mean."""
     _check_level(h)
-    n = _count(n, "n", 1)
-    a_n = _norming(y, n)
+    n = as_int(n, "n", 1)
+    a_n = finite_norming(y, n)
     return n * y.trunc_mean(a_n * h) / a_n
 
 
@@ -306,9 +289,7 @@ def second_moment_smallh_scan(view: BivariateLevyView, k_max: int = 10) -> dict:
     Documents the vanishing-variance property of the limit: all three
     integrals must decay to zero as h shrinks.
     """
-    k_max = as_int(k_max, "k_max")
-    if k_max < 0:
-        raise ParameterError("k_max must be at least 0")
+    k_max = as_int(k_max, "k_max", 0)
     return {2.0 ** (-k): truncated_second_moments(view, 2.0 ** (-k))
             for k in range(k_max + 1)}
 
@@ -329,8 +310,8 @@ def _prelimit_half_disk(x: WeightLaw, y: MultiplierLaw, n: int, h: float,
     simulated.  Returns one (value, se) pair per j.
     """
     _check_level(h)
-    n, draws = _count(n, "n", 1), _count(draws, "draws", 2)
-    a_n = _norming(y, n)
+    n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
+    a_n = finite_norming(y, n)
     xs = x.sampler(stream, draws)
     cap = a_n * h / np.sqrt(1.0 + xs * xs)
     if k == 1:
@@ -396,8 +377,8 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int]
     interval masses of the row measure are then compared against zero and
     the report documents the escaping mass.
     """
-    n_list = [_count(n, "n_list entry", 1) for n in n_list]
-    draws = _count(draws, "draws", 2)
+    n_list = [as_int(n, "n_list entry", 1) for n in n_list]
+    draws = as_int(draws, "draws", 2)
     if not n_list or not len(v_grid):
         raise ParameterError("n_list and v_grid must not be empty")
     view = limit_view(x, y)

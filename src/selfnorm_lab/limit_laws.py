@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributions import (_FAR_LEVELS, _FAR_T, _FAR_W, _HEAD_T, _HEAD_W, _NEAR_LEVELS,
                             _NEAR_T, _NEAR_W, _PIECE_T, _PIECE_W, _RATIO, ParameterError,
-                            QuadratureError, WeightLaw, as_int)
+                            QuadratureError, WeightLaw, as_int, stable_index)
 
 # BreimanLimit checks the weight law's absolute moment at this order above beta.
 _MOMENT_MARGIN = 0.05
@@ -81,9 +81,7 @@ class BreimanLimit:
     _plan: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError("beta must lie in (0, 1)")
-        b = self.beta + _MOMENT_MARGIN
+        b = stable_index(self.beta) + _MOMENT_MARGIN
         if not math.isfinite(self.weight.abs_moment(b)):
             raise ParameterError(
                 f"weight law needs a finite absolute moment of order {b:g}")
@@ -215,13 +213,13 @@ def _fractional_moment(lim: BreimanLimit, x: np.ndarray, side: int,
     return out
 
 
-def _check_finite(x: np.ndarray, moment: np.ndarray) -> None:
-    """Raise QuadratureError at the first point of x where a fractional
-    moment is not finite (the rule's moments on an unbounded piece stop
-    being finite for |x| beyond about 1.4e306)."""
-    if not np.isfinite(moment).all():
-        bad = ~np.isfinite(moment)
-        raise QuadratureError(f"fractional moment is not finite at x = {x[bad][0]!r}")
+def _check_finite(x: np.ndarray, values: np.ndarray, what: str) -> None:
+    """Raise QuadratureError at the first point of x where ``values`` is not
+    finite (the rule's moments on an unbounded piece stop being finite for
+    |x| beyond about 1.4e306)."""
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values)
+        raise QuadratureError(f"{what} is not finite at x = {float(x[bad][0])!r}")
 
 
 def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
@@ -246,7 +244,7 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     up = _fractional_moment(lim, flat, 1)
     down = _fractional_moment(lim, flat, -1)
     i_a, i_s = up + down, down - up
-    _check_finite(flat, i_a)
+    _check_finite(flat, i_a, "fractional moment")
     ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
     cdf = 0.5 + np.arctan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
     return np.where(i_a > 0.0, cdf, 0.5).reshape(x.shape)
@@ -299,8 +297,7 @@ def quantile_grid(values: np.ndarray, points: int) -> np.ndarray:
     h = (n - 1) q; with i = floor(h), g = h - i and d = s[i+1] - s[i] it is
     s[i] + d g, or s[i+1] - d (1 - g) where g >= 1/2.
     """
-    if as_int(points, "points") < 1:
-        raise ParameterError("points must be at least 1")
+    as_int(points, "points", 1)
     s = np.sort(np.asarray(values, dtype=float), axis=None)
     if s.size == 0 or not (math.isfinite(s[0]) and math.isfinite(s[-1])):  # NaN sorts last
         raise ParameterError("values must be a non-empty sample of finite numbers")
@@ -331,15 +328,18 @@ def breiman_tail(lim: BreimanLimit, x):
     array of the same shape.  On a law with an unbounded upper tail the
     rule's far fold passes a double beyond some x (about 1.3e288 at
     b = 1/2 for a power-law tail); a point where the mass it would drop
-    can exceed the value's rounding raises QuadratureError naming it.
+    can exceed the value's rounding raises QuadratureError naming it.  So
+    does a point whose tail is not finite: beyond about 1.4e306, or so close
+    to 0 that the tail overflows a double (x = 5e-324 once b > 0.953).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs) & (xs > 0.0)):
         raise ParameterError("x must be positive and finite")
     b, flat = lim.beta, xs.ravel()
     up = _fractional_moment(lim, flat, 1, strict=True)
-    _check_finite(flat, up)
-    tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up.reshape(xs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # x^-b overflows near x = 0
+        tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up.reshape(xs.shape)
+    _check_finite(flat, tail.ravel(), "tail")
     return float(tail) if tail.ndim == 0 else tail
 
 
@@ -349,8 +349,7 @@ def regvar_tail_constant(beta: float, alpha_rv: float) -> float:
     2 beta * integral over (1, inf) of y^-alpha (y-1)^(beta-1) dy * prefactor,
     where the integral is the Beta function B(beta, alpha_rv - beta).
     """
-    if not 0.0 < beta < 1.0:
-        raise ParameterError("beta must lie in (0, 1)")
+    stable_index(beta)
     if not alpha_rv > beta:
         raise ParameterError("alpha_rv must exceed beta")
     from scipy.special import beta as beta_fn  # bound here: importing scipy is slow

@@ -2,7 +2,8 @@
 
 Simulates the self-normalized ratio, the normed pair of partial sums, and the
 limit pair through a compound-Poisson cut of its jump representation.  Every
-engine is a pure function of its :class:`SimConfig`.
+engine is a pure function of its :class:`SimConfig`, and raises
+ParameterError when its output holds a non-finite value.
 
 Stream layout (``STREAM_LAYOUT``, recorded in every sample's metadata):
 replications are drawn in blocks of ``rows`` consecutive replications, with
@@ -57,6 +58,7 @@ from .distributions import (
     SeedStream,
     WeightLaw,
     as_int,
+    finite_norming,
     seeded_generator,
 )
 from .levy_calculus import BivariateLevyView
@@ -93,10 +95,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "reps", "threads"):
-            value = as_int(getattr(self, name), name)
-            if value < 1:
-                raise ParameterError(f"{name} must be at least 1")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
         if self.cutoff is not None and not 0.0 < self.cutoff < 1.0:
             raise ParameterError("cutoff must lie in (0, 1)")
 
@@ -170,13 +169,15 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 
 def _run_blocks(cfg: SimConfig, values_per_rep: int, min_rows: int, width: int,
-                body: Callable[..., Sequence[np.ndarray]]) -> np.ndarray:
+                body: Callable[..., Sequence[np.ndarray]], what: str) -> np.ndarray:
     """``body(y_gen, x_gen, rows_b)`` for every block of the stream layout
     (module docstring), as a (width, reps) array in replication order.
 
     ``y_gen`` and ``x_gen`` are the block's multiplier and weight
     generators, and ``rows_b`` its row count:
     ``max(min_rows, BLOCK_ELEMS // values_per_rep)``, fewer in the last block.
+    A non-finite value in the output (a draw that overflows a double)
+    raises ParameterError naming ``what``: the laws and the size drawn.
     """
     rows = max(min_rows, BLOCK_ELEMS // max(1, values_per_rep))
     blocks = -(-cfg.reps // rows)
@@ -186,7 +187,10 @@ def _run_blocks(cfg: SimConfig, values_per_rep: int, min_rows: int, width: int,
         return body(seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB]),
                     min(rows, cfg.reps - b * rows))
 
-    return _run_replications(block, blocks, width, cfg.threads)
+    out = _run_replications(block, blocks, width, cfg.threads)
+    if not np.isfinite(out).all():
+        raise ParameterError(f"draws of {what} hold non-finite values")
+    return out
 
 
 def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
@@ -254,7 +258,8 @@ def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
                                scale_free))
             for lo in range(0, rows_b, chunk)], axis=1)
 
-    return _run_blocks(cfg, cfg.n, MIN_BLOCK_ROWS, width, block)
+    return _run_blocks(cfg, cfg.n, MIN_BLOCK_ROWS, width, block,
+                       f"{x.label} x {y.label} at n={cfg.n}")
 
 
 def _ratios(den: np.ndarray, *nums: np.ndarray) -> list:
@@ -281,24 +286,14 @@ def simulate_tn(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> EmpiricalSamp
 
 
 def simulate_normed_pair(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig) -> PairSample:
-    """Draws of (sum(X Y)/a_n, sum(Y)/a_n) under the law's norming.
-
-    Raises ParameterError when any drawn value is not finite (a raw
-    multiplier draw that overflows, as the slowly varying law's can).
-    """
-    a_n = y.norming(cfg.n)
-    if not math.isfinite(a_n) or a_n <= 0.0:
-        raise ParameterError("norming must be finite and positive at this n")
+    """Draws of (sum(X Y)/a_n, sum(Y)/a_n) under the law's norming."""
+    a_n = finite_norming(y, cfg.n)
 
     def reduce(xs, ys, _):
         sxy, sy = _sums(xs, ys)
         return sxy / a_n, sy / a_n
 
-    pair = _finite_n(x, y, cfg, reduce, width=2, scale_free=False)
-    if not np.isfinite(pair).all():
-        raise ParameterError(f"normed pair of {x.label} x {y.label} at n={cfg.n} "
-                             "holds non-finite values")
-    w1, w2 = pair
+    w1, w2 = _finite_n(x, y, cfg, reduce, width=2, scale_free=False)
     meta = _law_meta(x, y, cfg)
     meta["norming"] = a_n
     return PairSample(w1, w2, meta)
@@ -338,7 +333,8 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
         owner = np.repeat(np.arange(counts.size), counts)
         return np.bincount(owner, xs * jumps, counts.size), np.bincount(owner, jumps, counts.size)
 
-    w1, w2 = _run_blocks(cfg, math.ceil(lam), 1, 2, block)
+    w1, w2 = _run_blocks(cfg, math.ceil(lam), 1, 2, block,
+                         f"{x.label} x {view.levy.label} at cutoff={eps!r}")
     bias_y = view.levy.truncated_moment(1, eps)
     abs_mean = x.abs_moment(1.0)
     meta = _law_meta(x, None, cfg)
@@ -410,7 +406,7 @@ def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     regime where the ratio escapes to infinity; bounded weights pin the
     slope at zero.
     """
-    n_list = [as_int(n, "n_list entry") for n in n_list]
+    n_list = [as_int(n, "n_list entry", 1) for n in n_list]
     if len(n_list) < 2:
         raise ParameterError("n_list needs at least two sizes for a slope")
     if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):

@@ -294,6 +294,26 @@ def test_levy_tail_draws_past_a_double_do_not_warn(tmp_path, capsys):
     assert "norming overflows" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_non_finite_draws_exit_3_before_output(tmp_path, capsys):
+    # Pareto(0.01) draws pass a double (v ** -100), and 11 of these 200
+    # ratios would be inf / inf = NaN
+    cfg = write_cfg(tmp_path, **{"y_law.beta": "0.01", "n": "100", "reps": "200", "seed": "1"})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_limit_tail_overflow_near_zero_exits_3(tmp_path, capsys):
+    # x^-beta overflows a double at the grid's subnormal points
+    cfg = write_cfg(tmp_path, **{"y_law.beta": "0.97", "grid.lo": "0", "grid.hi": "1e-320"})
+    out = tmp_path / "out"
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "grid.hi" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limit_grid_past_evaluator_range_exits_3(tmp_path, capsys):
     # breiman_tail's far fold drops tail mass past about 1.3e288 at beta = 1/2
     cfg = write_cfg(tmp_path, **{"x_law.kind": "symmetric_pareto", "x_law.gamma": "0.8",

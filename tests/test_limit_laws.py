@@ -14,6 +14,7 @@ from selfnorm_lab.distributions import (
     WeightLaw,
     make_weight_law,
 )
+from selfnorm_lab.levy_calculus import stable_levy_tail
 from selfnorm_lab.limit_laws import (
     BreimanLimit,
     breiman_cdf,
@@ -319,14 +320,17 @@ def _bits(values):
 
 @settings(max_examples=40, deadline=None)
 @given(law=st.sampled_from(BIT_LAWS),
-       b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
        size=st.sampled_from([1, 64, 65, 200]), data=st.data())
 @example(law=BIT_LAWS[2], b=0.5, size=200, data=None)
 @example(law=BIT_LAWS[4], b=0.3, size=65, data=None)
+@example(law=BIT_LAWS[0], b=0.96875, size=64, data=None)
 def test_scalar_calls_equal_vector_entries_bit_for_bit(law, b, size, data):
     # one code path for every input size: a point alone gives the bits it
     # gets in a vector call of 1, 64 (one chunk), 65 or 200 points, whose
-    # points straddle every piece edge of the law
+    # points straddle every piece edge of the law.  A point whose tail
+    # overflows (5e-324, next to uniform01's knot at 0, once b > 0.953)
+    # raises alone and in the vector call that holds it.
     kind, kwargs = law
     weight = make_weight_law(kind, **kwargs)
     lim = BreimanLimit(b, weight)
@@ -343,8 +347,40 @@ def test_scalar_calls_equal_vector_entries_bit_for_bit(law, b, size, data):
     cdf = breiman_cdf_grid(lim, xs)
     assert np.array_equal(_bits([breiman_cdf(lim, t) for t in xs]), _bits(cdf))
     pos = xs[xs > 0.0]
-    tails = breiman_tail(lim, pos)
-    assert np.array_equal(_bits([breiman_tail(lim, float(t)) for t in pos]), _bits(tails))
+    tails, over = [], []
+    for t in pos:
+        try:
+            tails.append(breiman_tail(lim, float(t)))
+        except QuadratureError:
+            over.append(float(t))
+    if over:
+        with pytest.raises(QuadratureError, match=re.escape(repr(over[0]))):
+            breiman_tail(lim, pos)
+        pos = pos[~np.isin(pos, over)]
+    assert np.array_equal(_bits(tails), _bits(breiman_tail(lim, pos)))
+
+
+def test_breiman_tail_raises_where_tail_overflows():
+    # x^-b passes a double at x = 5e-324 once b > 0.953
+    lim = BreimanLimit(0.96875, make_weight_law("uniform01"))
+    for x in (5e-324, [5e-324, 0.5], [0.5, 5e-324]):
+        with pytest.raises(QuadratureError, match=re.escape(repr(5e-324))):
+            breiman_tail(lim, x)
+    assert breiman_tail(lim, 0.5) > 0.0
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-310, float(np.nextafter(np.finfo(float).tiny, 0.0))])
+def test_subnormal_stable_index_is_rejected(beta):
+    # at a subnormal beta, arctan(ratio tan(pi b / 2)) / (pi b) is rounded to
+    # CDF values outside [0, 1] (-0.1667 and 1.1667 at 5e-324)
+    for make in (lambda: BreimanLimit(beta, make_weight_law("uniform01")),
+                 lambda: stable_levy_tail(beta), lambda: regvar_tail_constant(beta, 0.8)):
+        with pytest.raises(ParameterError, match="normal double"):
+            make()
+    tiny = float(np.finfo(float).tiny)  # the smallest normal double is accepted
+    cdf = breiman_cdf_grid(BreimanLimit(tiny, make_weight_law("uniform01")), [-3.0, 2.0])
+    assert cdf.tolist() == [0.0, 1.0]
+    assert stable_levy_tail(tiny).tail(1.0) == 1.0
 
 
 def test_symmetric_weight_reflection():
@@ -381,6 +417,16 @@ def test_tail_prefactor_half():
     x = 3.0
     integral = quad(lambda u: (u / x - 1.0) ** 0.5 * 0.4 * u ** -1.8, x, np.inf)[0]
     assert breiman_tail(lim, x) == pytest.approx(2.0 * integral / math.pi, rel=1e-7)
+
+
+def test_breiman_tail_accuracy_at_small_b():
+    # the grid rule loses digits as b shrinks (README): on symmetric_pareto(0.8)
+    # from 1.6 to 1e200 the relative error is 1.6e-13 at b = 0.1, 1.5e-11 at
+    # b = 0.05 and 2.2e-6 at b = 0.01
+    lim = BreimanLimit(0.05, make_weight_law("symmetric_pareto", gamma=0.8))
+    xs = np.geomspace(1.6, 1e200, 2000)
+    exact = _tail_pref(0.05) * 0.05 * beta_fn(0.05, 0.75) * xs ** -0.8
+    np.testing.assert_allclose(breiman_tail(lim, xs), exact, rtol=1e-10, atol=0.0)
 
 
 def test_tail_bounds():

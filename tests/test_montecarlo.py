@@ -183,6 +183,22 @@ def test_normed_pair_rejects_overflowing_norming():
             simulate_normed_pair(make_weight_law(kind), y, cfg(n=100, reps=1000))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_engines_reject_non_finite_draws():
+    # Pareto(0.01) draws pass a double (v ** -100): at n = 100 on SeedStream(1),
+    # 11 of 200 ratios would be inf / inf = NaN, and 28 of 20000 limit-pair w2
+    # would be inf
+    x, y = make_weight_law("uniform01"), make_pareto_multiplier(0.01)
+    c = cfg(n=100, reps=200, seed=1)
+    with pytest.raises(ParameterError, match=r"pareto\(beta=0.01\) at n=100 "):
+        simulate_tn(x, y, c)
+    with pytest.raises(ParameterError, match=r"pareto\(beta=0.01\) at n=100 "):
+        max_share_stats(x, y, c, (0.1,))
+    view = BivariateLevyView(x, stable_levy_tail(0.01))
+    with pytest.raises(ParameterError, match=r"stable\(beta=0.01\) at cutoff=0.0001 "):
+        simulate_limit_pair(view, cfg(n=1, reps=20_000, seed=1, cutoff=1e-4))
+
+
 # ---------------------------------------------------------------------------
 # simulate_limit_pair
 # ---------------------------------------------------------------------------
@@ -316,6 +332,33 @@ def test_tn_exact_law_at_n_2():
     left = 0.25 * (t > -1.0) + mixed
     assert _ks_exact(t, cdf, left) <= EXACT_DKW
     assert set(t[np.abs(t) >= 1.0]) == {-1.0, 1.0}  # the atoms are exact
+
+
+def _diff_cdf(t):
+    """P{D <= t} for D = W1 - W2 of two independent Pareto(1) draws on
+    [1, inf): 1 - 1/t + log(1 + t)/t^2 for t > 0 (the series
+    1/2 + t/3 - t^2/4 below 1e-4, where the closed form cancels), and
+    1 - P{D <= -t} for t < 0."""
+    a = np.abs(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = np.where(a < 1e-4, 0.5 + a / 3.0 - a * a / 4.0,
+                      1.0 - 1.0 / a + np.log1p(a) / (a * a))
+    return np.where(t >= 0.0, up, 1.0 - up)
+
+
+def test_tn_exact_law_at_n_2_log_sampler():
+    # Y slowly varying: log Y = W is Pareto(1), and the engine draws W and
+    # rescales by the row maximum.  Unequal weights give T_2 = +-tanh(D/2),
+    # D = W1 - W2, so the CDF on (-1, 1) is 1/4 + P{D <= 2 artanh z}/2, with
+    # atoms at -1 and 1.  In doubles T_2 is +-1 once |D| passes about 37, so
+    # the mass beyond the last double before +-1 sits on the atoms.
+    c = cfg(n=2, reps=EXACT_REPS, seed=43, threads=2)
+    t = simulate_tn(make_weight_law("rademacher"), make_slowly_varying_multiplier(), c).values
+    edge = np.nextafter(1.0, 0.0)
+    mixed = 0.25 + 0.5 * _diff_cdf(2.0 * np.arctanh(np.clip(t, -edge, edge)))
+    cdf = np.where(t >= 1.0, 1.0, mixed)
+    left = np.where(t > -1.0, mixed, 0.0)
+    assert _ks_exact(t, cdf, left) <= EXACT_DKW
 
 
 def test_max_share_exact_law_at_n_2():
