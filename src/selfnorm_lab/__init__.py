@@ -65,12 +65,10 @@ from .montecarlo import (
 from .class_diagnostics import (
     ClassVerdict,
     atom_scan,
-    centered_feller_ratio,
     classify,
-    feller_ratio,
-    griffin_ratio,
     ks_distance,
     ratio_scans,
+    tail_ratios,
     verdict_from_scans,
 )
 

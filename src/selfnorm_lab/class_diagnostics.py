@@ -18,32 +18,23 @@ import numpy as np
 from .distributions import MultiplierLaw, ParameterError, vec_eval
 from .montecarlo import EmpiricalSample
 
-# The ratios take x as a float or an array of floats; an array gives an
-# array of the same shape, and any x with a zero denominator raises.
 
+def tail_ratios(y: MultiplierLaw, x):
+    """The Feller, centered Feller and Griffin ratios of Y at x, as (F, C, G):
 
-def feller_ratio(y: MultiplierLaw, x):
-    """x^2 P{Y > x} / E[Y^2 1{Y <= x}]."""
-    t2 = y.trunc_second(x)
-    if not np.all(t2 > 0.0):
+        F = x^2 P{Y > x} / E[Y^2 1{Y <= x}]
+        C = (x^2 P{Y > x} + x E[Y 1{Y <= x}]) / E[Y^2 1{Y <= x}]
+        G = x E[Y 1{Y <= x}] / (x^2 P{Y > x} + E[Y^2 1{Y <= x}])
+
+    x is a float or an array of floats; an array gives arrays of its shape.
+    Any x below the support of Y (zero truncated variance) raises.
+    """
+    m2 = y.trunc_second(x)
+    if not np.all(m2 > 0.0):
         raise ParameterError("x is below the support of Y (zero truncated variance)")
-    return x * x * y.survival(x) / t2
-
-
-def centered_feller_ratio(y: MultiplierLaw, x):
-    """(x^2 P{Y > x} + x E[Y 1{Y <= x}]) / E[Y^2 1{Y <= x}]."""
-    t2 = y.trunc_second(x)
-    if not np.all(t2 > 0.0):
-        raise ParameterError("x is below the support of Y (zero truncated variance)")
-    return (x * x * y.survival(x) + x * y.trunc_mean(x)) / t2
-
-
-def griffin_ratio(y: MultiplierLaw, x):
-    """x E[Y 1{Y <= x}] / (x^2 P{Y > x} + E[Y^2 1{Y <= x}])."""
-    denom = x * x * y.survival(x) + y.trunc_second(x)
-    if not np.all(denom > 0.0):
-        raise ParameterError("zero denominator: x is below the support of Y")
-    return x * y.trunc_mean(x) / denom
+    tail = x * x * y.survival(x)
+    m1 = x * y.trunc_mean(x)
+    return tail / m2, (tail + m1) / m2, m1 / (tail + m2)
 
 
 @dataclass
@@ -67,20 +58,6 @@ _GROW_FACTOR = 4.0
 _GROW_ABS = 50.0
 
 
-def _decade_max(grid: np.ndarray, vals: np.ndarray, top: bool) -> float:
-    if top:
-        mask = grid >= grid[-1] / 10.0
-    else:
-        mask = grid <= grid[0] * 10.0
-    return float(vals[mask].max())
-
-
-def _is_growing(grid: np.ndarray, vals: np.ndarray) -> bool:
-    last = _decade_max(grid, vals, top=True)
-    first = _decade_max(grid, vals, top=False)
-    return last > _GROW_FACTOR * first and last > _GROW_ABS
-
-
 def ratio_scans(y: MultiplierLaw, x_grid: Sequence[float]):
     """The Feller, centered Feller and Griffin ratios over x_grid.
 
@@ -94,7 +71,7 @@ def ratio_scans(y: MultiplierLaw, x_grid: Sequence[float]):
         raise ParameterError("x_grid must be strictly increasing")
     if grid[-1] / grid[0] < 1e6:
         raise ParameterError("x_grid must span at least six decades")
-    return grid, feller_ratio(y, grid), centered_feller_ratio(y, grid), griffin_ratio(y, grid)
+    return (grid, *tail_ratios(y, grid))
 
 
 def classify(y: MultiplierLaw, x_grid: Sequence[float]) -> ClassVerdict:
@@ -114,19 +91,21 @@ def verdict_from_scans(grid: np.ndarray, fel: np.ndarray, cen: np.ndarray,
     ratio is C = F + G (F + 1) with G Griffin's, so a bounded G and an
     unbounded C force an unbounded F.
     """
-    if _is_growing(grid, gri):
+    top, bottom = grid >= grid[-1] / 10.0, grid <= grid[0] * 10.0
+    fel_top, cen_top, gri_top = (float(v[top].max()) for v in (fel, cen, gri))
+
+    def growing(last: float, vals: np.ndarray) -> bool:
+        return last > _GROW_FACTOR * vals[bottom].max() and last > _GROW_ABS
+
+    if growing(gri_top, gri):
         label = "griffin_fails"
-    elif not _is_growing(grid, cen):
+    elif not growing(cen_top, cen):
         label = "centered_feller"
     else:
         label = "not_feller_griffin_holds"
-    return ClassVerdict(
-        feller_limsup_proxy=_decade_max(grid, fel, top=True),
-        centered_limsup_proxy=_decade_max(grid, cen, top=True),
-        griffin_limsup_proxy=_decade_max(grid, gri, top=True),
-        label=label,
-        x_grid=[float(t) for t in grid],
-    )
+    return ClassVerdict(feller_limsup_proxy=fel_top, centered_limsup_proxy=cen_top,
+                        griffin_limsup_proxy=gri_top, label=label,
+                        x_grid=[float(t) for t in grid])
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,10 @@ def run_diagnose(cfg: dict, record: dict) -> int:
     if hi <= lo:
         raise ParameterError(f"diag.hi must exceed diag.lo, got {hi!r} <= {lo!r}")
     grid = np.logspace(math.log10(lo), math.log10(hi), points)
-    scans = cd.ratio_scans(y, grid)
+    try:
+        scans = cd.ratio_scans(y, grid)
+    except ParameterError as exc:  # a grid under six decades or reaching below Y's support
+        raise ParameterError(f"diag.lo = {lo!r} .. diag.hi = {hi!r}: {exc}") from exc
     verdict = cd.verdict_from_scans(*scans)
     out = _outdir(cfg)
     _write_json(out / "class_verdict.json",

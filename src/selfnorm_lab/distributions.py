@@ -617,11 +617,13 @@ def make_weight_law(kind: str, *, c: float = 1.0, p: float = 0.5,
 def _pareto_power(v: np.ndarray, b: float) -> np.ndarray:
     """v ** (-1/b) for v in (0, 1], written over v: Pareto(b) draws from
     v = 1 - U.  For b = 1/2 it takes 1 / (v * v), which is cheaper than the
-    power, stays >= 1 and lies within 2 ulp of it."""
+    power, stays >= 1 and lies within 2 ulp of it.  A draw past the largest
+    double is inf, without a warning, as in ``tail_sampler``."""
     if b == 0.5:
         np.multiply(v, v, out=v)
         return np.divide(1.0, v, out=v)
-    return np.power(v, -1.0 / b, out=v)
+    with np.errstate(over="ignore"):
+        return np.power(v, -1.0 / b, out=v)
 
 
 def make_pareto_multiplier(beta: float) -> MultiplierLaw:

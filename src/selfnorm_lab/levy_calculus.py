@@ -404,24 +404,25 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int]
                                      all(r.verdict for r in lam_reports),
                                      note="non-Feller multiplier: documented escape of mass")
 
+    # the limits do not depend on n
+    lam_lim = [lambda_bar(view.levy, v) for v in v_grid]
+    pi_lim = [pi_bar(view, u, 0.0) for u in u_grid]
+    scale = max(abs(l) for l in lam_lim) or 1.0
     for n in n_list:
         pre = [prelimit_lambda_n(y, n, v) for v in v_grid]
-        lim = [lambda_bar(view.levy, v) for v in v_grid]
-        scale = max(abs(l) for l in lim) or 1.0
         lam_reports.append(ConvergenceReport.build(
-            name=f"lambda_n={n}", grid=list(v_grid), prelimit=pre, limit=lim,
+            name=f"lambda_n={n}", grid=list(v_grid), prelimit=pre, limit=lam_lim,
             tol=1e-9 * scale))
     for j, n in enumerate(n_list if len(u_grid) else ()):  # no u point, no pi report
-        pre, ses, lim = [], [], []
+        pre, ses = [], []
         for i, u in enumerate(u_grid):
             est, se = prelimit_pi_n(x, y, n, u, 0.0, stream.child(j * len(u_grid) + i),
                                     draws=draws)
             pre.append(est)
             ses.append(se)
-            lim.append(pi_bar(view, u, 0.0))
         pi_reports.append(ConvergenceReport.build(
             name=f"pi_n={n}", grid=[[u, 0.0] for u in u_grid],
-            prelimit=pre, limit=lim, tol=3.0 * max(ses) + 1e-9, se=ses))
+            prelimit=pre, limit=pi_lim, tol=3.0 * max(ses) + 1e-9, se=ses))
     gaps = [r.sup_abs_gap for r in (pi_reports or lam_reports)]
     mono = all(g2 <= g1 + 3.0 * 1e-3 for g1, g2 in zip(gaps[:-1], gaps[1:]))
     verdict = all(r.verdict for r in lam_reports + pi_reports)

@@ -330,15 +330,22 @@ def breiman_tail(lim: BreimanLimit, x):
     b = 1/2 for a power-law tail); a point where the mass it would drop
     can exceed the value's rounding raises QuadratureError naming it.  So
     does a point whose tail is not finite: beyond about 1.4e306, or so close
-    to 0 that the tail overflows a double (x = 5e-324 once b > 0.953).
+    to 0 that the tail overflows a double (x = 5e-324 on uniform01 once
+    b > 0.959).  Where x^-b alone overflows (once b > 0.953 at 5e-324) but
+    the tail does not, the product is formed in log space.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs) & (xs > 0.0)):
         raise ParameterError("x must be positive and finite")
     b, flat = lim.beta, xs.ravel()
-    up = _fractional_moment(lim, flat, 1, strict=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # x^-b overflows near x = 0
-        tail = 2.0 * _TAIL_PREF(b) * xs ** -b * up.reshape(xs.shape)
+    up = _fractional_moment(lim, flat, 1, strict=True).reshape(xs.shape)
+    scale = 2.0 * _TAIL_PREF(b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        power = xs ** -b
+        tail = scale * power * up
+        near0 = np.isinf(power)
+        if near0.any():  # log(up = 0) = -inf gives a tail of 0
+            tail = np.where(near0, np.exp(np.log(scale * up) - b * np.log(xs)), tail)
     _check_finite(flat, tail.ravel(), "tail")
     return float(tail) if tail.ndim == 0 else tail
 

@@ -178,14 +178,17 @@ def _run_blocks(cfg: SimConfig, values_per_rep: int, min_rows: int, width: int,
     ``max(min_rows, BLOCK_ELEMS // values_per_rep)``, fewer in the last block.
     A non-finite value in the output (a draw that overflows a double)
     raises ParameterError naming ``what``: the laws and the size drawn.
+    The blocks run with numpy's floating-point warnings off, so that this
+    error is the one report of an overflow.
     """
     rows = max(min_rows, BLOCK_ELEMS // max(1, values_per_rep))
     blocks = -(-cfg.reps // rows)
     seeds = cfg.seed.block_seeds(blocks)
 
     def block(b: int) -> Sequence[np.ndarray]:
-        return body(seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB]),
-                    min(rows, cfg.reps - b * rows))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return body(seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB]),
+                        min(rows, cfg.reps - b * rows))
 
     out = _run_replications(block, blocks, width, cfg.threads)
     if not np.isfinite(out).all():

@@ -248,7 +248,7 @@ def criterion_8() -> tuple:
     labels = {key: cd.classify(law, x_grid).label for key, (_, law) in expected.items()}
     checks = [_eq(f"classify_{key}", labels[key], want)
               for key, (want, _) in expected.items()]
-    ratio = cd.feller_ratio(make_pareto_multiplier(0.5), 1e6)
+    ratio = cd.tail_ratios(make_pareto_multiplier(0.5), 1e6)[0]
     checks.append(_le("pareto_feller_ratio_rel_gap", abs(ratio - 3.0) / 3.0, 0.01,
                       detail=f"ratio(1e6)={ratio:.6f}, limit=3"))
     return checks, labels

@@ -7,12 +7,10 @@ import pytest
 
 from selfnorm_lab.class_diagnostics import (
     atom_scan,
-    centered_feller_ratio,
     classify,
-    feller_ratio,
-    griffin_ratio,
     ks_distance,
     ratio_scans,
+    tail_ratios,
 )
 from selfnorm_lab.distributions import (
     ParameterError,
@@ -34,32 +32,31 @@ GRID = np.logspace(2, 16, 57)
 
 
 def test_pareto_ratio_limits():
-    y = make_pareto_multiplier(0.5)
+    fel, cen, gri = tail_ratios(make_pareto_multiplier(0.5), 1e6)
     # closed-form limits: (2-b)/b = 3 and (2-b)/b + (2-b)/(1-b) = 6
-    assert feller_ratio(y, 1e6) == pytest.approx(3.0, rel=0.01)
-    assert centered_feller_ratio(y, 1e6) == pytest.approx(6.0, rel=0.01)
+    assert fel == pytest.approx(3.0, rel=0.01)
+    assert cen == pytest.approx(6.0, rel=0.01)
     # griffin limit: [b/(1-b)] / [2/(2-b)] = 3/4 for b = 1/2
-    assert griffin_ratio(y, 1e6) == pytest.approx(0.75, rel=0.01)
+    assert gri == pytest.approx(0.75, rel=0.01)
 
 
 def test_pareto_beta_one_feller_limit():
-    y = make_pareto_multiplier(1.0)
-    assert feller_ratio(y, 1e6) == pytest.approx(1.0, rel=0.01)
+    assert tail_ratios(make_pareto_multiplier(1.0), 1e6)[0] == pytest.approx(1.0, rel=0.01)
 
 
 def test_exponential_ratios_diverge_linearly():
-    y = make_finite_mean_multiplier("exponential", rate=1.0)
+    fel, cen, gri = tail_ratios(make_finite_mean_multiplier("exponential", rate=1.0), 50.0)
     # griffin ratio ~ x E Y / E Y^2 = x/2
-    assert griffin_ratio(y, 50.0) == pytest.approx(25.0, rel=0.01)
-    assert centered_feller_ratio(y, 50.0) == pytest.approx(25.0, rel=0.01)
-    assert feller_ratio(y, 50.0) < 1e-6
+    assert gri == pytest.approx(25.0, rel=0.01)
+    assert cen == pytest.approx(25.0, rel=0.01)
+    assert fel < 1e-6
 
 
 def test_slowly_varying_feller_grows_griffin_bounded():
     y = make_slowly_varying_multiplier()
-    fel = [feller_ratio(y, 10.0 ** k) for k in range(3, 9)]
+    fel = [tail_ratios(y, 10.0 ** k)[0] for k in range(3, 9)]
     assert all(b > a for a, b in zip(fel[:-1], fel[1:]))
-    gri = [griffin_ratio(y, 10.0 ** k) for k in range(3, 9)]
+    gri = [tail_ratios(y, 10.0 ** k)[2] for k in range(3, 9)]
     assert all(g <= 1.0 for g in gri)
 
 
@@ -68,16 +65,17 @@ def test_centered_dominates_plain_ratio():
             make_finite_mean_multiplier("exponential", rate=1.0)]
     for y in laws:
         for x in (10.0, 1e4, 1e8):
-            assert centered_feller_ratio(y, x) >= feller_ratio(y, x)
+            fel, cen, _ = tail_ratios(y, x)
+            assert cen >= fel
 
 
 def test_ratio_validation():
     y = make_pareto_multiplier(0.5)
-    with pytest.raises(ParameterError):
-        feller_ratio(y, 0.5)  # below the support: zero truncated variance
-    for ratio in (feller_ratio, centered_feller_ratio, griffin_ratio):
-        with pytest.raises(ParameterError):
-            ratio(y, np.array([10.0, 0.0, 100.0]))  # one point with a zero denominator
+    # below the support the truncated variance is zero: all three ratios
+    # raise, Griffin's too although its own denominator is positive there
+    for x in (0.5, np.array([10.0, 0.0, 100.0]), np.array([10.0, 0.5, 100.0])):
+        with pytest.raises(ParameterError, match="below the support"):
+            tail_ratios(y, x)
 
 
 @pytest.mark.parametrize("y", [make_pareto_multiplier(0.5), make_slowly_varying_multiplier(),
@@ -90,9 +88,10 @@ def test_centered_ratio_identity(y):
     grid, fel, cen, gri = ratio_scans(y, GRID)
     np.testing.assert_allclose(cen, fel + gri * (fel + 1.0), rtol=1e-12, atol=0.0)
     for i in (0, 28, 56):
-        assert fel[i] == pytest.approx(feller_ratio(y, grid[i]), rel=1e-14)
-        assert cen[i] == pytest.approx(centered_feller_ratio(y, grid[i]), rel=1e-14)
-        assert gri[i] == pytest.approx(griffin_ratio(y, grid[i]), rel=1e-14)
+        f, c, g = tail_ratios(y, grid[i])
+        assert fel[i] == pytest.approx(f, rel=1e-14)
+        assert cen[i] == pytest.approx(c, rel=1e-14)
+        assert gri[i] == pytest.approx(g, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,8 @@ def test_classify_scale_invariant():
     )
     # ratios are exactly invariant under the paired rescaling x -> c x
     for x in (10.0, 1e4):
-        assert feller_ratio(scaled, c * x) == pytest.approx(feller_ratio(y, x), rel=1e-12)
+        np.testing.assert_allclose(tail_ratios(scaled, c * x), tail_ratios(y, x),
+                                   rtol=1e-12, atol=0.0)
     assert classify(scaled, c * GRID).label == classify(y, GRID).label
 
 

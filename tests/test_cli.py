@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selfnorm_lab
 from selfnorm_lab.cli import main, parse_config_file
 
 
@@ -195,8 +199,8 @@ def test_diagnose_writes_verdict(tmp_path):
 
 
 def test_diagnose_scans_each_ratio_once(tmp_path, monkeypatch):
-    # the verdict and ratio_scan.csv share one evaluation of each scan: three
-    # ratios, each reading the survival function once over the whole grid
+    # the verdict and ratio_scan.csv share one scan, and the scan reads the
+    # survival function once over the whole grid for all three ratios
     import dataclasses
     from selfnorm_lab import cli
     calls = []
@@ -209,15 +213,17 @@ def test_diagnose_scans_each_ratio_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "make_multiplier_law", counting_law)
     cfg = write_cfg(tmp_path, **{"diag.points": "29"})
     assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert calls == [29, 29, 29]
+    assert calls == [29]
     assert len((tmp_path / "out" / "ratio_scan.csv").read_text().splitlines()) == 1 + 29
 
 
 @pytest.mark.parametrize("key,value", [("diag.lo", "0"), ("diag.lo", "-1e2"),
                                        ("diag.hi", "1e2"), ("diag.hi", "10"),
+                                       ("diag.hi", "1e5"), ("diag.lo", "0.5"),
                                        ("diag.points", "1")])
 def test_diagnose_bad_grid_exits_3_before_output(tmp_path, capsys, key, value):
-    # the default grid runs from diag.lo = 1e2 to diag.hi = 1e16
+    # the default grid runs from diag.lo = 1e2 to diag.hi = 1e16; 1e2..1e5
+    # spans under six decades, and 0.5 lies below the pareto support [1, inf)
     cfg = write_cfg(tmp_path, **{key: value})
     out = tmp_path / "o"
     assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 3
@@ -294,7 +300,6 @@ def test_levy_tail_draws_past_a_double_do_not_warn(tmp_path, capsys):
     assert "norming overflows" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_non_finite_draws_exit_3_before_output(tmp_path, capsys):
     # Pareto(0.01) draws pass a double (v ** -100), and 11 of these 200
     # ratios would be inf / inf = NaN
@@ -302,6 +307,20 @@ def test_simulate_non_finite_draws_exit_3_before_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
     assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_non_finite_draws_exit_3_with_warnings_as_errors(tmp_path):
+    # the engine's guard is the one report: no RuntimeWarning escapes first,
+    # which under -W error would end the process with exit 1 instead
+    cfg = write_cfg(tmp_path, **{"y_law.beta": "0.01", "n": "100", "reps": "200", "seed": "1"})
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(selfnorm_lab.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "selfnorm_lab",
+                          "simulate", "--config", str(cfg), "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3, run.stderr
+    assert "non-finite" in run.stderr and "Warning" not in run.stderr
     assert not out.exists()
 
 

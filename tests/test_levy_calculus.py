@@ -503,6 +503,18 @@ def test_check_levy_convergence_pi_grid_is_at_v_0():
     assert [rep.grid for rep in res.pi_reports] == [[[0.5, 0.0], [2.0, 0.0]]] * 2
 
 
+def test_check_levy_convergence_computes_each_limit_once(monkeypatch):
+    # the limits do not depend on n: one lambda_bar per v and one pi_bar per u
+    import selfnorm_lab.levy_calculus as lc
+    calls = []
+    for name in ("lambda_bar", "pi_bar"):
+        real = getattr(lc, name)
+        monkeypatch.setattr(lc, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    check_levy_convergence(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
+                           (10, 100, 1000), (0.5, 1.0), (0.5, 2.0), SeedStream(11), 100)
+    assert sorted(calls) == ["lambda_bar"] * 2 + ["pi_bar"] * 2
+
+
 def test_check_levy_convergence_slowly_varying_documents_escape(tmp_path):
     x = make_weight_law("uniform01")
     y = make_slowly_varying_multiplier()

@@ -361,12 +361,21 @@ def test_scalar_calls_equal_vector_entries_bit_for_bit(law, b, size, data):
 
 
 def test_breiman_tail_raises_where_tail_overflows():
-    # x^-b passes a double at x = 5e-324 once b > 0.953
-    lim = BreimanLimit(0.96875, make_weight_law("uniform01"))
+    # the tail at x = 5e-324 is about e^717 at b = 0.96875
+    b = 0.96875
+    lim = BreimanLimit(b, make_weight_law("uniform01"))
     for x in (5e-324, [5e-324, 0.5], [0.5, 5e-324]):
         with pytest.raises(QuadratureError, match=re.escape(repr(5e-324))):
             breiman_tail(lim, x)
     assert breiman_tail(lim, 0.5) > 0.0
+    # x^-b passes a double below about 6e-319, but the tail stays finite
+    # down to about 1.3e-320: 1.8e307 at 1e-319.  uniform01's closed form
+    # 2 pref x^-b (1-x)^(b+1) / (b+1), taken in log space:
+    xs = np.array([1e-319, 3e-320, 1e-300, 0.5])
+    log_pref = math.log(2.0 * _tail_pref(b) / (b + 1.0))
+    exact = np.exp(log_pref - b * np.log(xs) + (b + 1.0) * np.log1p(-xs))
+    np.testing.assert_allclose(breiman_tail(lim, xs), exact, rtol=1e-12, atol=0.0)
+    assert breiman_tail(lim, 1e-319) == pytest.approx(exact[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("beta", [5e-324, 1e-310, float(np.nextafter(np.finfo(float).tiny, 0.0))])

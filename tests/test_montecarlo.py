@@ -170,7 +170,6 @@ def test_normed_pair_w2_close_to_half_stable():
     assert ks_distance(s, lambda z: levy_cdf(z, math.pi / 2.0)) <= 0.03
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_normed_pair_rejects_overflowing_norming():
     x = make_weight_law("uniform01")
     y = make_slowly_varying_multiplier()
@@ -183,7 +182,6 @@ def test_normed_pair_rejects_overflowing_norming():
             simulate_normed_pair(make_weight_law(kind), y, cfg(n=100, reps=1000))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_engines_reject_non_finite_draws():
     # Pareto(0.01) draws pass a double (v ** -100): at n = 100 on SeedStream(1),
     # 11 of 200 ratios would be inf / inf = NaN, and 28 of 20000 limit-pair w2
@@ -359,6 +357,18 @@ def test_tn_exact_law_at_n_2_log_sampler():
     cdf = np.where(t >= 1.0, 1.0, mixed)
     left = np.where(t > -1.0, mixed, 0.0)
     assert _ks_exact(t, cdf, left) <= EXACT_DKW
+
+
+def test_normed_pair_exact_law_at_n_2():
+    # a_2 = 2^(1/beta) = 4, and S = Y1 + Y2 = 4 w2 has, for s >= 2,
+    # P{S > s} = (s - 1)^-1/2 + (s - 2)/(s sqrt(s - 1)): Y1 alone passes s - 1,
+    # or Y1 <= s - 1 and Y2 > s - Y1
+    c = cfg(n=2, reps=EXACT_REPS, seed=47, threads=2)
+    p = simulate_normed_pair(make_weight_law("rademacher"), make_pareto_multiplier(EXACT_BETA), c)
+    assert p.meta["norming"] == 4.0
+    s = np.sort(4.0 * p.w2)
+    cdf = 1.0 - (s - 1.0) ** -0.5 - (s - 2.0) / (s * np.sqrt(s - 1.0))
+    assert _ks_exact(s, cdf, cdf) <= EXACT_DKW
 
 
 def test_max_share_exact_law_at_n_2():
