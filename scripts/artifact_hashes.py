@@ -1,10 +1,10 @@
 """Hash every artifact of the reproduce suites and the shipped configs.
 
-Runs ``reproduce S1`` .. ``S6`` and the CLI commands on ``configs/*.cfg`` at
-seed 20260808 into a temporary directory and prints one
-``sha256  relative/path`` line per output file, sorted by path.  Two runs
-can then be compared with ``diff``: across thread counts, or across two
-checkouts of the package.
+Runs ``reproduce`` on every suite of ``scenarios.SUITES`` and the CLI
+commands on ``configs/*.cfg`` at seed 20260808 into a temporary directory and
+prints one ``sha256  relative/path`` line per output file, sorted by path.
+Two runs can then be compared with ``diff``: across thread counts, or across
+two checkouts of the package.
 
     PYTHONPATH=src python scripts/artifact_hashes.py --threads 2 > hashes.txt
 
@@ -24,10 +24,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from selfnorm_lab import cli
+from selfnorm_lab import cli, scenarios
 
 SEED = 20260808
-SUITES = ("S1", "S2", "S3", "S4", "S5", "S6")
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # the CLI commands each shipped config is written for
 CONFIG_COMMANDS = {
@@ -42,7 +41,7 @@ CONFIG_COMMANDS = {
 def runs(out: Path, threads: int):
     """(label, argv) for every command, each writing to its own directory."""
     common = ["--seed", str(SEED), "--threads", str(threads)]
-    for suite in SUITES:
+    for suite in scenarios.SUITES:
         yield f"reproduce {suite}", ["reproduce", suite, "--out", str(out / suite.lower()),
                                      *common]
     configs = sorted(CONFIG_DIR.glob("*.cfg"))

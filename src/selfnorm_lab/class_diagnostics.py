@@ -61,14 +61,16 @@ _GROW_ABS = 50.0
 def ratio_scans(y: MultiplierLaw, x_grid: Sequence[float]):
     """The Feller, centered Feller and Griffin ratios over x_grid.
 
-    The grid must be finite, increasing and span at least six decades.  Returns
-    (grid, feller, centered, griffin) as float arrays.
+    The grid must be finite, positive, increasing and span at least six
+    decades.  Returns (grid, feller, centered, griffin) as float arrays.
     """
     grid = np.asarray(list(x_grid), dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ParameterError("x_grid must be finite")
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
         raise ParameterError("x_grid must be strictly increasing")
+    if grid[0] <= 0.0:
+        raise ParameterError("x_grid must be positive")
     if grid[-1] / grid[0] < 1e6:
         raise ParameterError("x_grid must span at least six decades")
     return (grid, *tail_ratios(y, grid))

@@ -9,7 +9,8 @@ Configuration is a flat key=value file with dotted sections; ``_KEYS`` lists
 every key with its default and configs/ holds canonical examples.  Every key
 is parsed and checked before a command writes anything, and an unknown key is
 an error.  ``--seed`` overrides the file; the thread count comes from
-``--threads``, else the environment variable SELFNORM_LAB_THREADS, else 1.
+``--threads``, else the environment variable SELFNORM_LAB_THREADS, else 1,
+and is at most ``montecarlo.MAX_THREADS``.
 Exit codes: 0 success, 1 failed verification check, 2 I/O error, 3
 configuration error.  Thread count never changes numerical output.
 """
@@ -117,8 +118,8 @@ _text = lambda key, text: text
 # Every config key: its default text and its parser, called as parse(key, text).
 _KEYS = {
     "scenario": ("custom", _text),
-    "n": ("10000", _config_int),
-    "reps": ("20000", _config_int),
+    "n": ("10000", _config_count(1)),
+    "reps": ("20000", _config_count(1)),
     "seed": ("20260808", _config_seed),
     "outputs": ("out", _text),
     "x_law.kind": ("uniform01", _text),
@@ -136,7 +137,7 @@ _KEYS = {
     "diag.lo": ("1e2", _config_float),
     "diag.hi": ("1e16", _config_float),
     "diag.points": ("57", _config_count(2)),
-    "levy.n_list": ("1000,10000,100000", _config_list(_config_int)),
+    "levy.n_list": ("1000,10000,100000", _config_list(_config_count(1))),
     "levy.v_grid": ("0.25,0.5,1,2,4", _config_list(_config_float)),
     "levy.u_grid": ("0.5,1,2", _config_list(_config_float)),
     "levy.h_list": ("0.25,1", _config_list(_config_float)),
@@ -170,7 +171,7 @@ def _load_config(args) -> tuple:
     if threads is None:
         source = "SELFNORM_LAB_THREADS"
         threads = _config_int(source, os.environ.get(source) or "1")
-    cfg["threads"] = as_int(threads, source, 1)
+    cfg["threads"] = as_int(threads, source, 1, mc.MAX_THREADS)
     return cfg, record
 
 

@@ -32,8 +32,8 @@ class ParameterError(ValueError):
     """A law or operation parameter is outside its admissible range."""
 
 
-def as_int(value, name: str, least: Optional[int] = None) -> int:
-    """``value`` as an int of at least ``least`` (when given); numpy
+def as_int(value, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """``value`` as an int in [least, most] (each bound when given); numpy
     integers pass, floats (even 10.0) raise ParameterError naming ``name``."""
     try:
         value = operator.index(value)
@@ -41,6 +41,8 @@ def as_int(value, name: str, least: Optional[int] = None) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise ParameterError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ParameterError(f"{name} must be at most {most}, got {value}")
     return value
 
 
@@ -409,16 +411,15 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
 
 
 def expect_weight(law: WeightLaw, g: Callable[[np.ndarray], np.ndarray],
-                  lo: float = -math.inf, hi: float = math.inf,
-                  points: Sequence[float] = ()) -> float:
+                  lo: float = -math.inf, hi: float = math.inf) -> float:
     """Integral of g against the law of X over the open interval (lo, hi).
 
     ``g`` maps an ndarray to one of the same shape, like a law callable;
     :func:`vec_eval` evaluates it and ``pdf``.  Atoms count only strictly
     inside (lo, hi).  The continuous part is one :func:`quad` of g times
-    the density, split at the density breaks and the caller's ``points``
-    (kinks or jumps of g; an undeclared jump can go unseen).  NaN bounds
-    raise :class:`ParameterError`; an empty interval gives 0.
+    the density, split at the density breaks; g must be smooth between them
+    (a jump of g can go unseen).  NaN bounds raise :class:`ParameterError`;
+    an empty interval gives 0.
     """
     if math.isnan(lo) or math.isnan(hi):
         raise ParameterError("expect_weight bounds must not be NaN")
@@ -429,7 +430,7 @@ def expect_weight(law: WeightLaw, g: Callable[[np.ndarray], np.ndarray],
         total = float((masses * vec_eval(g, locs)).sum())
     a, b = max(lo, law.support[0]), min(hi, law.support[1])
     if law.pdf is not None and b > a:
-        inner = sorted({p for p in (*points, *law.pdf_breaks) if a < p < b})
+        inner = sorted(p for p in law.pdf_breaks if a < p < b)
         total += quad(lambda x: vec_eval(g, x) * vec_eval(law.pdf, x), [a, *inner, b])[0]
     return total
 

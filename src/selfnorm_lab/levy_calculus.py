@@ -159,22 +159,21 @@ def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
     return n * y.survival(y.norming(n) * v)
 
 
-def pi_bar(view: BivariateLevyView, u: float, v: float) -> float:
-    """Tail of the bivariate measure on the side of u: the mass it gives
-    {(a, b): a > u, b > v} for u >= 0 and {(a, b): a <= u, b > v} for u < 0.
+def pi_bar(view: BivariateLevyView, u: float) -> float:
+    """Tail of the bivariate measure at v = 0 on the side of u: the mass it
+    gives {(a, b): a > u, b > 0} for u > 0 and {(a, b): a <= u, b > 0} for
+    u < 0.
 
     For each weight value x the jump size is integrated out, so the mass is
-    E[lambda_bar(max(v, u/X)); X > 0] for u >= 0 and the same expectation
-    over X < 0 for u < 0.  Finite for every u != 0 even at v = 0 because the
-    weight law has a finite absolute mean and the jump measure integrates s
-    near zero.
+    E[lambda_bar(u/X); X > 0] for u > 0 and the same expectation over X < 0
+    for u < 0.  Finite for every u != 0 because the weight law has a finite
+    absolute mean and the jump measure integrates s near zero.
     """
-    if not v >= 0.0 or math.isnan(u) or (u == 0.0 and v == 0.0):
-        raise ParameterError("need v >= 0 and (u, v) != (0, 0)")
+    if math.isnan(u) or u == 0.0:
+        raise ParameterError(f"u must be a non-zero number, got {u!r}")
     tail = view.levy.tail
-    lo, hi = (0.0, math.inf) if u >= 0.0 else (-math.inf, 0.0)
-    return expect_weight(view.weight, lambda x: tail(np.maximum(v, u / x)), lo, hi,
-                         points=[u / v] if v > 0.0 else [])
+    lo, hi = (0.0, math.inf) if u > 0.0 else (-math.inf, 0.0)
+    return expect_weight(view.weight, lambda x: tail(u / x), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +185,11 @@ def _mean_se(vals: np.ndarray) -> tuple:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
-def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
-                  stream: SeedStream, draws: int = 1_000_000):
-    """Estimate n P{XY > a_n u, Y > a_n v} (u > 0) or
-    n P{XY <= -a_n |u|, Y > a_n v} (u < 0), returning (estimate, std error).
+def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, stream: SeedStream,
+                  draws: int = 1_000_000):
+    """Estimate n P{XY > a_n u, Y > 0} (u > 0) or n P{XY <= -a_n |u|, Y > 0}
+    (u < 0), the row counterpart of :func:`pi_bar`, returning
+    (estimate, std error).
 
     X is integrated out analytically through its tail (``sf`` for u > 0,
     ``cdf`` for u < 0), so the Monte Carlo averages n * F-tail(a_n u / Y)
@@ -199,15 +199,9 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     which removes the rare-event variance entirely.
     """
     n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
-    if not math.isfinite(u):
-        raise ParameterError("u must be finite")
-    if u == 0.0 and v == 0.0:
-        raise ParameterError("(u, v) must differ from (0, 0)")
-    if not v >= 0.0:
-        raise ParameterError("v must be non-negative")
+    if not (math.isfinite(u) and u != 0.0):
+        raise ParameterError(f"u must be finite and non-zero, got {u!r}")
     a_n = finite_norming(y, n)
-    if u == 0.0:
-        return prelimit_lambda_n(y, n, v) * x.sf(0.0), 0.0
 
     if u > 0.0:
         edge = x.support[1]
@@ -215,21 +209,17 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, v: float,
     else:
         edge = -x.support[0]
         weight_tail = lambda t: vec_eval(x.cdf, -t)
-    au = a_n * abs(u)
 
     if math.isfinite(edge) and edge > 0.0:
-        # restrict to Y > y0 where the X-tail factor can be positive
-        c0 = max(v, abs(u) / edge)
-        y0 = a_n * c0
-        ys = y.tail_sampler(stream, draws, y0)
+        # restrict to Y > a_n c0, where the X-tail factor can be positive
+        c0 = abs(u) / edge
+        ys = y.tail_sampler(stream, draws, a_n * c0)
         scale = prelimit_lambda_n(y, n, c0)
     else:
         ys = y.sampler(stream, draws)
         scale = float(n)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(ys > 0.0, au / np.maximum(ys, 1e-300), math.inf)
-    vals = weight_tail(ratio) * (ys > a_n * v)
-    return _mean_se(scale * vals)
+    ratio = np.where(ys > 0.0, a_n * abs(u) / np.maximum(ys, 1e-300), math.inf)
+    return _mean_se(scale * weight_tail(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +396,7 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int]
 
     # the limits do not depend on n
     lam_lim = [lambda_bar(view.levy, v) for v in v_grid]
-    pi_lim = [pi_bar(view, u, 0.0) for u in u_grid]
+    pi_lim = [pi_bar(view, u) for u in u_grid]
     scale = max(abs(l) for l in lam_lim) or 1.0
     for n in n_list:
         pre = [prelimit_lambda_n(y, n, v) for v in v_grid]
@@ -416,7 +406,7 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int]
     for j, n in enumerate(n_list if len(u_grid) else ()):  # no u point, no pi report
         pre, ses = [], []
         for i, u in enumerate(u_grid):
-            est, se = prelimit_pi_n(x, y, n, u, 0.0, stream.child(j * len(u_grid) + i),
+            est, se = prelimit_pi_n(x, y, n, u, stream.child(j * len(u_grid) + i),
                                     draws=draws)
             pre.append(est)
             ses.append(se)

@@ -78,14 +78,17 @@ SUB_ELEMS = 2**16
 # Version of the stream layout described in the module docstring; it changes
 # whenever the same (seed, config) starts to produce different draws.
 STREAM_LAYOUT = 3
+# Most worker threads an engine call may use: a pool keeps its threads for
+# the life of the process, one pool per thread count.
+MAX_THREADS = 256
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation request: sample size n, number of replications, master
     stream, small-jump cutoff (required by :func:`simulate_limit_pair`,
-    unused by the finite-n engines) and thread count (must not affect
-    results)."""
+    unused by the finite-n engines) and thread count (at most MAX_THREADS;
+    must not affect results)."""
 
     n: int
     reps: int
@@ -94,8 +97,8 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n", "reps", "threads"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
+        for name, most in (("n", None), ("reps", None), ("threads", MAX_THREADS)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, 1, most))
         if self.cutoff is not None and not 0.0 < self.cutoff < 1.0:
             raise ParameterError("cutoff must lie in (0, 1)")
 

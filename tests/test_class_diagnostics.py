@@ -11,6 +11,7 @@ from selfnorm_lab.class_diagnostics import (
     ks_distance,
     ratio_scans,
     tail_ratios,
+    verdict_from_scans,
 )
 from selfnorm_lab.distributions import (
     ParameterError,
@@ -76,6 +77,10 @@ def test_ratio_validation():
     for x in (0.5, np.array([10.0, 0.0, 100.0]), np.array([10.0, 0.5, 100.0])):
         with pytest.raises(ParameterError, match="below the support"):
             tail_ratios(y, x)
+    # a grid must be positive before its decades are counted
+    for grid in ([0.0, 1e2, 1e10], [-1e3, 1e2, 1e10]):
+        with pytest.raises(ParameterError, match="positive"):
+            ratio_scans(y, grid)
 
 
 @pytest.mark.parametrize("y", [make_pareto_multiplier(0.5), make_slowly_varying_multiplier(),
@@ -136,6 +141,18 @@ def test_classify_scale_invariant():
     assert classify(scaled, c * GRID).label == classify(y, GRID).label
 
 
+@pytest.mark.parametrize("lo,hi,label", [
+    (5.0, 45.0, "centered_feller"),            # over 4x its bottom decade, under 50
+    (5.0, 55.0, "not_feller_griffin_holds"),   # over 4x and over 50: growing
+    (20.0, 60.0, "centered_feller"),           # over 50, under 4x
+])
+def test_verdict_growth_thresholds(lo, hi, label):
+    # a ratio grows when its top-decade maximum is over 4x its bottom-decade
+    # maximum and over 50; F = G = 1 leaves the centered ratio C to decide
+    one = np.ones_like(GRID)
+    assert verdict_from_scans(GRID, one, np.geomspace(lo, hi, GRID.size), one).label == label
+
+
 def test_classify_rejects_short_grid():
     with pytest.raises(ParameterError):
         classify(make_pareto_multiplier(0.5), np.logspace(2, 5, 10))
@@ -192,6 +209,16 @@ def test_atom_scan_two_atoms():
     atoms = atom_scan(_sample(vals), 0.01)
     locs = [round(loc, 2) for loc, _ in atoms]
     assert 0.0 in locs and 1.0 in locs
+
+
+def test_atom_scan_count_floor():
+    # no grid point lies within eps of 50, and no flank holds a point, so
+    # the copies of 50 alone meet the count floor 20 / reps: 15 of 1015
+    # (mass 0.0148) fall short of it, 25 of 1025 clear it
+    grid = np.linspace(0.0, 100.0, 1000)
+    assert atom_scan(_sample(np.append(grid, np.full(15, 50.0))), 0.01) == []
+    atoms = atom_scan(_sample(np.append(grid, np.full(25, 50.0))), 0.01)
+    assert [loc for loc, _ in atoms] == [50.0]
 
 
 def test_atom_scan_validation():

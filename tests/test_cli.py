@@ -10,6 +10,7 @@ import pytest
 
 import selfnorm_lab
 from selfnorm_lab.cli import main, parse_config_file
+from selfnorm_lab.montecarlo import MAX_THREADS
 
 
 def write_cfg(path: Path, **overrides) -> Path:
@@ -121,12 +122,17 @@ def test_simulate_bad_law_exits_3(tmp_path):
     ("levy", "levy.draws", "1"),  # one draw has no standard error
     ("levy", "levy.draws", "0"),
     ("limit", "grid.points", "1"),
+    ("simulate", "n", "0"),
+    ("simulate", "reps", "0"),
+    ("levy", "levy.n_list", "0,10"),
 ])
 def test_bad_config_key_exits_3_before_output(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path, **{key: value})
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
-    assert key in capsys.readouterr().err
+    # quoted, because a bare key such as n occurs in many messages
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err or f"unknown config key(s): {key}" in err
     assert not out.exists()
 
 
@@ -375,9 +381,16 @@ def test_reproduce_unknown_suite_exits_3(tmp_path):
     (["--seed", "-1"], None, "seed"),
     ([], "0", "SELFNORM_LAB_THREADS"),
     (["--seed", str(2**64)], None, "seed"),
-], ids=["threads0", "seed-1", "env_threads0", "seed2**64"])
+    (["--threads", str(MAX_THREADS + 1)], None, "--threads"),
+    ([], str(MAX_THREADS + 1), "SELFNORM_LAB_THREADS"),
+], ids=["threads0", "seed-1", "env_threads0", "seed2**64", "threads_over_max",
+        "env_threads_over_max"])
 def test_reproduce_bad_run_settings_exit_3_before_output(tmp_path, monkeypatch, capsys,
                                                          flags, env, key):
+    import selfnorm_lab.scenarios as scenarios
+
+    # a setting that slips through must not run the suite (and start its threads)
+    monkeypatch.setattr(scenarios, "run_suite", lambda *a, **k: pytest.fail("suite ran"))
     if env is not None:
         monkeypatch.setenv("SELFNORM_LAB_THREADS", env)
     assert main(["reproduce", "S5", "--out", str(tmp_path / "o"), *flags]) == 3

@@ -85,8 +85,8 @@ def test_prelimit_lambda_rejects_non_integer_n():
 _GAUSS, _PARETO = make_weight_law("standard_gaussian"), make_pareto_multiplier(0.5)
 PRELIMIT_N_CALLS = {
     "alpha_h": lambda n: prelimit_alpha_h(_PARETO, n, 1.0),
-    "prelimit_pi_n": lambda n: prelimit_pi_n(_GAUSS, _PARETO, n, 1.0, 0.0,
-                                             SeedStream(3), draws=100),
+    "prelimit_pi_n": lambda n: prelimit_pi_n(_GAUSS, _PARETO, n, 1.0, SeedStream(3),
+                                             draws=100),
     "prelimit_truncated_first_moments": lambda n: prelimit_truncated_first_moments(
         _GAUSS, _PARETO, n, 1.0, SeedStream(3), draws=100),
     "prelimit_truncated_second_moments": lambda n: prelimit_truncated_second_moments(
@@ -104,8 +104,8 @@ def test_prelimit_routines_reject_non_integer_n(name, bad):
 
 
 PRELIMIT_DRAWS_CALLS = {
-    "prelimit_pi_n": lambda d: prelimit_pi_n(_GAUSS, _PARETO, 10, 1.0, 0.0,
-                                             SeedStream(3), draws=d),
+    "prelimit_pi_n": lambda d: prelimit_pi_n(_GAUSS, _PARETO, 10, 1.0, SeedStream(3),
+                                             draws=d),
     "prelimit_truncated_first_moments": lambda d: prelimit_truncated_first_moments(
         _GAUSS, _PARETO, 10, 1.0, SeedStream(3), draws=d),
     "prelimit_truncated_second_moments": lambda d: prelimit_truncated_second_moments(
@@ -151,110 +151,80 @@ def test_prelimit_lambda_slowly_varying_quantile_identity():
 
 def test_pi_bar_uniform01_values(view_u01):
     # substitution gives u^-beta * E[X^beta] = 1 * 2/3 at u=1, v=0
-    assert pi_bar(view_u01, 1.0, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
-    assert pi_bar(view_u01, 0.0, 1.0) == pytest.approx(1.0)
-    assert pi_bar(view_u01, 1.0, 1e10) < 1e-4
-    # v > u: (2/3) u^-1/2 (u/v)^3/2 from X <= u/v plus (1 - u/v) v^-1/2 above
-    u, v = 0.5, 0.7
-    want = 2.0 / 3.0 * u ** -0.5 * (u / v) ** 1.5 + (1.0 - u / v) * v ** -0.5
-    assert want == pytest.approx(0.91065036901668, abs=1e-14)
-    assert pi_bar(view_u01, u, v) == pytest.approx(want, rel=1e-12)
-    for bad in ((0.0, 0.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(ParameterError):
-            pi_bar(view_u01, *bad)
+    assert pi_bar(view_u01, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-8)
+    for bad in (0.0, -0.0, math.nan):
+        with pytest.raises(ParameterError, match="u must be a non-zero number"):
+            pi_bar(view_u01, bad)
 
 
 def test_pi_bar_substitution_identity(stable_half):
-    # pi_bar(u, 0) = u^-beta E[(X+)^beta], pi_bar(-u, 0) = u^-beta E[(X-)^beta];
+    # pi_bar(u) = u^-beta E[(X+)^beta], pi_bar(-u) = u^-beta E[(X-)^beta];
     # the half moments of order 1/2 are (E[(X+)^b], E[(X-)^b]) in closed form
     gaussian_half = 2.0 ** -0.75 * math.gamma(0.75) / math.sqrt(math.pi)
     for kind, pos, neg in (("uniform01", 2.0 / 3.0, 0.0), ("rademacher", 0.5, 0.5),
                            ("standard_gaussian", gaussian_half, gaussian_half)):
         view = BivariateLevyView(make_weight_law(kind), stable_half)
         for u in (0.5, 1.0, 2.0):
-            assert pi_bar(view, u, 0.0) == pytest.approx(u ** -0.5 * pos, rel=1e-7), (kind, u)
-            assert pi_bar(view, -u, 0.0) == pytest.approx(u ** -0.5 * neg, rel=1e-7), (kind, u)
+            assert pi_bar(view, u) == pytest.approx(u ** -0.5 * pos, rel=1e-7), (kind, u)
+            assert pi_bar(view, -u) == pytest.approx(u ** -0.5 * neg, rel=1e-7), (kind, u)
 
 
 def test_pi_neg_nonnegative_weight_is_zero(view_u01):
     for u in (0.5, 1.0, 3.0):
-        assert pi_bar(view_u01, -u, 0.0) == 0.0
+        assert pi_bar(view_u01, -u) == 0.0
 
 
 def test_pi_neg_rademacher_value(view_rademacher):
     # F(-1/s) = 1/2 exactly when s >= 1, so the integral is half the tail at 1
-    assert pi_bar(view_rademacher, -1.0, 0.0) == pytest.approx(0.5, abs=1e-9)
-    assert pi_bar(view_rademacher, -1.0, 1e8) < 1e-3
+    assert pi_bar(view_rademacher, -1.0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_pi_monotonicity(view_u01, view_rademacher):
     us = [0.25, 0.5, 1.0, 2.0]
-    vs = [0.0, 0.5, 1.0, 4.0]
-    vals_u = [pi_bar(view_u01, u, 0.1) for u in us]
+    vals_u = [pi_bar(view_u01, u) for u in us]
     assert all(b <= a + 1e-12 for a, b in zip(vals_u[:-1], vals_u[1:]))
-    vals_v = [pi_bar(view_u01, 1.0, v) for v in vs]
-    assert all(b <= a + 1e-12 for a, b in zip(vals_v[:-1], vals_v[1:]))
-    neg_u = [pi_bar(view_rademacher, -u, 0.0) for u in us]
+    neg_u = [pi_bar(view_rademacher, -u) for u in us]
     assert all(b <= a + 1e-12 for a, b in zip(neg_u[:-1], neg_u[1:]))
-
-
-def test_pi_consistency_at_origin(stable_half):
-    # pi_bar(0+, v) + pi_bar(0-, v) <= lambda_bar(v); equality without an atom at 0
-    v = 0.7
-    lam = lambda_bar(stable_half, v)
-    for kind in ("uniform01", "rademacher"):
-        view = BivariateLevyView(make_weight_law(kind), stable_half)
-        total = pi_bar(view, 1e-9, v) + pi_bar(view, -1e-9, v)
-        assert total <= lam + 1e-9
-        assert total == pytest.approx(lam, rel=1e-4)
-    view_atom0 = BivariateLevyView(
-        make_weight_law("bernoulli", p=0.5, x0=0.0, x1=1.0), stable_half)
-    total = pi_bar(view_atom0, 1e-9, v) + pi_bar(view_atom0, -1e-9, v)
-    assert total <= lam * (1.0 - 0.5 + 1e-6)
 
 
 def test_prelimit_pi_point_mass_reduces_to_lambda():
     x = make_weight_law("point_mass", c=1.0)
     y = make_pareto_multiplier(0.5)
-    for (u, v) in ((1.0, 0.0), (0.5, 2.0), (2.0, 0.5)):
-        est, se = prelimit_pi_n(x, y, 10_000, u, v, SeedStream(3, 1), draws=200_000)
-        want = prelimit_lambda_n(y, 10_000, max(u, v))
-        assert abs(est - want) <= 3.0 * se + 1e-9
+    est, se = prelimit_pi_n(x, y, 10_000, 1.0, SeedStream(3, 1), draws=200_000)
+    want = prelimit_lambda_n(y, 10_000, 1.0)
+    assert abs(est - want) <= 3.0 * se + 1e-9
 
 
-def test_prelimit_pi_matches_limit(view_u01):
+def test_prelimit_pi_matches_limit():
     x = make_weight_law("uniform01")
     y = make_pareto_multiplier(0.5)
-    est, se = prelimit_pi_n(x, y, 10_000, 1.0, 0.0, SeedStream(3, 2), draws=400_000)
+    est, se = prelimit_pi_n(x, y, 10_000, 1.0, SeedStream(3, 2), draws=400_000)
     assert se < 5e-3
     assert abs(est - 2.0 / 3.0) <= 3.0 * se + 1e-9
-    # v > u branch against quadrature of the limit
-    est2, se2 = prelimit_pi_n(x, y, 10_000, 0.5, 2.0, SeedStream(3, 3), draws=400_000)
-    want = pi_bar(view_u01, 0.5, 2.0)
-    assert abs(est2 - want) <= 3.0 * se2 + 1e-6
 
 
 def test_prelimit_pi_negative_branch(stable_half):
     x = make_weight_law("rademacher")
     y = make_pareto_multiplier(0.5)
     view = BivariateLevyView(x, stable_half)
-    est, se = prelimit_pi_n(x, y, 10_000, -1.0, 0.0, SeedStream(3, 4), draws=400_000)
-    assert abs(est - pi_bar(view, -1.0, 0.0)) <= 3.0 * se + 1e-6
+    est, se = prelimit_pi_n(x, y, 10_000, -1.0, SeedStream(3, 4), draws=400_000)
+    assert abs(est - pi_bar(view, -1.0)) <= 3.0 * se + 1e-6
 
 
-@pytest.mark.parametrize("u,v", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
-                                 (1.0, math.nan)])
-def test_prelimit_pi_rejects_non_finite_input(u, v):
+# each id names the rejected point (u, v) of the v = 0 slice
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 0.0],
+                         ids=["nan-0.0", "inf-0.0", "-inf-0.0", "0.0-0.0"])
+def test_prelimit_pi_rejects_non_finite_input(u):
     y = make_pareto_multiplier(0.5)
     for kind in ("uniform01", "standard_gaussian"):  # restricted and plain MC paths
-        with pytest.raises(ParameterError):
-            prelimit_pi_n(make_weight_law(kind), y, 100, u, v, SeedStream(3, 6), draws=1_000)
+        with pytest.raises(ParameterError, match="u must be finite and non-zero"):
+            prelimit_pi_n(make_weight_law(kind), y, 100, u, SeedStream(3, 6), draws=1_000)
 
 
 def test_prelimit_pi_variance_reported():
     x = make_weight_law("standard_gaussian")  # unbounded: plain MC path
     y = make_pareto_multiplier(0.5)
-    est, se = prelimit_pi_n(x, y, 100, 1.0, 0.0, SeedStream(3, 5), draws=100_000)
+    est, se = prelimit_pi_n(x, y, 100, 1.0, SeedStream(3, 5), draws=100_000)
     assert se > 0.0
 
 
@@ -263,7 +233,7 @@ def test_prelimit_pi_reads_far_weight_tail_through_sf(u):
     # n mean(sf(a_n u / Y)) on the same draws; 1 - cdf cancels to 0 at
     # u = 1e30 and loses 0.1% at u = 1e25
     x, y = make_weight_law("symmetric_pareto", gamma=0.8), make_pareto_multiplier(0.5)
-    est, se = prelimit_pi_n(x, y, 10, u, 0.0, SeedStream(5), draws=10_000)
+    est, se = prelimit_pi_n(x, y, 10, u, SeedStream(5), draws=10_000)
     ys = y.sampler(SeedStream(5), 10_000)
     want = 10.0 * x.sf(y.norming(10) * u / ys).mean()
     assert want > 0.0
@@ -277,7 +247,7 @@ def test_prelimit_pi_with_tail_draws_past_a_double():
     # u^-beta E[X^beta] = u^-beta / (1 + beta) for X uniform on (0, 1)
     x, y, u = make_weight_law("uniform01"), make_pareto_multiplier(0.01), 2.0
     assert np.isinf(y.tail_sampler(SeedStream(8), 10_000, y.norming(100) * u)).any()
-    est, se = prelimit_pi_n(x, y, 100, u, 0.0, SeedStream(8), draws=10_000)
+    est, se = prelimit_pi_n(x, y, 100, u, SeedStream(8), draws=10_000)
     assert se > 0.0
     assert abs(est - u ** -0.01 / 1.01) <= 4.89 * se
 

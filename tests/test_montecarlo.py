@@ -22,6 +22,7 @@ from selfnorm_lab.levy_calculus import BivariateLevyView, stable_levy_tail
 from selfnorm_lab.class_diagnostics import ks_distance
 from selfnorm_lab.montecarlo import (
     BLOCK_ELEMS,
+    MAX_THREADS,
     SUB_ELEMS,
     EmpiricalSample,
     SimConfig,
@@ -126,6 +127,11 @@ def test_sim_config_validation():
         SimConfig(n=1, reps=0, seed=SeedStream(1))
     with pytest.raises(ParameterError):
         SimConfig(n=1, reps=1, seed=SeedStream(1), cutoff=1.5)
+    # building a request starts no thread; an engine call is never made here
+    assert SimConfig(n=1, reps=1, seed=SeedStream(1), threads=MAX_THREADS).threads == MAX_THREADS
+    for bad in (MAX_THREADS + 1, 10**6):
+        with pytest.raises(ParameterError, match=f"threads must be at most {MAX_THREADS}"):
+            SimConfig(n=1, reps=1, seed=SeedStream(1), threads=bad)
 
 
 @pytest.mark.parametrize("field", ["n", "reps", "threads"])
