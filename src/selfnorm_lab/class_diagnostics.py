@@ -27,13 +27,19 @@ def tail_ratios(y: MultiplierLaw, x):
         G = x E[Y 1{Y <= x}] / (x^2 P{Y > x} + E[Y^2 1{Y <= x}])
 
     x is a float or an array of floats; an array gives arrays of its shape.
-    Any x below the support of Y (zero truncated variance) raises.
+    Any x below the support of Y (zero truncated variance) raises, and so
+    does an x where an input overflows a double (x * x past about 1.34e154).
     """
-    m2 = y.trunc_second(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = y.trunc_second(x)
+        tail = x * x * y.survival(x)
+        m1 = x * y.trunc_mean(x)
+        bad = ~np.isfinite(tail + m1 + m2)  # also an overflow of the sums below
+    if bad.any():
+        first = float(np.asarray(x)[bad][0])
+        raise ParameterError(f"tail ratios overflow a double at x = {first!r}")
     if not np.all(m2 > 0.0):
         raise ParameterError("x is below the support of Y (zero truncated variance)")
-    tail = x * x * y.survival(x)
-    m1 = x * y.trunc_mean(x)
     return tail / m2, (tail + m1) / m2, m1 / (tail + m2)
 
 

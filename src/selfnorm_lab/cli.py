@@ -7,10 +7,10 @@ suites S1..S6).
 
 Configuration is a flat key=value file with dotted sections; ``_KEYS`` lists
 every key with its default and configs/ holds canonical examples.  Every key
-is parsed and checked before a command writes anything, and an unknown key is
-an error.  ``--seed`` overrides the file; the thread count comes from
-``--threads``, else the environment variable SELFNORM_LAB_THREADS, else 1,
-and is at most ``montecarlo.MAX_THREADS``.
+is parsed and checked before a command writes anything, and an unknown or a
+repeated key is an error.  ``--seed`` overrides the file; the thread count
+comes from ``--threads``, else the environment variable SELFNORM_LAB_THREADS,
+else 1, and is at most ``montecarlo.MAX_THREADS``.
 Exit codes: 0 success, 1 failed verification check, 2 I/O error, 3
 configuration error.  Thread count never changes numerical output.
 """
@@ -52,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config_file(path: Path) -> dict:
-    """Read a flat key = value file; '#' starts a comment."""
-    out = {}
+    """Read a flat key = value file; '#' starts a comment; a key may not repeat."""
+    out, first = {}, {}
     text = path.read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,8 +61,10 @@ def parse_config_file(path: Path) -> dict:
             continue
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise ParameterError(f"{path}:{lineno}: config key {key!r} repeats line {first[key]}")
+        first[key], out[key] = lineno, value
     return out
 
 
@@ -108,12 +110,21 @@ def _config_seed(key: str, text: str) -> SeedStream:
     return SeedStream(value)
 
 
-def _config_list(parse):
-    """Parser of a comma-separated list whose entries ``parse`` reads."""
-    return lambda key, text: [parse(key, tok) for tok in text.split(",") if tok.strip()]
+def _config_list(parse, rule=None, nonempty=False):
+    """Parser of a comma-separated list whose entries ``parse`` reads; ``rule``
+    is an optional (test, name) pair that every entry must pass."""
+    def parse_list(key, text):
+        values = [parse(key, tok) for tok in text.split(",") if tok.strip()]
+        if nonempty and not values:
+            raise ParameterError(f"config field {key!r} must not be empty")
+        if rule is not None and not all(map(rule[0], values)):
+            raise ParameterError(f"config field {key!r} entries must be {rule[1]}, got {text!r}")
+        return values
+    return parse_list
 
 
 _text = lambda key, text: text
+_POSITIVE, _NONZERO = (lambda v: v > 0.0, "positive"), (lambda v: v != 0.0, "non-zero")
 
 # Every config key: its default text and its parser, called as parse(key, text).
 _KEYS = {
@@ -137,10 +148,10 @@ _KEYS = {
     "diag.lo": ("1e2", _config_float),
     "diag.hi": ("1e16", _config_float),
     "diag.points": ("57", _config_count(2)),
-    "levy.n_list": ("1000,10000,100000", _config_list(_config_count(1))),
-    "levy.v_grid": ("0.25,0.5,1,2,4", _config_list(_config_float)),
-    "levy.u_grid": ("0.5,1,2", _config_list(_config_float)),
-    "levy.h_list": ("0.25,1", _config_list(_config_float)),
+    "levy.n_list": ("1000,10000,100000", _config_list(_config_count(1), nonempty=True)),
+    "levy.v_grid": ("0.25,0.5,1,2,4", _config_list(_config_float, _POSITIVE, nonempty=True)),
+    "levy.u_grid": ("0.5,1,2", _config_list(_config_float, _NONZERO)),
+    "levy.h_list": ("0.25,1", _config_list(_config_float, _POSITIVE)),
     "levy.draws": ("200000", _config_count(2)),
     "levy.kmax": ("10", _config_count(0)),
 }

@@ -272,15 +272,13 @@ class MultiplierLaw:
 
     ``survival`` is P{Y > y}, ``trunc_mean(x)`` is E[Y 1{Y <= x}] and
     ``trunc_second(x)`` is E[Y^2 1{Y <= x}].  ``norming(n)`` is the sequence
-    a_n used to rescale partial sums.  ``tail_sampler(source, count, y0)``
-    draws from the conditional law of Y given Y > y0 exactly; it powers
-    low-variance estimators of rare product-tail events.
+    a_n used to rescale partial sums.
     ``survival_logarg`` and ``log_norming`` are optional log-space
     companions (P{Y > e^t} and log a_n) that keep tail evaluations finite
     when a_n overflows a double, as it does for the slowly varying law.
     ``log_sampler`` draws log Y coupled to the same uniforms as ``sampler``;
     scale-free engines use it so that laws whose raw draws overflow a double
-    still sum correctly.  All three samplers take a :class:`SeedStream` (a
+    still sum correctly.  Both samplers take a :class:`SeedStream` (a
     fresh generator from its key) or a numpy ``Generator`` (continuing its
     sequence) as ``source`` and return a fresh float array that the caller
     may overwrite.  ``sampler(source, count, out=None)`` and
@@ -298,7 +296,6 @@ class MultiplierLaw:
     trunc_second: Callable[[float], float]
     norming: Callable[[int], float]
     tail_class: TailClass
-    tail_sampler: Callable[[RandomSource, int, float], np.ndarray]
     log_norming: Optional[Callable[[int], float]] = None
     survival_logarg: Optional[Callable[[float], float]] = None
     log_sampler: Optional[Callable[..., np.ndarray]] = None
@@ -619,7 +616,7 @@ def _pareto_power(v: np.ndarray, b: float) -> np.ndarray:
     """v ** (-1/b) for v in (0, 1], written over v: Pareto(b) draws from
     v = 1 - U.  For b = 1/2 it takes 1 / (v * v), which is cheaper than the
     power, stays >= 1 and lies within 2 ulp of it.  A draw past the largest
-    double is inf, without a warning, as in ``tail_sampler``."""
+    double is inf, without a warning: a Y beyond every finite bound."""
     if b == 0.5:
         np.multiply(v, v, out=v)
         return np.divide(1.0, v, out=v)
@@ -632,8 +629,6 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
 
     The norming sequence is the upper 1/n quantile, a_n = n**(1/beta), which
     makes n * P{Y > a_n v} = v^-beta exactly whenever a_n v >= 1.
-    ``tail_sampler`` returns inf, without a warning, for a draw past the
-    largest double: a Y beyond every finite bound.
     """
     if not 0.0 < beta < 2.0:
         raise ParameterError("pareto beta must lie in (0, 2)")
@@ -649,11 +644,6 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
 
     def trunc_second(x):
         return b * (np.maximum(x, 1.0) ** (2.0 - b) - 1.0) / (2.0 - b)
-
-    def tail_sampler(source, count, y0):
-        lo = max(1.0, y0)
-        with np.errstate(over="ignore"):  # inf past a double, as Y lies beyond it
-            return lo * _open_uniform(source, count) ** (-1.0 / b)
 
     def norming(n):
         try:
@@ -672,7 +662,6 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
         tail_class=TailClass("pareto", b),
         log_norming=lambda n: math.log(n) / b,
         survival_logarg=lambda t: np.exp(-b * np.maximum(t, 0.0)),
-        tail_sampler=tail_sampler,
     )
 
 
@@ -722,12 +711,6 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
         with np.errstate(over="ignore"):
             return np.exp(t, out=t)  # inf beyond e^709; see log_sampler
 
-    def tail_sampler(source, count, y0):
-        cap = 1.0 / math.log(max(y0, e))  # P{Y > y0} in uniform units
-        u = _open_uniform(source, count) * cap
-        with np.errstate(over="ignore"):
-            return np.exp(1.0 / u)
-
     return MultiplierLaw(
         label="slowly_varying",
         survival=survival,
@@ -739,7 +722,6 @@ def make_slowly_varying_multiplier() -> MultiplierLaw:
         log_norming=lambda n: float(n),
         survival_logarg=lambda t: 1.0 / np.maximum(t, 1.0),
         log_sampler=log_sampler,
-        tail_sampler=tail_sampler,
     )
 
 
@@ -775,14 +757,8 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
             trunc_second=trunc_second,
             norming=lambda n: n / r,
             tail_class=TailClass("finite_mean"),
-            tail_sampler=lambda source, count, y0: (
-                max(y0, 0.0) + _rng(source).standard_exponential(count) / r),
         )
     if kind == "uniform01":
-        def tail_sampler(source, count, y0):
-            lo = max(0.0, min(y0, 1.0))
-            return lo + (1.0 - lo) * _rng(source).random(count)
-
         return MultiplierLaw(
             label="uniform01",
             survival=lambda y: np.clip(1.0 - y, 0.0, 1.0),
@@ -791,7 +767,6 @@ def make_finite_mean_multiplier(kind: str, rate: float = 1.0) -> MultiplierLaw:
             trunc_second=lambda x: np.clip(x, 0.0, 1.0) ** 3 / 3.0,
             norming=lambda n: 0.5 * n,
             tail_class=TailClass("finite_mean"),
-            tail_sampler=tail_sampler,
         )
     raise ParameterError(f"unknown finite-mean multiplier kind {kind!r}")
 

@@ -145,18 +145,21 @@ def _check_level(h: float) -> None:
         raise ParameterError("h must be positive and finite")
 
 
-def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
-    """n P{Y > a_n v}, the row tail of the triangular array.
+def _row_tail(y: MultiplierLaw, n: int, log_v):
+    """n P{Y > a_n e^log_v} for a float or an array ``log_v``, in log space
+    when the law has the hooks, so that it stays finite when a_n v overflows."""
+    if y.survival_logarg is not None and y.log_norming is not None:
+        return n * vec_eval(y.survival_logarg, y.log_norming(n) + log_v)
+    with np.errstate(over="ignore"):  # a_n v = inf: no Y exceeds it
+        return n * vec_eval(y.survival, y.norming(n) * np.exp(log_v))
 
-    Evaluated in log space when the law provides the hooks, so it stays
-    finite even when a_n itself overflows (slowly varying law, large n).
-    """
+
+def prelimit_lambda_n(y: MultiplierLaw, n: int, v: float) -> float:
+    """n P{Y > a_n v}, the row tail of the triangular array."""
     n = as_int(n, "n", 1)
     if not v > 0.0:
         raise ParameterError("v must be positive")
-    if y.survival_logarg is not None and y.log_norming is not None:
-        return n * y.survival_logarg(y.log_norming(n) + math.log(v))
-    return n * y.survival(y.norming(n) * v)
+    return float(_row_tail(y, n, math.log(v)))
 
 
 def pi_bar(view: BivariateLevyView, u: float) -> float:
@@ -167,17 +170,26 @@ def pi_bar(view: BivariateLevyView, u: float) -> float:
     For each weight value x the jump size is integrated out, so the mass is
     E[lambda_bar(u/X); X > 0] for u > 0 and the same expectation over X < 0
     for u < 0.  Finite for every u != 0 because the weight law has a finite
-    absolute mean and the jump measure integrates s near zero.
+    absolute mean and the jump measure integrates s near zero.  A u so far
+    out that u / x overflows a double at a node raises ParameterError.
     """
     if math.isnan(u) or u == 0.0:
         raise ParameterError(f"u must be a non-zero number, got {u!r}")
     tail = view.levy.tail
+
+    def integrand(x):
+        with np.errstate(over="ignore"):
+            ratio = u / x
+        if np.isinf(ratio).any():
+            raise ParameterError(f"u = {u!r} is too far out: u / x overflows near x = 0")
+        return tail(ratio)
+
     lo, hi = (0.0, math.inf) if u > 0.0 else (-math.inf, 0.0)
-    return expect_weight(view.weight, lambda x: tail(u / x), lo, hi)
+    return expect_weight(view.weight, integrand, lo, hi)
 
 
 # ---------------------------------------------------------------------------
-# Prelimit bivariate tails (Monte Carlo with X integrated out)
+# Prelimit bivariate tails (Monte Carlo over X, Y integrated analytically)
 # ---------------------------------------------------------------------------
 
 
@@ -188,38 +200,21 @@ def _mean_se(vals: np.ndarray) -> tuple:
 def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, stream: SeedStream,
                   draws: int = 1_000_000):
     """Estimate n P{XY > a_n u, Y > 0} (u > 0) or n P{XY <= -a_n |u|, Y > 0}
-    (u < 0), the row counterpart of :func:`pi_bar`, returning
-    (estimate, std error).
+    (u < 0), the row counterpart of :func:`pi_bar`, as (estimate, std error).
 
-    X is integrated out analytically through its tail (``sf`` for u > 0,
-    ``cdf`` for u < 0), so the Monte Carlo averages n * F-tail(a_n u / Y)
-    over Y draws.  When the weight has bounded
-    support and the multiplier law can sample its conditional tail exactly,
-    sampling restricts to the sub-event where the integrand can be non-zero,
-    which removes the rare-event variance entirely.
+    As in :func:`pi_bar`, the multiplier is integrated out for each weight
+    value: the Monte Carlo averages the row tail n P{Y > a_n |u| / |X|} over
+    X draws on the side of u and counts 0 elsewhere.  The ratio is formed
+    in log space, so the estimate stays finite wherever the row tail does.
     """
     n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
     if not (math.isfinite(u) and u != 0.0):
         raise ParameterError(f"u must be finite and non-zero, got {u!r}")
-    a_n = finite_norming(y, n)
-
-    if u > 0.0:
-        edge = x.support[1]
-        weight_tail = lambda t: vec_eval(x.sf, t)
-    else:
-        edge = -x.support[0]
-        weight_tail = lambda t: vec_eval(x.cdf, -t)
-
-    if math.isfinite(edge) and edge > 0.0:
-        # restrict to Y > a_n c0, where the X-tail factor can be positive
-        c0 = abs(u) / edge
-        ys = y.tail_sampler(stream, draws, a_n * c0)
-        scale = prelimit_lambda_n(y, n, c0)
-    else:
-        ys = y.sampler(stream, draws)
-        scale = float(n)
-    ratio = np.where(ys > 0.0, a_n * abs(u) / np.maximum(ys, 1e-300), math.inf)
-    return _mean_se(scale * weight_tail(ratio))
+    xs = x.sampler(stream, draws)
+    with np.errstate(divide="ignore"):  # X = 0 gives log v = inf, a row tail of 0
+        log_v = math.log(abs(u)) - np.log(np.abs(xs))
+    side = xs > 0.0 if u > 0.0 else xs < 0.0
+    return _mean_se(np.where(side, _row_tail(y, n, log_v), 0.0))
 
 
 # ---------------------------------------------------------------------------

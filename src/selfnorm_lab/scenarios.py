@@ -75,7 +75,8 @@ def _eq(name, value, expected, detail=""):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    """Standard JSON: a NaN or an infinity raises ValueError (exit 3 in cli)."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def _write_sample_csv(path: Path, header: list, columns: list,

@@ -70,6 +70,16 @@ def test_centered_dominates_plain_ratio():
             assert cen >= fel
 
 
+def test_tail_ratios_reject_overflow():
+    # x * x passes a double just above 1.34e154; past it the ratios read
+    # Infinity or NaN, which flipped the class label
+    y = make_pareto_multiplier(0.5)
+    assert tail_ratios(y, 1e154) == pytest.approx((3.0, 6.0, 0.75), rel=1e-12)
+    for x in (1.4e154, np.array([1e2, 1e154, 1.4e154, 1e160])):
+        with pytest.raises(ParameterError, match=r"overflow a double at x = 1\.4e\+154"):
+            tail_ratios(y, x)
+
+
 def test_ratio_validation():
     y = make_pareto_multiplier(0.5)
     # below the support the truncated variance is zero: all three ratios

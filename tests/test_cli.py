@@ -10,6 +10,7 @@ import pytest
 
 import selfnorm_lab
 from selfnorm_lab.cli import main, parse_config_file
+from selfnorm_lab.distributions import ParameterError
 from selfnorm_lab.montecarlo import MAX_THREADS
 
 
@@ -36,6 +37,19 @@ def test_parse_config_file(tmp_path):
     p.write_text("bad line without equals\n")
     with pytest.raises(Exception):
         parse_config_file(p)
+    # a repeated key would silently keep its last value
+    p.write_text("n = 10\nseed = 1\nn = 20\n")
+    with pytest.raises(ParameterError, match="c.cfg:3: config key 'n' repeats line 1"):
+        parse_config_file(p)
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    # standard JSON has no NaN or Infinity token
+    from selfnorm_lab.scenarios import _write_json
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "v.json", {"v": bad})
+        assert not (tmp_path / "v.json").exists()
 
 
 def test_sample_csv_matches_per_value_format(tmp_path):
@@ -125,6 +139,10 @@ def test_simulate_bad_law_exits_3(tmp_path):
     ("simulate", "n", "0"),
     ("simulate", "reps", "0"),
     ("levy", "levy.n_list", "0,10"),
+    ("levy", "levy.v_grid", "0,1"),  # v_grid and h_list entries must be positive
+    ("levy", "levy.u_grid", "0,1"),  # u_grid entries must be non-zero
+    ("levy", "levy.h_list", "0"),
+    ("levy", "levy.v_grid", ""),  # n_list and v_grid must not be empty
 ])
 def test_bad_config_key_exits_3_before_output(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path, **{key: value})
@@ -237,6 +255,17 @@ def test_diagnose_bad_grid_exits_3_before_output(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["pareto", "exponential"])
+def test_diagnose_grid_past_overflow_exits_3_before_output(tmp_path, capsys, kind):
+    # x * x overflows a double past about 1.34e154; the scan read Infinity or
+    # NaN there and labelled exponential centered_feller
+    cfg = write_cfg(tmp_path, **{"y_law.kind": kind, "diag.hi": "1e160"})
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "diag.hi = 1e+160" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_levy_reports(tmp_path):
     cfg = write_cfg(tmp_path, **{"levy.n_list": "100,1000",
                                  "levy.v_grid": "0.5,1,2",
@@ -296,9 +325,9 @@ def test_levy_overflowing_norming_exits_3(tmp_path, capsys):
 
 
 def test_levy_tail_draws_past_a_double_do_not_warn(tmp_path, capsys):
-    # at n = 100 a_n = 1e200 is finite and the Pareto tail sampler's draws
-    # pass a double; they are inf without a RuntimeWarning (an error under
-    # this suite's settings), and the n = 1e4 row still exits 3
+    # at n = 100 a_n = 1e200 is finite, and the product tail integrates out
+    # the Y draws that would pass a double without a RuntimeWarning (an error
+    # under this suite's settings); the truncated mean at n = 1e4 still exits 3
     cfg = write_cfg(tmp_path, **{"y_law.beta": "0.01", "levy.n_list": "100,10000",
                                  "levy.draws": "1000"})
     out = tmp_path / "out"

@@ -615,30 +615,23 @@ BUILTIN_WEIGHTS = [
     make_weight_law("symmetric_pareto", gamma=0.8),
     make_weight_law("abs_pareto", gamma=1.5),
 ]
-SAMPLERS = ([pytest.param(x.sampler, (), id=f"{x.label}-sampler") for x in BUILTIN_WEIGHTS]
-            + [pytest.param(getattr(y, name), args, id=f"{y.label}-{name}")
-               for y in BUILTIN_MULTIPLIERS
-               for name, args in (("sampler", ()), ("log_sampler", ()), ("tail_sampler", (3.0,)))
+# every sampler and log_sampler; each takes ``out=``
+SAMPLERS = ([pytest.param(x.sampler, id=f"{x.label}-sampler") for x in BUILTIN_WEIGHTS]
+            + [pytest.param(getattr(y, name), id=f"{y.label}-{name}")
+               for y in BUILTIN_MULTIPLIERS for name in ("sampler", "log_sampler")
                if getattr(y, name) is not None])
 
 
-@pytest.mark.parametrize("sampler,args", SAMPLERS)
-def test_sampler_stream_equals_its_generator(sampler, args):
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_sampler_stream_equals_its_generator(sampler):
     stream = SeedStream(41, 3, (2, 7))
     with np.errstate(over="ignore"):
-        a = sampler(stream, 1_000, *args)
-        b = sampler(stream.generator(), 1_000, *args)
+        a = sampler(stream, 1_000)
+        b = sampler(stream.generator(), 1_000)
     assert a.dtype == np.float64 and np.array_equal(a, b)
 
 
-# the samplers that take ``out=``: every sampler and log_sampler
-FILL_SAMPLERS = ([pytest.param(x.sampler, id=f"{x.label}-sampler") for x in BUILTIN_WEIGHTS]
-                 + [pytest.param(getattr(y, name), id=f"{y.label}-{name}")
-                    for y in BUILTIN_MULTIPLIERS for name in ("sampler", "log_sampler")
-                    if getattr(y, name) is not None])
-
-
-@pytest.mark.parametrize("sampler", FILL_SAMPLERS)
+@pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("a,b", [(1, 999), (7, 4_093), (500, 500)])
 def test_sampler_draws_in_order(sampler, a, b):
     # a + b draws equal a draws followed by b from the same generator, so an
@@ -650,7 +643,7 @@ def test_sampler_draws_in_order(sampler, a, b):
     assert np.array_equal(whole, parts)
 
 
-@pytest.mark.parametrize("sampler", FILL_SAMPLERS)
+@pytest.mark.parametrize("sampler", SAMPLERS)
 def test_sampler_fills_out_in_place(sampler):
     buf = np.full(1_000, np.nan)
     with np.errstate(over="ignore"):

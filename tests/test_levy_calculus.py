@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -169,6 +170,20 @@ def test_pi_bar_substitution_identity(stable_half):
             assert pi_bar(view, -u) == pytest.approx(u ** -0.5 * neg, rel=1e-7), (kind, u)
 
 
+@pytest.mark.parametrize("kind,u", [("uniform01", 1e308), ("standard_gaussian", 1e308),
+                                    ("standard_gaussian", -1e308)])
+def test_pi_bar_far_u_overflow_raises(stable_half, kind, u):
+    # u / x overflows a double at the nodes next to x = 0 once u is near the
+    # largest double; a tail of 0 there read 41% low for uniform01 at 1e308.
+    # At 1e290 the value is u^-1/2 E[(X+)^1/2] as in the substitution identity
+    view = BivariateLevyView(make_weight_law(kind), stable_half)
+    gaussian_half = 2.0 ** -0.75 * math.gamma(0.75) / math.sqrt(math.pi)
+    want = 1e-145 * (2.0 / 3.0 if kind == "uniform01" else gaussian_half)
+    assert pi_bar(view, 1e290) == pytest.approx(want, rel=1e-7)
+    with pytest.raises(ParameterError, match=re.escape(f"u = {u!r}")):
+        pi_bar(view, u)
+
+
 def test_pi_neg_nonnegative_weight_is_zero(view_u01):
     for u in (0.5, 1.0, 3.0):
         assert pi_bar(view_u01, -u) == 0.0
@@ -216,13 +231,13 @@ def test_prelimit_pi_negative_branch(stable_half):
                          ids=["nan-0.0", "inf-0.0", "-inf-0.0", "0.0-0.0"])
 def test_prelimit_pi_rejects_non_finite_input(u):
     y = make_pareto_multiplier(0.5)
-    for kind in ("uniform01", "standard_gaussian"):  # restricted and plain MC paths
+    for kind in ("uniform01", "standard_gaussian"):
         with pytest.raises(ParameterError, match="u must be finite and non-zero"):
             prelimit_pi_n(make_weight_law(kind), y, 100, u, SeedStream(3, 6), draws=1_000)
 
 
 def test_prelimit_pi_variance_reported():
-    x = make_weight_law("standard_gaussian")  # unbounded: plain MC path
+    x = make_weight_law("standard_gaussian")
     y = make_pareto_multiplier(0.5)
     est, se = prelimit_pi_n(x, y, 100, 1.0, SeedStream(3, 5), draws=100_000)
     assert se > 0.0
@@ -230,26 +245,54 @@ def test_prelimit_pi_variance_reported():
 
 @pytest.mark.parametrize("u", [1e25, 1e30])
 def test_prelimit_pi_reads_far_weight_tail_through_sf(u):
-    # n mean(sf(a_n u / Y)) on the same draws; 1 - cdf cancels to 0 at
-    # u = 1e30 and loses 0.1% at u = 1e25
-    x, y = make_weight_law("symmetric_pareto", gamma=0.8), make_pareto_multiplier(0.5)
+    # X symmetric Pareto(g), Y Pareto(1/2), c = a_n u: integrating Y out for
+    # X > 0 gives (n/2)[c^(-1/2) g/(g - 1/2)(1 - c^(1/2 - g)) + c^(-g)]
+    x, y, g = make_weight_law("symmetric_pareto", gamma=0.8), make_pareto_multiplier(0.5), 0.8
     est, se = prelimit_pi_n(x, y, 10, u, SeedStream(5), draws=10_000)
-    ys = y.sampler(SeedStream(5), 10_000)
-    want = 10.0 * x.sf(y.norming(10) * u / ys).mean()
-    assert want > 0.0
-    assert est == pytest.approx(want, rel=1e-12, abs=0.0)
+    c = y.norming(10) * u
+    want = 5.0 * (c ** -0.5 * g / (g - 0.5) * (1.0 - c ** (0.5 - g)) + c ** -g)
+    assert se > 0.0
+    assert abs(est - want) <= 4.89 * se  # the two-sided 1e-6 quantile
 
 
 def test_prelimit_pi_with_tail_draws_past_a_double():
-    # beta = 0.01 at n = 100: a_n = 1e200, and y0 U^-100 passes a double for
-    # U below about 0.08.  Those draws are inf without a warning, a Y beyond
-    # every bound (a_n u / inf = 0), and the estimate keeps its exact value
+    # beta = 0.01 at n = 100: a_n = 1e200, and Y draws would pass a double
+    # for about 8% of them; at u = 1e200 so does a_n u.  Y is integrated out
+    # in log space, and the estimate keeps its exact value
     # u^-beta E[X^beta] = u^-beta / (1 + beta) for X uniform on (0, 1)
-    x, y, u = make_weight_law("uniform01"), make_pareto_multiplier(0.01), 2.0
-    assert np.isinf(y.tail_sampler(SeedStream(8), 10_000, y.norming(100) * u)).any()
-    est, se = prelimit_pi_n(x, y, 100, u, SeedStream(8), draws=10_000)
+    x, y = make_weight_law("uniform01"), make_pareto_multiplier(0.01)
+    for u in (2.0, 1e200):
+        est, se = prelimit_pi_n(x, y, 100, u, SeedStream(8), draws=10_000)
+        assert se > 0.0
+        assert abs(est - u ** -0.01 / 1.01) <= 4.89 * se
+
+
+def test_prelimit_pi_gaussian_weight_far_u():
+    # n P{Y > a_n u / X} = n (a_n u / X)^(-1/2) for X > 0, so the exact value
+    # is n (a_n u)^(-1/2) E[|X|^(1/2)] / 2; sampling Y instead read 0 here
+    x, y, u = make_weight_law("standard_gaussian"), make_pareto_multiplier(0.5), 1e30
+    est, se = prelimit_pi_n(x, y, 10, u, SeedStream(5), draws=10_000)
+    want = 10.0 * (y.norming(10) * u) ** -0.5 * x.abs_moment(0.5) / 2.0
+    assert want > 0.0 and se > 0.0
+    assert abs(est - want) <= 4.89 * se
+
+
+def test_prelimit_pi_slowly_varying_past_finite_norming():
+    # a_n = e^1000 overflows a double; the row tail is n / (n - log X), whose
+    # mean over X uniform on (0, 1) is the integral of n e^-l / (n + l)
+    x, y, n = make_weight_law("uniform01"), make_slowly_varying_multiplier(), 1000
+    est, se = prelimit_pi_n(x, y, n, 1.0, SeedStream(8), draws=10_000)
+    want = quad(lambda l: n * math.exp(-l) / (n + l), 0.0, math.inf)[0]
     assert se > 0.0
-    assert abs(est - u ** -0.01 / 1.01) <= 4.89 * se
+    assert abs(est - want) <= 4.89 * se
+
+
+@pytest.mark.parametrize("kind,want", [("exponential", 10.0 * math.exp(-1.0)),
+                                       ("uniform01", 5.0)])
+def test_prelimit_lambda_finite_mean_multiplier(kind, want):
+    # no log-space hooks: n P{Y > a_n v} with a_n = n E Y, at n = 10, v = 0.1
+    y = make_finite_mean_multiplier(kind)
+    assert prelimit_lambda_n(y, 10, 0.1) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
