@@ -139,8 +139,6 @@ def atom_scan(sample: EmpiricalSample, eps: float) -> list:
         raise ParameterError("eps must be positive and finite")
     v = sample.values
     reps = len(v)
-    if reps == 0:
-        return []
     span = float(v[-1] - v[0])
     baseline = 2.0 * eps / max(span, 8.0 * eps)
     lo_i = np.searchsorted(v, v - eps, side="left")
@@ -151,8 +149,6 @@ def atom_scan(sample: EmpiricalSample, eps: float) -> list:
     flank = np.maximum(flank_lo, flank_hi)
     threshold = np.maximum(2.0 * flank, np.maximum(2.0 * baseline, 20.0 / reps))
     cand = np.nonzero(mass > threshold)[0]
-    if len(cand) == 0:
-        return []
     order = cand[np.argsort(mass[cand])[::-1]]
     accepted = []
     for i in order:

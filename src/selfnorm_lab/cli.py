@@ -228,7 +228,7 @@ def run_simulate(cfg: dict, record: dict) -> int:
 
 def run_limit(cfg: dict, record: dict) -> int:
     x, y = _laws(cfg)
-    if y.tail_class.kind != "pareto":  # a finite-mean or slowly varying Y has no arctan limit
+    if y.tail_class.kind != "pareto" or y.tail_class.beta >= 1.0:  # no arctan limit
         raise ParameterError(f"limit needs a pareto multiplier with beta < 1, got {y.label}")
     beta = y.tail_class.beta
     lim = ll.BreimanLimit(beta, x)
@@ -274,22 +274,26 @@ def run_diagnose(cfg: dict, record: dict) -> int:
 def run_levy(cfg: dict, record: dict) -> int:
     x, y = _laws(cfg)
     n_list, view = cfg["levy.n_list"], lc.limit_view(x, y)
-    result = lc.check_levy_convergence(x, y, n_list, cfg["levy.v_grid"], cfg["levy.u_grid"],
-                                       cfg["seed"].child(1), cfg["levy.draws"])
-    payload = {}
-    if view is not None:
-        for h in cfg["levy.h_list"]:
-            lim = lc.truncated_first_moments(view, h)
-            alpha_lim = lc.alpha_h(view.levy, h)
-            alpha_pre = lc.prelimit_alpha_h(y, n_list[-1], h)
-            payload[f"h={h:g}"] = {
-                "alpha_h_limit": alpha_lim,
-                "alpha_h_prelimit": alpha_pre,
-                "first_moments_limit": list(lim),
-                "second_moments_limit": list(lc.truncated_second_moments(view, h)),
-            }
-        scan = lc.second_moment_smallh_scan(view, k_max=cfg["levy.kmax"])
-        payload["smallh_scan"] = {format(h, ".10g"): list(v) for h, v in scan.items()}
+    try:
+        result = lc.check_levy_convergence(x, y, n_list, cfg["levy.v_grid"], cfg["levy.u_grid"],
+                                           cfg["seed"].child(1), cfg["levy.draws"])
+        payload = {}
+        if view is not None:
+            for h in cfg["levy.h_list"]:
+                lim = lc.truncated_first_moments(view, h)
+                alpha_lim = lc.alpha_h(view.levy, h)
+                alpha_pre = lc.prelimit_alpha_h(y, n_list[-1], h)
+                payload[f"h={h:g}"] = {
+                    "alpha_h_limit": alpha_lim,
+                    "alpha_h_prelimit": alpha_pre,
+                    "first_moments_limit": list(lim),
+                    "second_moments_limit": list(lc.truncated_second_moments(view, h)),
+                }
+            scan = lc.second_moment_smallh_scan(view, k_max=cfg["levy.kmax"])
+            payload["smallh_scan"] = {format(h, ".10g"): list(v) for h, v in scan.items()}
+    except QuadratureError as exc:  # near E|X|^beta = inf a limit integral misses its budget
+        raise ParameterError(f"x_law.kind = {cfg['x_law.kind']}: a limit integral of "
+                             f"{x.label} under {y.label} failed: {exc}") from exc
     out = _outdir(cfg)  # only once the input has passed its checks
     _write_json(out / "levy_convergence.json", asdict(result))
     _write_json(out / "levy_moments.json", _meta(record, "levy", {"reports": payload}))

@@ -384,13 +384,10 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
         new[:, 1] = (todo[:, 1:2] * _PIECE_WIDTH).ravel()
         new[:, 2] = np.repeat(todo[:, 2], _PIECE_WIDTH.size)
         x = new[:, :1] + new[:, 1:2] * _GL_T
+        folded = new[:, 2:3] > 0.0  # an unfolded cell keeps x and a Jacobian of exactly 1
         with np.errstate(invalid="ignore"):  # a NaN (inf * 0) raises just below
-            if todo[:, 2].any():
-                folded = new[:, 2:3] > 0.0
-                x = np.divide(1.0, x, out=x.copy(), where=folded)
-                fx = f(x.ravel()).reshape(x.shape) * np.where(folded, x * x, 1.0) * new[:, 1:2]
-            else:
-                fx = f(x.ravel()).reshape(x.shape) * new[:, 1:2]
+            np.divide(1.0, x, out=x, where=folded)
+            fx = f(x.ravel()).reshape(x.shape) * np.where(folded, x * x, 1.0) * new[:, 1:2]
         if not np.isfinite(fx).all():
             raise QuadratureError("quadrature result is not finite")
         new[:, 3] = (fx * _GL_W).sum(axis=1)
@@ -596,14 +593,11 @@ def make_weight_law(kind: str, *, c: float = 1.0, p: float = 0.5,
             raise ParameterError("bernoulli locations must be finite and differ")
         return _atomic_weight(f"bernoulli({p:g},{x0:g},{x1:g})",
                               [(float(x0), 1.0 - p), (float(x1), p)])
-    if kind == "symmetric_pareto":
+    if kind in ("symmetric_pareto", "abs_pareto"):
         if not 0.0 < gamma < 2.0:
-            raise ParameterError("symmetric_pareto gamma must lie in (0, 2)")
-        return _symmetric_pareto_weight(float(gamma))
-    if kind == "abs_pareto":
-        if not 0.0 < gamma < 2.0:
-            raise ParameterError("abs_pareto gamma must lie in (0, 2)")
-        return _abs_pareto_weight(float(gamma))
+            raise ParameterError(f"{kind} gamma must lie in (0, 2)")
+        pareto = _symmetric_pareto_weight if kind == "symmetric_pareto" else _abs_pareto_weight
+        return pareto(float(gamma))
     raise ParameterError(f"unknown weight law kind {kind!r}")
 
 
@@ -787,12 +781,14 @@ def levy_cdf(z, c: float):
 
     This is the beta = 1/2 positive stable family: the limit of Pareto(1/2)
     partial sums under a_n = n^2 follows Levy(0, pi/2).  The scale c must be
-    positive and finite.
+    positive and finite; a NaN z raises ParameterError.
     """
     from scipy.special import ndtr  # bound here: importing scipy is slow
 
     if not 0.0 < c < math.inf:
         raise ParameterError("levy_cdf scale c must be positive and finite")
     z = np.asarray(z, dtype=float)
+    if np.isnan(z).any():
+        raise ParameterError("levy_cdf z must not be NaN")
     tail = 2.0 * (1.0 - ndtr(np.sqrt(c / np.where(z > 0.0, z, 1.0))))
     return np.where(z > 0.0, tail, 0.0)[()]

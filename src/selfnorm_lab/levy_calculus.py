@@ -87,13 +87,17 @@ class BivariateLevyView:
 
 
 def limit_view(x: WeightLaw, y: MultiplierLaw) -> Optional[BivariateLevyView]:
-    """The limit measure of the rows ``(X Y / a_n, Y / a_n)``, which the
-    multiplier's tail class alone decides: the stable jump measure of index
-    beta for a Pareto(beta) multiplier with beta < 1, and None for the slowly
-    varying multiplier, whose row measure has no non-degenerate limit.  Any
-    other multiplier raises ParameterError."""
+    """The limit measure of the rows ``(X Y / a_n, Y / a_n)``: the stable
+    jump measure of index beta for a Pareto(beta) multiplier with beta < 1,
+    which exists only when E|X|^beta is finite (its first-coordinate tail is
+    u^-beta E|X|^beta), and None for the slowly varying multiplier, whose row
+    measure has no non-degenerate limit.  Any other multiplier, or a weight
+    law with E|X|^beta infinite, raises ParameterError."""
     tc = y.tail_class
     if tc.kind == "pareto" and tc.beta < 1.0:
+        if not math.isfinite(x.abs_moment(tc.beta)):
+            raise ParameterError(f"{x.label} has no limit measure with {y.label}: "
+                                 f"E|X|^{tc.beta:g} is infinite")
         return BivariateLevyView(x, stable_levy_tail(tc.beta))
     if tc.kind != "slowly_varying":
         raise ParameterError(f"{y.label} has no limit jump measure; only a pareto "
@@ -169,9 +173,9 @@ def pi_bar(view: BivariateLevyView, u: float) -> float:
 
     For each weight value x the jump size is integrated out, so the mass is
     E[lambda_bar(u/X); X > 0] for u > 0 and the same expectation over X < 0
-    for u < 0.  Finite for every u != 0 because the weight law has a finite
-    absolute mean and the jump measure integrates s near zero.  A u so far
-    out that u / x overflows a double at a node raises ParameterError.
+    for u < 0.  Finite for every u != 0 exactly when E|X|^beta is, which
+    :func:`limit_view` checks.  A u so far out that u / x overflows a double
+    at a node raises ParameterError.
     """
     if math.isnan(u) or u == 0.0:
         raise ParameterError(f"u must be a non-zero number, got {u!r}")
@@ -256,8 +260,6 @@ def truncated_first_moments(view: BivariateLevyView, h: float):
     (n/a_n) E[XY 1{...}].
     """
     _check_level(h)
-    if not math.isfinite(view.weight.abs_moment(1.0)):
-        raise ParameterError("weight law must have finite absolute mean")
     return _half_disk(view, h, 0, 1), _half_disk(view, h, 1, 1)
 
 

@@ -105,7 +105,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted replication values with provenance metadata."""
+    """Sorted, finite and non-empty replication values with provenance metadata."""
 
     values: np.ndarray
     n_meta: int
@@ -113,6 +113,9 @@ class EmpiricalSample:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.sort(np.asarray(self.values, dtype=float)))
+        # sorting puts -inf first and inf and NaN last
+        if not (self.values.size and np.isfinite(self.values[[0, -1]]).all()):
+            raise ParameterError("an empirical sample must be non-empty and finite")
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,9 @@ def _run_blocks(cfg: SimConfig, values_per_rep: int, min_rows: int, width: int,
     return out
 
 
-def _law_meta(x: Optional[WeightLaw], y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
+def _law_meta(x: WeightLaw, y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
     meta = {"n": cfg.n, "reps": cfg.reps, "stream_layout": STREAM_LAYOUT,
-            "seed": cfg.seed.record()}
-    if x is not None:
-        meta["x_law"] = x.label
+            "seed": cfg.seed.record(), "x_law": x.label}
     if y is not None:
         meta["y_law"] = y.label
     return meta

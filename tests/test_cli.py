@@ -10,8 +10,9 @@ import pytest
 
 import selfnorm_lab
 from selfnorm_lab.cli import main, parse_config_file
-from selfnorm_lab.distributions import ParameterError
+from selfnorm_lab.distributions import ParameterError, SeedStream
 from selfnorm_lab.montecarlo import MAX_THREADS
+from selfnorm_lab.scenarios import run_suite
 
 
 def write_cfg(path: Path, **overrides) -> Path:
@@ -196,6 +197,25 @@ def test_limit_needs_pareto_multiplier(tmp_path, capsys, config, law):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta", ["1.0", "1.5"])
+def test_limit_needs_beta_below_one(tmp_path, capsys, beta):
+    cfg = write_cfg(tmp_path, **{"y_law.beta": beta})
+    out = tmp_path / "o"
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert (f"limit needs a pareto multiplier with beta < 1, got pareto(beta={float(beta):g})"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hi", ["0.5", "0.4"])
+def test_limit_empty_grid_exits_3_before_output(tmp_path, capsys, hi):
+    cfg = write_cfg(tmp_path, **{"grid.lo": "0.5", "grid.hi": hi})
+    out = tmp_path / "o"
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "grid.hi must exceed grid.lo" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limit_table_stable_under_grid_refinement(tmp_path):
     out1, out2 = tmp_path / "g1", tmp_path / "g2"
     cfg1 = write_cfg(tmp_path, **{"grid.lo": "0", "grid.hi": "1", "grid.points": "11"})
@@ -304,6 +324,48 @@ def test_levy_without_limit_measure_exits_3(tmp_path, capsys, y_law):
     assert not out.exists()  # input is checked before --out is created
 
 
+_LEVY_SMALL = {"levy.n_list": "1000,10000", "levy.draws": "1000"}
+
+
+def test_levy_weight_without_limit_measure_exits_3(tmp_path, capsys):
+    # E|X|^(1/2) is infinite for abs_pareto(0.4): pi_bar's quadrature missed
+    # its budget and levy exited 1 with a traceback
+    cfg = write_cfg(tmp_path, **{"x_law.kind": "abs_pareto", "x_law.gamma": "0.4"},
+                    **_LEVY_SMALL)
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    assert ("abs_pareto(0.4) has no limit measure with pareto(beta=0.5): "
+            "E|X|^0.5 is infinite") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_levy_infinite_mean_weight_writes_reports(tmp_path):
+    # criterion 7's weight has E|X| = inf but a limit measure: levy exited 3
+    # asking for a finite absolute mean after its reports were computed
+    cfg = write_cfg(tmp_path, **{"x_law.kind": "symmetric_pareto", "x_law.gamma": "0.8",
+                                 "levy.h_list": "1", "levy.kmax": "2"}, **_LEVY_SMALL)
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 0
+    moments = json.loads((out / "levy_moments.json").read_text())
+    y_part, xy_part = moments["reports"]["h=1"]["first_moments_limit"]
+    assert y_part == pytest.approx(0.5704, abs=1e-4) and abs(xy_part) <= 1e-12
+    assert (out / "levy_convergence.json").exists()
+
+
+@pytest.mark.parametrize("gamma", ["0.6", "0.55"])
+def test_levy_limit_quadrature_miss_exits_3_before_output(tmp_path, capsys, gamma):
+    # near the moment boundary gamma = beta the limit integrals miss quad's
+    # budget; levy exited 1 with a QuadratureError traceback
+    cfg = write_cfg(tmp_path, **{"x_law.kind": "symmetric_pareto", "x_law.gamma": gamma},
+                    **_LEVY_SMALL)
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "x_law.kind = symmetric_pareto" in err and f"symmetric_pareto({gamma})" in err
+    assert "missed its error budget" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kmax,message", [("-1", "levy.kmax"), ("2.5", "levy.kmax")])
 def test_levy_bad_kmax_exits_3(tmp_path, capsys, kmax, message):
     cfg = write_cfg(tmp_path, **{"levy.kmax": kmax, "levy.n_list": "100,1000",
@@ -403,6 +465,13 @@ def test_reproduce_unknown_suite_exits_3(tmp_path):
     rc = main(["reproduce", "S9", "--out", str(tmp_path / "o"), "--seed", "1"])
     assert rc == 3
     assert not (tmp_path / "o").exists()
+
+
+def test_run_suite_rejects_unknown_suite(tmp_path):
+    # the command line's choices stop S9 first; run_suite checks it again
+    # for callers of the function
+    with pytest.raises(ParameterError, match="unknown suite 'S9'"):
+        run_suite("S9", SeedStream(1), threads=1, outdir=tmp_path)
 
 
 @pytest.mark.parametrize("flags,env,key", [

@@ -535,6 +535,18 @@ def test_weight_law_validation():
             make_weight_law(kind, **kwargs)
 
 
+@pytest.mark.parametrize("kind", ["symmetric_pareto", "abs_pareto"])
+@pytest.mark.parametrize("gamma", [0.0, 2.0, -1.0, math.nan])
+def test_pareto_weight_gamma_range(kind, gamma):
+    with pytest.raises(ParameterError, match=rf"^{kind} gamma must lie in \(0, 2\)$"):
+        make_weight_law(kind, gamma=gamma)
+
+
+def test_finite_mean_multiplier_rejects_unknown_kind():
+    with pytest.raises(ParameterError, match="unknown finite-mean multiplier kind 'pareto'"):
+        make_finite_mean_multiplier("pareto")
+
+
 def test_expect_weight_mixes_atoms_and_density():
     x = make_weight_law("uniform01")
     assert expect_weight(x, lambda t: t) == pytest.approx(0.5, abs=1e-10)
@@ -600,6 +612,13 @@ def test_levy_cdf_matches_scipy(c):
 def test_levy_cdf_rejects_bad_scale(c):
     with pytest.raises(ParameterError):
         levy_cdf(np.array([0.5, 1.0]), c)
+
+
+def test_levy_cdf_rejects_nan_and_takes_infinities():
+    assert levy_cdf(np.array([-math.inf, math.inf]), 1.0).tolist() == [0.0, 1.0]
+    for z in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ParameterError, match="NaN"):
+            levy_cdf(z, 1.0)
 
 
 # ---------------------------------------------------------------------------

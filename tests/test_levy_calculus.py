@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from selfnorm_lab.distributions import (
     ParameterError,
+    QuadratureError,
     SeedStream,
     make_finite_mean_multiplier,
     make_pareto_multiplier,
@@ -495,6 +496,35 @@ def test_limit_view_rejects_multiplier_without_limit_measure(y):
 
 def test_limit_view_of_slowly_varying_is_none():
     assert limit_view(make_weight_law("uniform01"), make_slowly_varying_multiplier()) is None
+
+
+@pytest.mark.parametrize("kind,gamma,beta", [("abs_pareto", 0.4, 0.5),
+                                             ("symmetric_pareto", 0.5, 0.5),
+                                             ("symmetric_pareto", 0.3, 0.9)])
+def test_limit_view_rejects_weight_without_limit_measure(kind, gamma, beta):
+    # the first-coordinate tail is u^-beta E|X|^beta, infinite once gamma <= beta
+    x, y = make_weight_law(kind, gamma=gamma), make_pareto_multiplier(beta)
+    message = f"{x.label} has no limit measure with {y.label}: E|X|^{beta:g} is infinite"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        limit_view(x, y)
+
+
+def test_limit_view_accepts_infinite_mean_weight():
+    # symmetric_pareto(0.8) has E|X| = inf but E|X|^(1/2) = 8/3, which is all
+    # the limit measure of a Pareto(1/2) multiplier needs
+    view = limit_view(make_weight_law("symmetric_pareto", gamma=0.8), make_pareto_multiplier(0.5))
+    assert pi_bar(view, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    y_part, xy_part = truncated_first_moments(view, 1.0)
+    assert y_part == pytest.approx(0.5704, abs=1e-4)
+    assert abs(xy_part) <= 1e-12  # X is symmetric
+
+
+def test_pi_bar_quadrature_miss_raises():
+    # E|X|^(1/2) = 6 is finite, but the folded t^-0.9 end singularity keeps
+    # quad just over its budget (2.999999999997 against 3, error estimate 3.2e-13)
+    view = limit_view(make_weight_law("symmetric_pareto", gamma=0.6), make_pareto_multiplier(0.5))
+    with pytest.raises(QuadratureError, match="missed its error budget after 30 rounds"):
+        pi_bar(view, 1.0)
 
 
 def test_check_levy_convergence_pareto():

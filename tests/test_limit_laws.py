@@ -408,6 +408,13 @@ def test_tabulated_cdf_matches_pointwise(lim_u01):
     assert np.allclose(cdf(xs), direct, atol=2e-4)
 
 
+@pytest.mark.parametrize("grid", [[0.5], [0.5, 0.5], [0.0, math.nan], [0.0, math.inf]],
+                         ids=["one", "repeated", "nan", "inf"])
+def test_tabulated_cdf_needs_two_finite_points(lim_u01, grid):
+    with pytest.raises(ParameterError, match="at least two finite points"):
+        tabulated_cdf(lim_u01, grid)
+
+
 def test_breiman_limit_validates_moment():
     with pytest.raises(ParameterError):
         BreimanLimit(0.5, make_weight_law("symmetric_pareto", gamma=0.5))

@@ -148,6 +148,16 @@ def test_sim_config_accepts_numpy_integers():
     assert all(type(v) is int for v in (c.n, c.reps, c.threads))
 
 
+@pytest.mark.parametrize("values", [
+    [], [math.nan], [1.0, math.inf], [-math.inf, 0.0],
+    np.concatenate([np.linspace(0.0, 1.0, 1000), np.full(30, math.nan)]),
+], ids=["empty", "nan", "inf", "-inf", "trailing_nan"])
+def test_empirical_sample_rejects_empty_or_non_finite(values):
+    # sorted to the end, NaN made atom_scan return [] and ks_distance NaN
+    with pytest.raises(ParameterError, match="non-empty and finite"):
+        EmpiricalSample(values, 0, {})
+
+
 # ---------------------------------------------------------------------------
 # simulate_normed_pair
 # ---------------------------------------------------------------------------
