@@ -135,6 +135,30 @@ MUTANTS = [
            "if suite not in _SUITE_FNS:", "if False:",
            "run_suite raises KeyError, not ParameterError, on an unknown suite",
            ("tests/test_cli.py::test_run_suite_rejects_unknown_suite",)),
+    Mutant("far_sum_order", PKG + "limit_laws.py",
+           "value = head + (near + far * c1_b)", "value = (head + near) + far * c1_b",
+           "an infinite piece adds its head, near fold and far fold in another order",
+           ("tests/test_limit_laws.py::test_one_point_values_are_pinned",)),
+    Mutant("folded_grid_raise", PKG + "limit_laws.py",
+           'raise QuadratureError("tail of the weight law is not resolved by the folded grid")',
+           "pass",
+           "a tail that does not fall off gets a geometric completion with a ratio of 1 or more",
+           ("tests/test_limit_laws.py::test_grid_raises_on_unresolved_tail",)),
+    Mutant("regvar_alpha_finite", PKG + "limit_laws.py",
+           "if not math.isfinite(alpha_rv):", "if False:",
+           "regvar_tail_constant returns 0 at alpha_rv = inf and misnames a NaN",
+           ("tests/test_limit_laws.py::test_regvar_constant_validation",)),
+    Mutant("max_share_argmax", PKG + "montecarlo.py",
+           "m = ys.argmax(axis=1)  # first max index",
+           "m = np.zeros(ys.shape[0], dtype=np.intp)  # first max index",
+           "max_share_stats reads the first multiplier of each row as its maximum",
+           ("tests/test_montecarlo.py::test_max_share_exact_law_at_n_2",)),
+    Mutant("limit_pair_owner", PKG + "montecarlo.py",
+           "owner = np.repeat(np.arange(counts.size), counts)",
+           "owner = np.roll(np.repeat(np.arange(counts.size), counts), 1)",
+           "each row's first jump goes to the row before it (the last jump to row 0)",
+           ("tests/test_montecarlo.py::test_limit_pair_kernel_matches_per_replication_loop"
+            "[0.01-5000]",)),
 ]
 
 

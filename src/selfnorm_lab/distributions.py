@@ -511,13 +511,13 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        tail = half_tail(x)
-        return np.where(x < 1.0, tail, 1.0 - tail)[()]
+        tail = np.asarray(half_tail(x))
+        return np.subtract(1.0, tail, out=tail, where=x >= 1.0)[()]
 
     def sf(x):
         x = np.asarray(x, dtype=float)
-        tail = half_tail(x)
-        return np.where(x > -1.0, tail, 1.0 - tail)[()]
+        tail = np.asarray(half_tail(x))
+        return np.subtract(1.0, tail, out=tail, where=x <= -1.0)[()]
 
     def sampler(source, count, out=None):
         # one uniform U per draw: the sign is - for U < 1/2, and the

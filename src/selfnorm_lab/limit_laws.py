@@ -123,7 +123,7 @@ def _rule(tail, x, w_lo, w_hi, b):
     of a finite piece."""
     span = w_hi - w_lo
     u = x[:, None] + (w_lo[:, None] + span[:, None] * _PIECE_T) ** (1.0 / b)
-    return (tail(u) * _PIECE_W).sum(axis=1) * span
+    return (tail(u) * _PIECE_W).sum(1) * span
 
 
 def _infinite_piece(side, x, s0, b, strict):
@@ -149,15 +149,16 @@ def _infinite_piece(side, x, s0, b, strict):
     nodes += x[:, None]
     over = np.isinf(far_u[:, 0]) if strict else None  # the far fold's largest node
     v = np.multiply(side.tail(nodes), side.weights, out=nodes)
-    head = v[:, :_HEAD_END].sum(axis=1) * span
-    near = v[:, _HEAD_END:_NEAR_END].sum(axis=1) * c_b
+    head = v[:, :_HEAD_END].sum(1) * span
+    near = v[:, _HEAD_END:_NEAR_END].sum(1) * c_b
     # one sum per level; level 0 lies next to t = 0
-    levels = v[:, _NEAR_END:].reshape(x.size, _FAR_LEVELS, -1).sum(axis=2)
+    levels = v[:, _NEAR_END:].reshape(x.size, _FAR_LEVELS, -1).sum(2)
     last, prev = levels[:, 0], levels[:, 1]
-    q = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0.0)
-    if np.any((q >= 1.0) & (last > 0.0)):
+    # last = 0 gives q = 0, so q >= 1 alone flags a tail that does not fall off
+    q = np.divide(last, prev, out=np.zeros(x.size), where=prev > 0.0)
+    if (q >= 1.0).any():
         raise QuadratureError("tail of the weight law is not resolved by the folded grid")
-    far = levels.sum(axis=1) + np.where(q < 1.0, last * q / (1.0 - q), 0.0)
+    far = levels.sum(1) + last * q / (1.0 - q)
     value = head + (near + far * c1_b)
     if strict and over.any():
         dropped = float(side.tail(np.array([_DOUBLE.max]))[0]) * _FAR_W.sum() * c1_b
@@ -171,16 +172,13 @@ def _infinite_piece(side, x, s0, b, strict):
 def _upper_moment(side: _Side, x: np.ndarray, b: float, strict: bool) -> np.ndarray:
     """E[(Z-x)^b; Z>x] for every x of a non-empty chunk, by the plan of Z's
     side."""
-    out = np.zeros_like(x)
+    out = np.zeros(x.size)
     x_min, x_max = float(x.min()), float(x.max())
     for lo, hi, level in side.pieces:
         if x_min >= hi:  # the piece lies below every point
             continue
-        if x_max < hi:  # no copy when the piece covers every point
-            sel, xs = slice(None), x
-        else:
-            sel = np.nonzero(x < hi)[0]
-            xs = x[sel]
+        sel = slice(None) if x_max < hi else np.nonzero(x < hi)[0]  # all of x: a view, no copy
+        xs = x[sel]
         s0 = np.maximum(lo, xs) - xs  # distance to the piece
         if level is not None:
             out[sel] += level * ((hi - xs) ** b - s0 ** b)
@@ -238,16 +236,17 @@ def breiman_cdf_grid(lim: BreimanLimit, grid: Sequence[float]) -> np.ndarray:
     moments are not finite raises QuadratureError.
     """
     x = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ParameterError("grid points must be finite")
     b, flat = lim.beta, x.ravel()
     up = _fractional_moment(lim, flat, 1)
     down = _fractional_moment(lim, flat, -1)
     i_a, i_s = up + down, down - up
     _check_finite(flat, i_a, "fractional moment")
-    ratio = np.clip(i_s / np.where(i_a > 0.0, i_a, 1.0), -1.0, 1.0)
+    pos = i_a > 0.0
+    ratio = np.minimum(np.maximum(i_s / np.where(pos, i_a, 1.0), -1.0), 1.0)
     cdf = 0.5 + np.arctan(ratio * math.tan(math.pi * b / 2.0)) / (math.pi * b)
-    return np.where(i_a > 0.0, cdf, 0.5).reshape(x.shape)
+    return np.where(pos, cdf, 0.5).reshape(x.shape)
 
 
 def breiman_cdf(lim: BreimanLimit, x: float) -> float:
@@ -335,7 +334,7 @@ def breiman_tail(lim: BreimanLimit, x):
     the tail does not, the product is formed in log space.
     """
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs) & (xs > 0.0)):
+    if not (np.isfinite(xs) & (xs > 0.0)).all():
         raise ParameterError("x must be positive and finite")
     b, flat = lim.beta, xs.ravel()
     up = _fractional_moment(lim, flat, 1, strict=True).reshape(xs.shape)
@@ -343,10 +342,9 @@ def breiman_tail(lim: BreimanLimit, x):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         power = xs ** -b
         tail = scale * power * up
-        near0 = np.isinf(power)
-        if near0.any():  # log(up = 0) = -inf gives a tail of 0
-            tail = np.where(near0, np.exp(np.log(scale * up) - b * np.log(xs)), tail)
-    _check_finite(flat, tail.ravel(), "tail")
+        if not np.isfinite(tail).all():  # log(up = 0) = -inf gives a tail of 0
+            tail = np.where(np.isinf(power), np.exp(np.log(scale * up) - b * np.log(xs)), tail)
+            _check_finite(flat, tail.ravel(), "tail")
     return float(tail) if tail.ndim == 0 else tail
 
 
@@ -357,6 +355,8 @@ def regvar_tail_constant(beta: float, alpha_rv: float) -> float:
     where the integral is the Beta function B(beta, alpha_rv - beta).
     """
     stable_index(beta)
+    if not math.isfinite(alpha_rv):
+        raise ParameterError(f"alpha_rv must be finite, got {alpha_rv!r}")
     if not alpha_rv > beta:
         raise ParameterError("alpha_rv must exceed beta")
     from scipy.special import beta as beta_fn  # bound here: importing scipy is slow

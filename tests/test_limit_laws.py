@@ -213,9 +213,11 @@ def test_grid_chunks_are_independent():
 
 
 def test_grid_raises_on_unresolved_tail():
-    # P{X > u} = 1/log u on [e, inf) has no fractional moment; a law that
-    # claims one gets past BreimanLimit, and the folded tail must refuse it
-    law = WeightLaw(
+    # P{X > u} = 1/log u on [e, inf) and 1/log(e + u)^2 on [0, inf) have no
+    # fractional moment; a law that claims one gets past BreimanLimit, and
+    # the folded tail must refuse it: its last two levels hold about the
+    # same mass, so the geometric completion has no ratio below 1
+    log_tail = WeightLaw(
         label="log_tail", cdf=lambda u: 1.0 - 1.0 / np.log(np.maximum(u, math.e)),
         sf=lambda u: 1.0 / np.log(np.maximum(u, math.e)),
         sampler=lambda stream, count, out=None: np.full(count, math.e),
@@ -223,10 +225,24 @@ def test_grid_raises_on_unresolved_tail():
         pdf=lambda u: np.where(u >= math.e,
                                1.0 / (u * np.log(np.maximum(u, math.e)) ** 2), 0.0),
         pdf_breaks=(math.e,), support=(math.e, math.inf))
-    with pytest.raises(QuadratureError):
-        breiman_cdf_grid(BreimanLimit(0.5, law), [0.0, 5.0])
-    with pytest.raises(QuadratureError):
-        breiman_tail(BreimanLimit(0.5, law), 5.0)
+    sf = lambda u: 1.0 / np.log(math.e + np.maximum(u, 0.0)) ** 2
+    log2_tail = WeightLaw(
+        label="log2_tail", cdf=lambda u: 1.0 - sf(u), sf=sf,
+        sampler=lambda stream, count, out=None: np.zeros(count),
+        abs_moment=lambda b: 1.0,
+        pdf=lambda u: np.where(u >= 0.0, 2.0 * sf(u) ** 1.5 / (math.e + np.maximum(u, 0.0)), 0.0),
+        support=(0.0, math.inf))
+    msg = "tail of the weight law is not resolved by the folded grid"
+    for law in (log_tail, log2_tail):
+        lim = BreimanLimit(0.5, law)
+        with pytest.raises(QuadratureError, match=msg):
+            breiman_cdf_grid(lim, [0.0, 5.0])
+        with pytest.raises(QuadratureError, match=msg):
+            breiman_tail(lim, 5.0)
+        with pytest.raises(QuadratureError, match=msg):
+            breiman_tail(lim, 2.0)
+        with pytest.raises(QuadratureError, match=msg):
+            breiman_cdf(lim, 2.0)
 
 
 # (symmetric_pareto(0.8) has no limit at beta 0.8: it lacks the 0.85 moment)
@@ -376,6 +392,136 @@ def test_breiman_tail_raises_where_tail_overflows():
     exact = np.exp(log_pref - b * np.log(xs) + (b + 1.0) * np.log1p(-xs))
     np.testing.assert_allclose(breiman_tail(lim, xs), exact, rtol=1e-12, atol=0.0)
     assert breiman_tail(lim, 1e-319) == pytest.approx(exact[0], rel=1e-12)
+
+
+# One-point values of the grid rule as float.hex, pinned bit for bit: no
+# accuracy bound sees a change in the last bits, such as another order of
+# the sums that make up a moment.  On symmetric_pareto(0.8) and
+# abs_pareto(1.5) the points reach a level piece, a finite rule piece and an
+# infinite piece that starts at the point (s0 = 0, for points above 1) or
+# beyond it (s0 > 0, below 1); uniform01 has level and rule pieces only,
+# standard_gaussian one infinite piece.
+#
+# The last bits also depend on the kernels that run float64 power and
+# arctan: numpy's own at its AVX-512 target (X86_V4), the C library's at its
+# baseline.  scipy's ndtr gives the Gaussian tail.  So the values are keyed on
+# numpy's and scipy's minor versions and numpy's current target for those
+# two ufuncs (numpy.lib.introspect, numpy 2 and later).  PINNED holds the
+# values at PINNED_KEY, on x86-64 with glibc 2.36; PINNED_MOVED, for each
+# other recorded key, the values that differ there, by (law, b, function,
+# point).  NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" gives the
+# baseline key on an AVX-512 machine.  Where no table is recorded the test
+# skips and says which key it found.
+PINNED_KEY = ("2.4", "1.17", "X86_V4", "X86_V4")
+PINNED_MOVED = {
+    ("2.4", "1.17", "baseline(X86_V2)", "baseline(X86_V2)"): {
+        ("standard_gaussian", 0.9, "tail", 1.5): "0x1.322e73d6e32b9p-9",
+        ("abs_pareto(1.5)", 0.3, "tail", 40.0): "0x1.9d87040de9385p-9",
+        ("abs_pareto(1.5)", 0.5, "tail", 2.5): "0x1.49d66800919dap-3",
+        ("abs_pareto(1.5)", 0.5, "tail", 40.0): "0x1.49d66800919dap-9",
+    },
+}
+PINNED_CDF_POINTS = (-7.5, -1.5, -0.4, 0.3, 0.8, 1.5, 2.5, 40.0)
+PINNED_TAIL_POINTS = (0.3, 0.8, 1.5, 2.5, 40.0, 1e3)
+PINNED = {
+    ("symmetric_pareto(0.8)", 0.3): (
+        ("0x1.cc58dc6f93ad8p-4", "0x1.6779e092f1146p-2", "0x1.e9768c2f613fbp-2",
+         "0x1.08628872a82e4p-1", "0x1.18154bb78fe6bp-1", "0x1.4c430fb68775dp-1",
+         "0x1.7f11378c1bd88p-1", "0x1.f074095e89d1ep-1"),
+        ("0x1.e8540d4085cd6p-1", "0x1.51b7d457f803ap-1", "0x1.b226737d3c3d7p-2",
+         "0x1.208295395addap-2", "0x1.f653430c541f7p-6", "0x1.320047d470fcfp-9"),
+    ),
+    ("symmetric_pareto(0.8)", 0.5): (
+        ("0x1.0f702d6338b7cp-3", "0x1.6e7569c855102p-2", "0x1.e19aca7383a4bp-2",
+         "0x1.0b58b2490d81bp-1", "0x1.1f8d23eb4d39fp-1", "0x1.48c54b1bd577fp-1",
+         "0x1.73b0b78d0babdp-1", "0x1.ecfcc4007e024p-1"),
+        ("0x1.7e589ff06e92fp+0", "0x1.b17a6ff27ab5cp-1", "0x1.0c51cff8d4e65p-1",
+         "0x1.649e3aac6c4efp-2", "0x1.36743e1e5071bp-5", "0x1.7a3cf7c8c57afp-9"),
+    ),
+    ("uniform01", 0.3): (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.e0d0192953d40p-3", "0x1.be3d5d5a38c52p-1",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.3124c003cd337p-1", "0x1.64dfc95dcedd7p-4", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0"),
+    ),
+    ("uniform01", 0.5): (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.64a1cd310a864p-3", "0x1.d777715f11134p-1",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.d0b3e82c3bbfep-2", "0x1.5bade52f95e68p-5", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0"),
+    ),
+    ("uniform01", 0.9): (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.b929902d1dd70p-6", "0x1.fbb0620f73024p-1",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.61918465d26b1p-4", "0x1.b108c8bfb7203p-9", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0"),
+    ),
+    ("standard_gaussian", 0.3): (
+        ("0x1.0800000000000p-47", "0x1.38cdeb50303d0p-5", "0x1.37e5a6ab6b112p-2",
+         "0x1.4cc27666361d1p-1", "0x1.ae623704d6fecp-1", "0x1.ec73214afcfc3p-1",
+         "0x1.fea212c35d0aap-1", "0x1.0000000000000p+0"),
+        ("0x1.8f5ce1e9ce573p-2", "0x1.33f633ad7273bp-3", "0x1.27d126521d807p-5",
+         "0x1.564bc483812f3p-9", "0x0.0p+0", "0x0.0p+0"),
+    ),
+    ("standard_gaussian", 0.5): (
+        ("0x1.5800000000000p-49", "0x1.6bf17373621b0p-6", "0x1.096dcd6945fcdp-2",
+         "0x1.6067f92b0ff06p-1", "0x1.c5835817558e0p-1", "0x1.f4a0746464ef2p-1",
+         "0x1.ff550ad3445e3p-1", "0x1.0000000000000p+0"),
+        ("0x1.5bc2a40f8f76ap-2", "0x1.a686bdf785a7cp-4", "0x1.53a54c03efe4cp-6",
+         "0x1.4d6db7ed800b0p-10", "0x0.0p+0", "0x0.0p+0"),
+    ),
+    ("standard_gaussian", 0.9): (
+        ("0x1.0000000000000p-54", "0x1.39be5b11a3200p-9", "0x1.045860f0e9e64p-4",
+         "0x1.cf6f8a80dc88ep-1", "0x1.f70c36ee44aaap-1", "0x1.fec641a4ee5cep-1",
+         "0x1.fff248aa7852cp-1", "0x1.0000000000000p+0"),
+        ("0x1.63ae8ebb9a46ap-4", "0x1.0e117a58dcdbfp-6", "0x1.322e73d6e32bap-9",
+         "0x1.b34ea78ecece6p-14", "0x0.0p+0", "0x0.0p+0"),
+    ),
+    ("abs_pareto(1.5)", 0.3): (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.56f195beeaedbp-2",
+         "0x1.6ecec8075bd1ap-1", "0x1.fe590a7c3d392p-1"),
+        ("0x1.753842e8b3cc7p+0", "0x1.e5bfad3f358d0p-1", "0x1.bce278b2b6a18p-2",
+         "0x1.9d87040de9386p-3", "0x1.9d87040de9383p-9", "0x1.a773ba6c73effp-16"),
+    ),
+    ("abs_pareto(1.5)", 0.5): (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.bb1414d52f82ep-3",
+         "0x1.5d854894f3140p-1", "0x1.fea965b9bdef6p-1"),
+        ("0x1.9af4293a81821p+0", "0x1.9ec8cbf8a8f30p-1", "0x1.62d942ee63dffp-2",
+         "0x1.49d66800919d9p-3", "0x1.49d66800919d9p-9", "0x1.51c0ed91fd8edp-16"),
+    ),
+    ("abs_pareto(1.5)", 0.9): (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.d7e12beb7de60p-7",
+         "0x1.2d307b60eb48ep-2", "0x1.ff9ddf0b6a8a2p-1"),
+        ("0x1.73239b5b1b043p-1", "0x1.ed42df43b40e3p-3", "0x1.89cfb3a083fc0p-4",
+         "0x1.6e0dcedd3a0d5p-5", "0x1.6e0dcedd3a0d4p-11", "0x1.76d6d7ecc6b58p-18"),
+    ),
+}
+
+
+def _pinned_key():
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy 1.x cannot name its targets
+        return None
+    import scipy
+    info = opt_func_info(func_name="^(power|arctan)$", signature="float64")
+    targets = tuple(sig["current"] for f in ("power", "arctan") for sig in info.get(f, {}).values())
+    return (*(".".join(v.split(".")[:2]) for v in (np.__version__, scipy.__version__)), *targets)
+
+
+@pytest.mark.parametrize("law,b", list(PINNED))
+def test_one_point_values_are_pinned(law, b):
+    key = _pinned_key()
+    if key != PINNED_KEY and key not in PINNED_MOVED:
+        pytest.skip(f"no pinned values recorded for numpy, scipy and targets {key}")
+    moved = PINNED_MOVED.get(key, {})
+    kind, _, gamma = law.rstrip(")").partition("(")
+    lim = BreimanLimit(b, make_weight_law(kind, **({"gamma": float(gamma)} if gamma else {})))
+    cdf, tail = PINNED[law, b]
+    for name, fn, points, values in (("cdf", breiman_cdf, PINNED_CDF_POINTS, cdf),
+                                     ("tail", breiman_tail, PINNED_TAIL_POINTS, tail)):
+        want = tuple(moved.get((law, b, name, x), v) for x, v in zip(points, values))
+        assert tuple(fn(lim, x).hex() for x in points) == want
 
 
 @pytest.mark.parametrize("beta", [5e-324, 1e-310, float(np.nextafter(np.finfo(float).tiny, 0.0))])
@@ -584,3 +730,6 @@ def test_regvar_constant_validation():
         regvar_tail_constant(0.5, 0.4)
     with pytest.raises(ParameterError):
         regvar_tail_constant(1.1, 2.0)
+    for alpha_rv in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="alpha_rv must be finite"):
+            regvar_tail_constant(0.5, alpha_rv)
