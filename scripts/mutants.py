@@ -159,6 +159,36 @@ MUTANTS = [
            "each row's first jump goes to the row before it (the last jump to row 0)",
            ("tests/test_montecarlo.py::test_limit_pair_kernel_matches_per_replication_loop"
             "[0.01-5000]",)),
+    Mutant("block_seeds_reused", PKG + "distributions.py",
+           "for k, word in enumerate((np.arange(blocks, dtype=np.uint32)[:, None, None],",
+           "for k, word in enumerate((np.zeros(blocks, dtype=np.uint32)[:, None, None],",
+           "every block reuses block 0's seed words, so all blocks draw the same numbers",
+           ("tests/test_distributions.py::test_block_seeds_equal_seed_sequence",)),
+    Mutant("sums_einsum", PKG + "montecarlo.py",
+           "return np.multiply(xs, ys, out=xs).sum(axis=1), sy",
+           'return np.einsum("ij,ij->i", xs, ys), sy',
+           "sum XY adds in another order than sum Y, so T_n can leave the weights' hull",
+           ("tests/test_montecarlo.py::test_convex_combination_bounds_are_exact[10-bernoulli]",)),
+    Mutant("threads_drop_block", PKG + "montecarlo.py",
+           "parts = list(_pool(threads).map(chunk, starts))",
+           "parts = list(_pool(threads).map(chunk, starts[:-1]))",
+           "more than one thread drops the last chunk of blocks",
+           ("tests/test_montecarlo.py::test_tn_deterministic_and_thread_invariant",)),
+    Mutant("atoms_moment_errstate", PKG + "limit_laws.py",
+           '    with np.errstate(over="ignore", invalid="ignore"):\n'
+           "        if lim._plan is None:\n"
+           "            return sum(m * np.maximum(side * (loc - x), 0.0) ** b"
+           " for loc, m in lim.weight.atoms)\n",
+           "    if lim._plan is None:\n"
+           "        return sum(m * np.maximum(side * (loc - x), 0.0) ** b"
+           " for loc, m in lim.weight.atoms)\n"
+           '    with np.errstate(over="ignore", invalid="ignore"):\n',
+           "the exact sums of an atoms-only law warn when loc - x overflows a double",
+           ("tests/test_limit_laws.py::test_atoms_only_moments_past_a_double_do_not_warn",)),
+    Mutant("diagnose_grid_positive", PKG + "cli.py",
+           "if min(lo, hi) <= 0.0:", "if lo <= 0.0:",
+           "diagnose at diag.hi <= 0 fails in log10 with a message naming no key",
+           ("tests/test_cli.py::test_diagnose_bad_grid_exits_3_before_output[diag.hi-0]",)),
 ]
 
 

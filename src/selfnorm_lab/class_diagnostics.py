@@ -57,7 +57,6 @@ class ClassVerdict:
     centered_limsup_proxy: float
     griffin_limsup_proxy: float
     label: str
-    x_grid: list
 
 
 _GROW_FACTOR = 4.0
@@ -112,8 +111,7 @@ def verdict_from_scans(grid: np.ndarray, fel: np.ndarray, cen: np.ndarray,
     else:
         label = "not_feller_griffin_holds"
     return ClassVerdict(feller_limsup_proxy=fel_top, centered_limsup_proxy=cen_top,
-                        griffin_limsup_proxy=gri_top, label=label,
-                        x_grid=[float(t) for t in grid])
+                        griffin_limsup_proxy=gri_top, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Configuration is a flat key=value file with dotted sections; ``_KEYS`` lists
 every key with its default and configs/ holds canonical examples.  Every key
 is parsed and checked before a command writes anything, and an unknown or a
 repeated key is an error.  ``--seed`` overrides the file; the thread count
-comes from ``--threads``, else the environment variable SELFNORM_LAB_THREADS,
-else 1, and is at most ``montecarlo.MAX_THREADS``.
+comes from ``--threads`` alone (default 1) and is at most
+``montecarlo.MAX_THREADS``.
 Exit codes: 0 success, 1 failed verification check, 2 I/O error, 3
 configuration error.  Thread count never changes numerical output.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -178,11 +177,7 @@ def _load_config(args) -> tuple:
     record = {key: raw.get(key, default) for key, (default, _) in _KEYS.items()}
     cfg = {key: parse(key, record[key]) for key, (_, parse) in _KEYS.items()}
     del record["outputs"]
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        source = "SELFNORM_LAB_THREADS"
-        threads = _config_int(source, os.environ.get(source) or "1")
-    cfg["threads"] = as_int(threads, source, 1, mc.MAX_THREADS)
+    cfg["threads"] = as_int(args.threads, "--threads", 1, mc.MAX_THREADS)
     return cfg, record
 
 
@@ -253,10 +248,8 @@ def run_limit(cfg: dict, record: dict) -> int:
 def run_diagnose(cfg: dict, record: dict) -> int:
     _, y = _laws(cfg)
     lo, hi, points = cfg["diag.lo"], cfg["diag.hi"], cfg["diag.points"]
-    if lo <= 0.0:
-        raise ParameterError(f"diag.lo must be positive, got {lo!r}")
-    if hi <= lo:
-        raise ParameterError(f"diag.hi must exceed diag.lo, got {hi!r} <= {lo!r}")
+    if min(lo, hi) <= 0.0:  # the order and span are ratio_scans' to check
+        raise ParameterError(f"diag.lo and diag.hi must be positive, got {lo!r} .. {hi!r}")
     grid = np.logspace(math.log10(lo), math.log10(hi), points)
     try:
         scans = cd.ratio_scans(y, grid)
@@ -334,9 +327,8 @@ def _build_parser() -> _Parser:
                        help="output directory (overrides config 'outputs')")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides config 'seed')")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; results do not depend on it "
-                            "(fallback: SELFNORM_LAB_THREADS)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1); results do not depend on it")
         if name == "reproduce":
             p.add_argument("suite", type=str.upper, choices=scenarios.SUITES,
                            help="verification suite")

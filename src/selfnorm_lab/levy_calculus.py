@@ -348,7 +348,6 @@ class LevyConvergenceResult:
     n_list: list
     lambda_reports: list
     pi_reports: list
-    monotone_improving: bool
     verdict: bool
     note: str = ""
 
@@ -385,9 +384,7 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int]
                       f"constant ({vals[0]:.6g} at v={v_grid[0]:g}) while every "
                       "interval mass vanishes"))
             lam_reports.append(rep)
-        gaps = [r.sup_abs_gap for r in lam_reports]
-        mono = all(g2 <= g1 * 1.5 for g1, g2 in zip(gaps[:-1], gaps[1:]))
-        return LevyConvergenceResult(n_list, lam_reports, [], mono,
+        return LevyConvergenceResult(n_list, lam_reports, [],
                                      all(r.verdict for r in lam_reports),
                                      note="non-Feller multiplier: documented escape of mass")
 
@@ -408,9 +405,7 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int]
             pre.append(est)
             ses.append(se)
         pi_reports.append(ConvergenceReport.build(
-            name=f"pi_n={n}", grid=[[u, 0.0] for u in u_grid],
+            name=f"pi_n={n}", grid=list(u_grid),
             prelimit=pre, limit=pi_lim, tol=3.0 * max(ses) + 1e-9, se=ses))
-    gaps = [r.sup_abs_gap for r in (pi_reports or lam_reports)]
-    mono = all(g2 <= g1 + 3.0 * 1e-3 for g1, g2 in zip(gaps[:-1], gaps[1:]))
     verdict = all(r.verdict for r in lam_reports + pi_reports)
-    return LevyConvergenceResult(n_list, lam_reports, pi_reports, mono, verdict)
+    return LevyConvergenceResult(n_list, lam_reports, pi_reports, verdict)

@@ -197,12 +197,12 @@ def _fractional_moment(lim: BreimanLimit, x: np.ndarray, side: int,
     double drops its mass as :func:`_infinite_piece` describes, and further
     out the moment is not finite."""
     b = lim.beta
-    if lim._plan is None:
-        return sum(m * np.maximum(side * (loc - x), 0.0) ** b for loc, m in lim.weight.atoms)
-    plan = lim._plan[0 if side > 0 else 1]
-    if side < 0:
-        x = -x
     with np.errstate(over="ignore", invalid="ignore"):
+        if lim._plan is None:
+            return sum(m * np.maximum(side * (loc - x), 0.0) ** b for loc, m in lim.weight.atoms)
+        plan = lim._plan[0 if side > 0 else 1]
+        if side < 0:
+            x = -x
         if 0 < x.size <= _CHUNK:
             return _upper_moment(plan, x, b, strict)
         out = np.empty_like(x)
@@ -268,11 +268,9 @@ def tabulated_cdf(lim: BreimanLimit, grid: Sequence[float]) -> Callable[[np.ndar
     if grid.size < 2 or not np.all(np.isfinite(grid)):
         raise ParameterError("tabulation grid must hold at least two finite points")
     table = breiman_cdf_grid(lim, grid)
-    lo_val, hi_val = table[0], table[-1]
 
     def cdf(t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(t, grid, table, left=lo_val, right=hi_val)
+        return np.interp(t, grid, table)
 
     return cdf
 

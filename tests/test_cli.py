@@ -238,6 +238,9 @@ def test_diagnose_writes_verdict(tmp_path):
     assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
     verdict = json.loads((out / "class_verdict.json").read_text())
     assert verdict["verdict"]["label"] == "centered_feller"
+    # the scan grid is ratio_scan.csv's x column and the config's diag.* keys
+    assert set(verdict["verdict"]) == {"feller_limsup_proxy", "centered_limsup_proxy",
+                                       "griffin_limsup_proxy", "label"}
     scan = (out / "ratio_scan.csv").read_text().splitlines()
     assert scan[0] == "x,feller,centered,griffin"
 
@@ -262,6 +265,7 @@ def test_diagnose_scans_each_ratio_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("key,value", [("diag.lo", "0"), ("diag.lo", "-1e2"),
+                                       ("diag.hi", "0"), ("diag.hi", "-1e2"),
                                        ("diag.hi", "1e2"), ("diag.hi", "10"),
                                        ("diag.hi", "1e5"), ("diag.lo", "0.5"),
                                        ("diag.points", "1")])
@@ -474,23 +478,18 @@ def test_run_suite_rejects_unknown_suite(tmp_path):
         run_suite("S9", SeedStream(1), threads=1, outdir=tmp_path)
 
 
-@pytest.mark.parametrize("flags,env,key", [
-    (["--threads", "0"], None, "--threads"),
-    (["--seed", "-1"], None, "seed"),
-    ([], "0", "SELFNORM_LAB_THREADS"),
-    (["--seed", str(2**64)], None, "seed"),
-    (["--threads", str(MAX_THREADS + 1)], None, "--threads"),
-    ([], str(MAX_THREADS + 1), "SELFNORM_LAB_THREADS"),
-], ids=["threads0", "seed-1", "env_threads0", "seed2**64", "threads_over_max",
-        "env_threads_over_max"])
+@pytest.mark.parametrize("flags,key", [
+    (["--threads", "0"], "--threads"),
+    (["--seed", "-1"], "seed"),
+    (["--seed", str(2**64)], "seed"),
+    (["--threads", str(MAX_THREADS + 1)], "--threads"),
+], ids=["threads0", "seed-1", "seed2**64", "threads_over_max"])
 def test_reproduce_bad_run_settings_exit_3_before_output(tmp_path, monkeypatch, capsys,
-                                                         flags, env, key):
+                                                         flags, key):
     import selfnorm_lab.scenarios as scenarios
 
     # a setting that slips through must not run the suite (and start its threads)
     monkeypatch.setattr(scenarios, "run_suite", lambda *a, **k: pytest.fail("suite ran"))
-    if env is not None:
-        monkeypatch.setenv("SELFNORM_LAB_THREADS", env)
     assert main(["reproduce", "S5", "--out", str(tmp_path / "o"), *flags]) == 3
     err = capsys.readouterr().err
     assert "error:" in err and key in err
@@ -537,15 +536,14 @@ def test_reproduce_summary_and_sidecars_name_the_stream_layout(tmp_path, monkeyp
     assert meta["law_meta"]["stream_layout"] == STREAM_LAYOUT
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    from argparse import Namespace
-    from selfnorm_lab.cli import _load_config
+def test_threads_come_from_the_flag_alone(tmp_path, monkeypatch):
+    from selfnorm_lab.cli import _build_parser, _load_config
 
+    # an environment variable of that name does not set the count
     monkeypatch.setenv("SELFNORM_LAB_THREADS", "2")
-    cfg, record = _load_config(Namespace(config=None, seed=None, out=None, threads=None))
-    assert cfg["threads"] == 2
-    # explicit flag wins over the environment
-    cfg, record = _load_config(Namespace(config=None, seed=None, out=None, threads=5))
+    cfg, record = _load_config(_build_parser().parse_args(["simulate"]))
+    assert cfg["threads"] == 1
+    cfg, record = _load_config(_build_parser().parse_args(["simulate", "--threads", "5"]))
     assert cfg["threads"] == 5
     # execution-context knobs stay out of the embedded record
     assert "threads" not in record

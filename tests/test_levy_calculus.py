@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -540,10 +540,12 @@ def test_check_levy_convergence_pareto():
         assert rep.verdict
 
 
-def test_check_levy_convergence_pi_grid_is_at_v_0():
+def test_check_levy_convergence_pi_grid_is_u_grid():
     res = check_levy_convergence(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
                                  (10, 100), (1.0,), (0.5, 2.0), SeedStream(11), 100)
-    assert [rep.grid for rep in res.pi_reports] == [[[0.5, 0.0], [2.0, 0.0]]] * 2
+    assert [rep.grid for rep in res.pi_reports] == [[0.5, 2.0]] * 2
+    assert [f.name for f in fields(res)] == ["n_list", "lambda_reports", "pi_reports",
+                                             "verdict", "note"]
 
 
 def test_check_levy_convergence_computes_each_limit_once(monkeypatch):
@@ -568,6 +570,7 @@ def test_check_levy_convergence_slowly_varying_documents_escape(tmp_path):
     _write_json(tmp_path / "conv.json", asdict(res))
     payload = json.loads((tmp_path / "conv.json").read_text())
     assert payload["lambda_reports"][0]["name"].startswith("interval_mass")
+    assert set(payload) == {"n_list", "lambda_reports", "pi_reports", "verdict", "note"}
 
 
 @pytest.mark.parametrize("n_list", [(10.5, 100), (10, 100.0), (0, 100), ()])

@@ -304,6 +304,18 @@ def test_grid_validation(lim_u01):
     assert breiman_cdf_grid(lim_u01, [1e306, 2e306, 1e307, -1e307]).tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
+def test_atoms_only_moments_past_a_double_do_not_warn():
+    # loc - x overflows a double when an atom and a point lie far apart on
+    # opposite sides of 0; the exact sums run under the rule's overflow
+    # handling (pytest turns RuntimeWarnings into errors)
+    for c, x in ((-1e308, 1.7e308), (1e308, -1.7e308)):
+        lim = BreimanLimit(0.5, make_weight_law("point_mass", c=c))
+        if x > 0.0:
+            assert breiman_tail(lim, x) == 0.0
+        with pytest.raises(QuadratureError, match=re.escape(repr(x))):
+            breiman_cdf(lim, x)
+
+
 def test_breiman_tail_raises_where_far_fold_drops_mass():
     # at b = 1/2 the far fold's largest node, about 2x 8^22, passes a double
     # near x = 1.3e288; the nodes past it read tail(inf) = 0, which drops
