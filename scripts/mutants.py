@@ -189,6 +189,18 @@ MUTANTS = [
            "if min(lo, hi) <= 0.0:", "if lo <= 0.0:",
            "diagnose at diag.hi <= 0 fails in log10 with a message naming no key",
            ("tests/test_cli.py::test_diagnose_bad_grid_exits_3_before_output[diag.hi-0]",)),
+    Mutant("mc_chunk_restarts_stream", PKG + "levy_calculus.py",
+           "fill(x.sampler(rng, stop - start), rows[:, start:stop])",
+           "fill(x.sampler(stream, stop - start), rows[:, start:stop])",
+           "each Monte Carlo pass restarts the stream, so every pass repeats the first one's draws",
+           ("tests/test_levy_calculus.py::test_prelimits_equal_one_shot_reference"
+            "[uniform01-16385]",)),
+    Mutant("mc_chunk_drops_last", PKG + "levy_calculus.py",
+           "for start in range(0, draws, _MC_CHUNK):",
+           "for start in range(0, draws - draws % _MC_CHUNK, _MC_CHUNK):",
+           "the short last Monte Carlo pass is dropped, leaving its draws' row entries unset",
+           ("tests/test_levy_calculus.py::test_prelimits_equal_one_shot_reference"
+            "[uniform01-16385]",)),
 ]
 
 

@@ -76,7 +76,7 @@ def ratio_scans(y: MultiplierLaw, x_grid: Sequence[float]):
         raise ParameterError("x_grid must be strictly increasing")
     if grid[0] <= 0.0:
         raise ParameterError("x_grid must be positive")
-    if grid[-1] / grid[0] < 1e6:
+    if grid[-1] / 1e6 < grid[0]:  # grid[-1] / grid[0] can overflow
         raise ParameterError("x_grid must span at least six decades")
     return (grid, *tail_ratios(y, grid))
 

@@ -352,6 +352,9 @@ _NULL_W[_KEEP] -= np.linalg.solve(
 _PIECE_LO, _PIECE_WIDTH = _PIECE_EDGES[:-1], np.diff(_PIECE_EDGES)
 _EPSREL = 1e-13         # error budget of quad, relative to the integral of |f|
 _ROUNDS = 30            # refinement rounds before quad gives up
+# live cells before quad gives up: 18 times the most that any test or shipped
+# run needs (3638), and about 30 MB of node arrays in the round that reaches it
+_MAX_CELLS = 2**16
 
 
 def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple:
@@ -365,8 +368,10 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
     nodes.  Each piece starts as the cells of _PIECE_EDGES.  Each round cuts
     every cell whose error estimate is above an even share of the budget,
     _EPSREL times the integral of |f|, the same way, until the estimates sum
-    to at most the budget.  A node value that is not finite, or a budget
-    missed after _ROUNDS rounds, raises QuadratureError.
+    to at most the budget.  A node value that is not finite, a budget missed
+    after _ROUNDS rounds, or a next round that would hold more than
+    _MAX_CELLS cells (as a budget below rounding does: every cell is cut in
+    every round) raises QuadratureError.
     """
     a, b = edges[0], edges[-1]
     knots = sorted({*edges, *(k for k in (-1.0, 1.0) if a < k < b)})
@@ -400,6 +405,10 @@ def quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> tuple
             return float(value), float(err)
         cut = cells[:, 4] > budget / len(cells)  # over an even share of the budget
         todo, cells = cells[cut, :3], cells[~cut]
+        if len(cells) + len(todo) * _PIECE_WIDTH.size > _MAX_CELLS:
+            raise QuadratureError(f"quadrature missed its error budget: the next round needs "
+                                  f"more than {_MAX_CELLS} cells (value {float(value)!r}, "
+                                  f"error estimate {float(err)!r})")
     raise QuadratureError(f"quadrature missed its error budget after {_ROUNDS} rounds "
                           f"(value {float(value)!r}, error estimate {float(err)!r})")
 

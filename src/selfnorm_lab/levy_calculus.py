@@ -201,6 +201,41 @@ def _mean_se(vals: np.ndarray) -> tuple:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
+# Draws per pass of the Monte Carlo prelimits: a pass's temporaries are
+# 128 KiB each, so they stay in cache and are reused rather than handed back
+# to the system and faulted in again, as whole-array temporaries of 2e5 to
+# 1e6 draws were.
+_MC_CHUNK = 2**14
+
+
+def _mc_estimates(x: WeightLaw, stream: SeedStream, draws: int, width: int,
+                  fill: Callable[[np.ndarray, np.ndarray], None], context: str):
+    """(mean, standard error) of each of ``width`` per-draw quantities of X
+    over ``draws`` draws of ``x``.
+
+    X is drawn in passes of at most _MC_CHUNK values from one generator of
+    ``stream``, each pass continuing it, so the draws are those of one
+    ``x.sampler(stream, draws)`` call.  ``fill(xs, out)`` writes the
+    quantities of a pass's draws ``xs`` into the ``(width, len(xs))`` array
+    ``out``; it must work value by value.  Each mean and standard error is
+    taken over a full row, so no estimate depends on the pass size.  A
+    non-finite value in a row makes its mean non-finite: then
+    ParameterError naming ``context`` is raised, and no floating-point
+    warning is issued on the way.
+    """
+    rng = stream.generator()
+    rows = np.empty((width, draws))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, draws, _MC_CHUNK):
+            stop = min(start + _MC_CHUNK, draws)
+            fill(x.sampler(rng, stop - start), rows[:, start:stop])
+        estimates = tuple(_mean_se(row) for row in rows)
+    if not all(math.isfinite(m) and math.isfinite(se) for m, se in estimates):
+        raise ParameterError(f"Monte Carlo prelimit of {context} is not finite "
+                             "(a per-draw value overflows a double or is NaN)")
+    return estimates
+
+
 def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, stream: SeedStream,
                   draws: int = 1_000_000):
     """Estimate n P{XY > a_n u, Y > 0} (u > 0) or n P{XY <= -a_n |u|, Y > 0}
@@ -209,16 +244,21 @@ def prelimit_pi_n(x: WeightLaw, y: MultiplierLaw, n: int, u: float, stream: Seed
     As in :func:`pi_bar`, the multiplier is integrated out for each weight
     value: the Monte Carlo averages the row tail n P{Y > a_n |u| / |X|} over
     X draws on the side of u and counts 0 elsewhere.  The ratio is formed
-    in log space, so the estimate stays finite wherever the row tail does.
+    in log space, so the estimate stays finite wherever the row tail does;
+    a non-finite estimate raises ParameterError.
     """
     n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
     if not (math.isfinite(u) and u != 0.0):
         raise ParameterError(f"u must be finite and non-zero, got {u!r}")
-    xs = x.sampler(stream, draws)
-    with np.errstate(divide="ignore"):  # X = 0 gives log v = inf, a row tail of 0
-        log_v = math.log(abs(u)) - np.log(np.abs(xs))
-    side = xs > 0.0 if u > 0.0 else xs < 0.0
-    return _mean_se(np.where(side, _row_tail(y, n, log_v), 0.0))
+    log_u = math.log(abs(u))
+
+    def fill(xs, out):
+        log_v = log_u - np.log(np.abs(xs))  # X = 0 gives log v = inf, a row tail of 0
+        side = xs > 0.0 if u > 0.0 else xs < 0.0
+        out[0] = np.where(side, _row_tail(y, n, log_v), 0.0)
+
+    return _mc_estimates(x, stream, draws, 1, fill,
+                         f"{x.label} under {y.label} at n={n}, u={u!r}")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +282,19 @@ def prelimit_alpha_h(y: MultiplierLaw, n: int, h: float) -> float:
     return n * y.trunc_mean(a_n * h) / a_n
 
 
+def _check_half_disk_level(view: BivariateLevyView, h: float, k: int) -> None:
+    """Raise ParameterError unless h is positive and finite and the jump
+    measure's truncated k-th moment at h is finite: it bounds every
+    m_k(h / sqrt(1 + x^2)) of the half-disk integrands, so this one value
+    stands for every quadrature node."""
+    _check_level(h)
+    with np.errstate(over="ignore"):  # a float64 overflows to inf, a Python float raises
+        top = view.levy.truncated_moment(k, np.float64(h))
+    if not np.isfinite(top):
+        raise ParameterError(f"h = {h!r} is too large: the truncated moment of order {k} "
+                             f"of {view.levy.label} at h overflows a double")
+
+
 def _half_disk(view: BivariateLevyView, h: float, j: int, k: int) -> float:
     """Integral of x^j s^k against F(dx) Lambda(ds) over the half-disk
     {(x s, s): s^2 (1 + x^2) <= h^2}, which is E[X^j m_k(h / sqrt(1 + X^2))]
@@ -259,14 +312,14 @@ def truncated_first_moments(view: BivariateLevyView, h: float):
     These are the limit targets of (n/a_n) E[Y 1{|(XY, Y)| <= a_n h}] and
     (n/a_n) E[XY 1{...}].
     """
-    _check_level(h)
+    _check_half_disk_level(view, h, 1)
     return _half_disk(view, h, 0, 1), _half_disk(view, h, 1, 1)
 
 
 def truncated_second_moments(view: BivariateLevyView, h: float):
     """Quadratic integrals of the bivariate measure over the half-disk of
     radius h: returns (uu, vv, uv) for the integrands u^2, v^2 and u v."""
-    _check_level(h)
+    _check_half_disk_level(view, h, 2)
     return tuple(_half_disk(view, h, j, 2) for j in (2, 0, 1))
 
 
@@ -294,24 +347,25 @@ def _prelimit_half_disk(x: WeightLaw, y: MultiplierLaw, n: int, h: float,
 
     The joint truncation event is Y sqrt(1+X^2) <= a_n h, so conditionally
     on X the Y integral is the law's truncated k-th moment; only X is
-    simulated.  Returns one (value, se) pair per j.
+    simulated.  Returns one (value, se) pair per j; a non-finite one (n / a_n^k
+    underflows to 0 where a_n^(k - beta) overflows) raises ParameterError.
     """
     _check_level(h)
     n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
     a_n = finite_norming(y, n)
-    xs = x.sampler(stream, draws)
-    cap = a_n * h / np.sqrt(1.0 + xs * xs)
-    if k == 1:
-        scale, moment = n / a_n, vec_eval(y.trunc_mean, cap)
-    else:
-        scale, moment = n / (a_n * a_n), vec_eval(y.trunc_second, cap)
+    scale, trunc = (n / a_n, y.trunc_mean) if k == 1 else (n / (a_n * a_n), y.trunc_second)
 
-    def weighted(j: int) -> np.ndarray:
-        if j == 0:
-            return scale * moment
-        return scale * (xs if j == 1 else xs * xs) * moment
+    def fill(xs, out):
+        moment = vec_eval(trunc, a_n * h / np.sqrt(1.0 + xs * xs))
+        for row, j in zip(out, js):
+            if j == 0:
+                np.multiply(scale, moment, out=row)
+            else:
+                np.multiply(scale, xs if j == 1 else xs * xs, out=row)
+                np.multiply(row, moment, out=row)
 
-    return tuple(_mean_se(weighted(j)) for j in js)
+    return _mc_estimates(x, stream, draws, len(js), fill,
+                         f"{x.label} under {y.label} at n={n}, h={h!r}")
 
 
 def prelimit_truncated_first_moments(x: WeightLaw, y: MultiplierLaw, n: int,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,17 @@ def test_diagnose_bad_grid_exits_3_before_output(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_diagnose_grid_far_below_support_exits_3_without_warning(tmp_path, capsys):
+    # diag.hi / diag.lo = 1e316 overflowed the six-decade check, which warned
+    cfg = write_cfg(tmp_path, **{"diag.lo": "1e-300"})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "x is below the support of Y" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["pareto", "exponential"])
 def test_diagnose_grid_past_overflow_exits_3_before_output(tmp_path, capsys, kind):
     # x * x overflows a double past about 1.34e154; the scan read Infinity or
@@ -370,7 +382,8 @@ def test_levy_limit_quadrature_miss_exits_3_before_output(tmp_path, capsys, gamm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kmax,message", [("-1", "levy.kmax"), ("2.5", "levy.kmax")])
+@pytest.mark.parametrize("kmax,message", [("-1", "levy.kmax"), ("2.5", "levy.kmax"),
+                                          ("684", "'levy.kmax' must be at most 400")])
 def test_levy_bad_kmax_exits_3(tmp_path, capsys, kmax, message):
     cfg = write_cfg(tmp_path, **{"levy.kmax": kmax, "levy.n_list": "100,1000",
                                  "levy.draws": "1000"})
@@ -378,6 +391,18 @@ def test_levy_bad_kmax_exits_3(tmp_path, capsys, kmax, message):
     assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()  # input is checked before --out is created
+
+
+def test_levy_level_past_a_double_exits_3_before_output(tmp_path, capsys):
+    # h^(2 - beta) overflows: levy warned, then blamed x_law.kind for a
+    # quadrature result that is not finite
+    cfg = write_cfg(tmp_path, **{"levy.h_list": "1e308"}, **_LEVY_SMALL)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "levy.h_list = 1e+308: h = 1e+308 is too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_levy_overflowing_norming_exits_3(tmp_path, capsys):

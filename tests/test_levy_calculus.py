@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -18,6 +19,7 @@ from selfnorm_lab.distributions import (
     make_weight_law,
 )
 from selfnorm_lab.levy_calculus import (
+    _MC_CHUNK,
     BivariateLevyView,
     ConvergenceReport,
     LevyTail,
@@ -418,6 +420,82 @@ def test_truncated_second_moments_vs_mc_prelimit(view_u01):
                                                  SeedStream(9, 7), draws=400_000)
         for (lim_val, (pre_val, se)) in zip(limits, pres):
             assert abs(lim_val - pre_val) <= 3.0 * se + 1e-4
+
+
+def _mean_se(vals):
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
+def _one_shot_prelimits(x, y, n, stream, draws, u, h):
+    """pi_n at u and the first and second half-disk moments at h, the
+    whole-array way: one sampler call and every formula on all draws."""
+    xs = x.sampler(stream, draws)
+    with np.errstate(divide="ignore"):
+        log_v = math.log(abs(u)) - np.log(np.abs(xs))
+    side = xs > 0.0 if u > 0.0 else xs < 0.0
+    pi = _mean_se(np.where(side, n * y.survival_logarg(y.log_norming(n) + log_v), 0.0))
+    a_n = y.norming(n)
+    cap = a_n * h / np.sqrt(1.0 + xs * xs)
+    s1, m1 = n / a_n, y.trunc_mean(cap)
+    s2, m2 = n / (a_n * a_n), y.trunc_second(cap)
+    first = (_mean_se(s1 * m1), _mean_se(s1 * xs * m1))
+    second = (_mean_se(s2 * (xs * xs) * m2), _mean_se(s2 * m2), _mean_se(s2 * xs * m2))
+    return pi, first, second
+
+
+_ONE_SHOT_WEIGHTS = {
+    "uniform01": lambda: make_weight_law("uniform01"),
+    # the ziggurat takes a varying number of raw outputs per draw
+    "standard_gaussian": lambda: make_weight_law("standard_gaussian"),
+    "bernoulli": lambda: make_weight_law("bernoulli", p=0.3, x0=-1.0, x1=2.0),
+    "symmetric_pareto": lambda: make_weight_law("symmetric_pareto", gamma=1.5),
+}
+
+
+@pytest.mark.parametrize("draws", [2, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5])
+@pytest.mark.parametrize("kind", list(_ONE_SHOT_WEIGHTS))
+def test_prelimits_equal_one_shot_reference(kind, draws):
+    # the prelimits draw X in passes of _MC_CHUNK from one generator: every
+    # estimate equals the one-shot one bit for bit, on either side of a pass edge
+    x, y, n = _ONE_SHOT_WEIGHTS[kind](), make_pareto_multiplier(0.5), 10_000
+    for u, h in ((1.0, 0.25), (-0.5, 1.0)):
+        stream = SeedStream(41, 3, (draws,))
+        pi, first, second = _one_shot_prelimits(x, y, n, stream, draws, u, h)
+        assert prelimit_pi_n(x, y, n, u, stream, draws=draws) == pi
+        assert prelimit_truncated_first_moments(x, y, n, h, stream, draws=draws) == first
+        assert prelimit_truncated_second_moments(x, y, n, h, stream, draws=draws) == second
+
+
+def test_prelimit_overflow_raises_parameter_error():
+    # a_n = 1000^100 = 1e300: a_n^(2 - beta) overflows and n / a_n^2 is 0, so
+    # each estimate was NaN, after two RuntimeWarnings
+    x, y = make_weight_law("uniform01"), make_pareto_multiplier(0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"prelimit of uniform01 under "
+                           r"pareto\(beta=0.01\) at n=1000, h=1.0 is not finite"):
+            prelimit_truncated_second_moments(x, y, 1000, 1.0, SeedStream(1), draws=100)
+
+
+def test_truncated_moments_reject_level_past_a_double(view_u01):
+    # h^(2 - 1/2) overflows at h = 1e308: the quadrature warned, then read
+    # "quadrature result is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"h = 1e\+308 is too large: the truncated "
+                           r"moment of order 2 of stable\(beta=0.5\)"):
+            truncated_second_moments(view_u01, 1e308)
+        # the first moments take h^(1/2) only
+        assert all(math.isfinite(v) for v in truncated_first_moments(view_u01, 1e308))
+
+
+def test_quadrature_cell_cap_stops_a_budget_below_rounding(view_u01):
+    # at h = 2^-684 the quadratic integrals are subnormal (about 1e-310) and
+    # quad's budget is below rounding: every cell was cut in every round
+    # until memory ran out.  At 2^-680 (7.1e-309) the budget still holds.
+    assert all(v > 0.0 for v in truncated_second_moments(view_u01, 2.0 ** -680))
+    with pytest.raises(QuadratureError, match="the next round needs more than 65536 cells"):
+        truncated_second_moments(view_u01, 2.0 ** -684)
 
 
 def test_second_moment_smallh_scan(view_u01):
