@@ -172,7 +172,7 @@ MUTANTS = [
     Mutant("threads_drop_block", PKG + "montecarlo.py",
            "parts = list(_pool(threads).map(chunk, starts))",
            "parts = list(_pool(threads).map(chunk, starts[:-1]))",
-           "more than one thread drops the last chunk of blocks",
+           "more than one thread drops the last chunk of runs",
            ("tests/test_montecarlo.py::test_tn_deterministic_and_thread_invariant",)),
     Mutant("atoms_moment_errstate", PKG + "limit_laws.py",
            '    with np.errstate(over="ignore", invalid="ignore"):\n'
@@ -201,6 +201,19 @@ MUTANTS = [
            "the short last Monte Carlo pass is dropped, leaving its draws' row entries unset",
            ("tests/test_levy_calculus.py::test_prelimits_equal_one_shot_reference"
             "[uniform01-16385]",)),
+    Mutant("run_first_block_gens", PKG + "montecarlo.py",
+           "_draw(y_sampler, y_gen, ys[seg])\n"
+           "                    _draw(x.sampler, x_gen, xs[seg])",
+           "_draw(y_sampler, blocks[0][0], ys[seg])\n"
+           "                    _draw(x.sampler, blocks[0][1], xs[seg])",
+           "every segment of a run draws on from the run's first block's generators",
+           ("tests/test_montecarlo.py::test_block_kernel_equals_per_replication_loop"
+            "[standard_gaussian-pareto(beta=0.5)-100-1000]",)),
+    Mutant("run_drops_short_block", PKG + "montecarlo.py",
+           "min((r + 1) * per_run, blocks)", "min((r + 1) * per_run, cfg.reps // rows)",
+           "a run drops its last, short block, so the call returns fewer replications",
+           ("tests/test_montecarlo.py::test_block_kernel_equals_per_replication_loop"
+            "[symmetric_pareto-pareto(beta=1)-300-300]",)),
 ]
 
 

@@ -125,12 +125,16 @@ def _config_list(parse, rule=None, nonempty=False):
 
 _text = lambda key, text: text
 _POSITIVE, _NONZERO = (lambda v: v > 0.0, "positive"), (lambda v: v != 0.0, "non-zero")
+# Most values of a count that sizes an array (n, reps, draws, grid points):
+# 2**30 doubles are 8 GiB.  A larger count can only fail in numpy, with a
+# MemoryError or, past about 2**60, a plain ValueError that names no key.
+_MAX_COUNT = 2**30
 
 # Every config key: its default text and its parser, called as parse(key, text).
 _KEYS = {
     "scenario": ("custom", _text),
-    "n": ("10000", _config_count(1)),
-    "reps": ("20000", _config_count(1)),
+    "n": ("10000", _config_count(1, _MAX_COUNT)),
+    "reps": ("20000", _config_count(1, _MAX_COUNT)),
     "seed": ("20260808", _config_seed),
     "outputs": ("out", _text),
     "x_law.kind": ("uniform01", _text),
@@ -144,15 +148,15 @@ _KEYS = {
     "x_law.gamma": ("0.5", _config_float),
     "grid.lo": ("-0.25", _config_float),
     "grid.hi": ("1.25", _config_float),
-    "grid.points": ("1001", _config_count(2)),
+    "grid.points": ("1001", _config_count(2, _MAX_COUNT)),
     "diag.lo": ("1e2", _config_float),
     "diag.hi": ("1e16", _config_float),
-    "diag.points": ("57", _config_count(2)),
+    "diag.points": ("57", _config_count(2, _MAX_COUNT)),
     "levy.n_list": ("1000,10000,100000", _config_list(_config_count(1), nonempty=True)),
     "levy.v_grid": ("0.25,0.5,1,2,4", _config_list(_config_float, _POSITIVE, nonempty=True)),
     "levy.u_grid": ("0.5,1,2", _config_list(_config_float, _NONZERO)),
     "levy.h_list": ("0.25,1", _config_list(_config_float, _POSITIVE)),
-    "levy.draws": ("200000", _config_count(2)),
+    "levy.draws": ("200000", _config_count(2, _MAX_COUNT)),
     # the scan's quadratic integrals at h = 2^-k fall like 2^(-(2 - beta) k);
     # near k = 680 at beta = 1/2 they reach subnormal doubles, where quad's
     # budget is below rounding; up to k = 400 they stay above 1e-260 for the
@@ -284,7 +288,11 @@ def run_levy(cfg: dict, record: dict) -> int:
                 except ParameterError as exc:  # a level at which h^(k - beta) overflows
                     raise ParameterError(f"levy.h_list = {h!r}: {exc}") from exc
                 alpha_lim = lc.alpha_h(view.levy, h)
-                alpha_pre = lc.prelimit_alpha_h(y, n_list[-1], h)
+                try:
+                    alpha_pre = lc.prelimit_alpha_h(y, n_list[-1], h)
+                except ParameterError as exc:  # a_n or a_n h overflows
+                    raise ParameterError(f"levy.h_list = {h!r} at the last levy.n_list entry "
+                                         f"{n_list[-1]}: {exc}") from exc
                 payload[f"h={h:g}"] = {
                     "alpha_h_limit": alpha_lim,
                     "alpha_h_prelimit": alpha_pre,
@@ -353,7 +361,7 @@ def main(argv=None) -> int:
         run = {"simulate": run_simulate, "limit": run_limit, "diagnose": run_diagnose,
                "levy": run_levy}[args.command]
         return run(cfg, record)
-    except (ParameterError, UsageError, ValueError) as exc:
+    except (ParameterError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -275,11 +275,21 @@ def alpha_h(levy: LevyTail, h: float) -> float:
 
 def prelimit_alpha_h(y: MultiplierLaw, n: int, h: float) -> float:
     """(n / a_n) E[Y 1{Y <= a_n h}], the row counterpart of :func:`alpha_h`,
-    computed from the law's truncated mean."""
+    computed from the law's truncated mean.  Raises ParameterError when the
+    level a_n h or the value overflows a double."""
     _check_level(h)
     n = as_int(n, "n", 1)
     a_n = finite_norming(y, n)
-    return n * y.trunc_mean(a_n * h) / a_n
+    level = a_n * h
+    if not math.isfinite(level):  # a Python float overflows to inf in silence
+        raise ParameterError(f"h = {h!r} is too large: the level a_n h of {y.label} at "
+                             f"n={n} overflows a double (a_n = {a_n!r})")
+    with np.errstate(over="ignore"):  # a float64 overflows to inf, checked below
+        value = n * y.trunc_mean(level) / a_n
+    if not math.isfinite(value):
+        raise ParameterError(f"h = {h!r} is too large: the prelimit alpha_h of {y.label} "
+                             f"at n={n} is {float(value)!r}")
+    return value
 
 
 def _check_half_disk_level(view: BivariateLevyView, h: float, k: int) -> None:

@@ -20,18 +20,32 @@ array.  Blocks are stacked in block order, so output is bit-identical for any
 thread count.  Layout 3 draws symmetric_pareto's sign and magnitude from one
 uniform.
 
+The engines hand out work in runs: as many consecutive whole blocks as fit
+in ``SUB_ELEMS`` values, and at least one.  A run is the unit of one task
+on the worker pool (and of perfbench's ``montecarlo.rep`` span); a finite-n
+run holds four blocks at n up to 1024, two or three up to 2048 and one
+above.  Runs group blocks without changing what any block draws, so they
+are not part of the layout.
+
 Engines on more than one thread share one worker pool per thread count,
 created on first use and kept for the life of the process (importing the
 module starts no thread; a forked child starts without the parent's pools).
 Several caller threads may run engines at once.
 
-The finite-n engines fill a block in sub-chunks of up to
-``max(1, SUB_ELEMS // n)`` rows, one sampler call per generator and
-sub-chunk.  Every built-in sampler fills its output in order, so the
-sub-chunk size bounds memory only and is not part of the layout.  Each
-worker thread draws into one pair of buffers of at most ``max(SUB_ELEMS, n)``
-values that it reuses for the whole engine call (it grows them once if the
-short last block was its first), so no sub-chunk allocates fresh draw arrays.
+The finite-n engines fill a run in sub-chunks of up to
+``max(1, SUB_ELEMS // n)`` rows in replication order, across the block
+boundaries inside the run.  Each piece of a sub-chunk that lies in one block
+takes one sampler call per generator, drawn into its slice of the buffers.
+Every built-in sampler fills its output in order, so the sub-chunk size
+bounds memory only and is not part of the layout.  Each worker thread draws
+into one pair of buffers of at most ``max(SUB_ELEMS, n)`` values that it
+reuses for the whole engine call (it grows them once if a short last run
+was its first), so no sub-chunk allocates fresh draw arrays.  A sampler call
+still covers at most one block, about 2**14 values at small n; the rescale
+and the reduction cover the whole sub-chunk, about 2**16 values.  The limit
+pair draws one block at a time inside its run: its per-jump temporaries
+grow with the rows drawn at once, and past about 200 KB glibc hands them
+back as fresh pages, so grouping its blocks made a call slower.
 
 Each sub-chunk is reduced per row.  ``sum X Y`` is taken as
 ``np.multiply(xs, ys, out=xs).sum(axis=1)``, which adds the products in the
@@ -48,6 +62,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,9 +86,10 @@ BLOCK_ELEMS = 2**14
 # Rows per finite-n block at any n, so that large-n blocks share the cost
 # of deriving their two generators.
 MIN_BLOCK_ROWS = 16
-# Values per finite-n draw buffer: 2**16 doubles (512 KiB) make each sampler
-# call long enough that threads do not serialise on handing over the GIL;
-# above it one thread gets slower.
+# Values per run of blocks and per finite-n draw buffer: numpy calls over
+# 2**16 doubles (512 KiB) are long enough for two threads to overlap, where
+# calls over one 2**14-value block mostly serialise on the GIL; above it one
+# thread gets slower.
 SUB_ELEMS = 2**16
 # Version of the stream layout described in the module docstring; it changes
 # whenever the same (seed, config) starts to produce different draws.
@@ -131,24 +147,24 @@ class PairSample:
         return _ratios(self.w2, self.w1)[0]
 
 
-def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], blocks: int, width: int,
+def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], runs: int, width: int,
                       threads: int) -> np.ndarray:
-    """Evaluate fn(b) for b in range(blocks) into a (width, reps) array.
+    """Evaluate fn(r) for r in range(runs) into a (width, reps) array.
 
-    fn(b) returns ``width`` statistics, each an array with one value per
-    replication of block b; blocks are joined in block order.  Threads take
-    contiguous chunks of blocks and every block depends only on its index,
+    fn(r) returns ``width`` statistics, each an array with one value per
+    replication of run r; runs are joined in run order.  Threads take
+    contiguous chunks of runs and every run depends only on its index,
     so scheduling cannot change the result.  With more than one thread the
     chunks run on the process's persistent pool (:func:`_pool`); fn never
     calls an engine on more than one thread, so no task submits to it.
     """
-    step = max(1, math.ceil(blocks / (threads * 8)))
+    step = max(1, math.ceil(runs / (threads * 8)))
 
     def chunk(lo: int) -> np.ndarray:
-        return np.concatenate([np.asarray(fn(b)).reshape(width, -1)
-                               for b in range(lo, min(lo + step, blocks))], axis=1)
+        return np.concatenate([np.asarray(fn(r)).reshape(width, -1)
+                               for r in range(lo, min(lo + step, runs))], axis=1)
 
-    starts = range(0, blocks, step)
+    starts = range(0, runs, step)
     if threads <= 1:
         parts = [chunk(lo) for lo in starts]
     else:
@@ -176,27 +192,31 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 def _run_blocks(cfg: SimConfig, values_per_rep: int, min_rows: int, width: int,
                 body: Callable[..., Sequence[np.ndarray]], what: str) -> np.ndarray:
-    """``body(y_gen, x_gen, rows_b)`` for every block of the stream layout
-    (module docstring), as a (width, reps) array in replication order.
+    """``body(run)`` for every run of blocks of the stream layout (module
+    docstring), as a (width, reps) array in replication order.
 
-    ``y_gen`` and ``x_gen`` are the block's multiplier and weight
-    generators, and ``rows_b`` its row count:
+    ``run`` lists the run's blocks in order as ``(y_gen, x_gen, rows_b)``:
+    the block's multiplier and weight generators and its row count,
     ``max(min_rows, BLOCK_ELEMS // values_per_rep)``, fewer in the last block.
-    A non-finite value in the output (a draw that overflows a double)
-    raises ParameterError naming ``what``: the laws and the size drawn.
-    The blocks run with numpy's floating-point warnings off, so that this
-    error is the one report of an overflow.
+    A run holds as many whole blocks as fit in ``SUB_ELEMS`` values, and at
+    least one.  A non-finite value in the output (a draw that overflows a
+    double) raises ParameterError naming ``what``: the laws and the size
+    drawn.  The runs execute with numpy's floating-point warnings off, so
+    that this error is the one report of an overflow.
     """
-    rows = max(min_rows, BLOCK_ELEMS // max(1, values_per_rep))
+    values_per_rep = max(1, values_per_rep)
+    rows = max(min_rows, BLOCK_ELEMS // values_per_rep)
     blocks = -(-cfg.reps // rows)
+    per_run = max(1, SUB_ELEMS // (rows * values_per_rep))
     seeds = cfg.seed.block_seeds(blocks)
 
-    def block(b: int) -> Sequence[np.ndarray]:
+    def run(r: int) -> Sequence[np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return body(seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB]),
-                        min(rows, cfg.reps - b * rows))
+            return body([(seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB]),
+                          min(rows, cfg.reps - b * rows))
+                         for b in range(r * per_run, min((r + 1) * per_run, blocks))])
 
-    out = _run_replications(block, blocks, width, cfg.threads)
+    out = _run_replications(run, -(-blocks // per_run), width, cfg.threads)
     if not np.isfinite(out).all():
         raise ParameterError(f"draws of {what} hold non-finite values")
     return out
@@ -215,58 +235,67 @@ def _law_meta(x: WeightLaw, y: Optional[MultiplierLaw], cfg: SimConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_rows(x: WeightLaw, y: MultiplierLaw, y_gen: np.random.Generator,
-               x_gen: np.random.Generator, bufs: tuple, shape: tuple,
-               scale_free: bool) -> tuple:
-    """The next ``shape = (k, n)`` weights and multipliers from the block's
-    generators, drawn into the leading ``k * n`` values of the buffers
-    ``bufs = (multipliers, weights)``, plus the first argmax of each
-    log-multiplier row when the multipliers come from the law's log sampler
-    (else None).
-
-    Scale-free draws of a law with a log sampler are rescaled by the row
-    maximum (exactly neutral for ratios of sums) and exponentiated in place,
-    which keeps the weights representable even when raw draws overflow a
-    double.
-    """
-    size = shape[0] * shape[1]
-    y_out, x_out = (buf[:size] for buf in bufs)
-    m = None
-    if scale_free and y.log_sampler is not None:
-        ys = y.log_sampler(y_gen, size, out=y_out).reshape(shape)
-        m = ys.argmax(axis=1)
-        ys -= ys[np.arange(m.size), m][:, None]
-        # exp underflows to exactly 0 below -746; skip those (most) entries
-        keep = ys > -746.0
-        np.exp(ys, out=ys, where=keep)
-        np.copyto(ys, 0.0, where=~keep)
-    else:
-        ys = y.sampler(y_gen, size, out=y_out).reshape(shape)
-    xs = x.sampler(x_gen, size, out=x_out).reshape(shape)
-    return xs, ys, m
+def _draw(sampler: Callable[..., np.ndarray], gen: np.random.Generator,
+          out: np.ndarray) -> None:
+    """Fill ``out`` with the next ``out.size`` draws of ``sampler`` from
+    ``gen``, copying them in when the sampler ignores ``out=``."""
+    got = sampler(gen, out.size, out=out)
+    if got is not out:
+        out[...] = got
 
 
 def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
               reduce: Callable[..., Sequence[np.ndarray]], width: int,
               scale_free: bool) -> np.ndarray:
-    """``reduce(xs, ys, m)`` over every sub-chunk of ``_draw_rows``, as a
-    (width, reps) array in replication order.  ``reduce`` may overwrite
-    ``xs`` and ``ys``, which live in the calling thread's buffers."""
-    chunk = max(1, SUB_ELEMS // cfg.n)  # rows per sub-chunk
+    """``reduce(xs, ys, m)`` over every sub-chunk of every run, as a
+    (width, reps) array in replication order.
+
+    ``xs`` and ``ys`` are the sub-chunk's weights and multipliers as
+    ``(k, n)`` arrays in the calling thread's buffers, which ``reduce`` may
+    overwrite, and ``m`` is the first argmax of each log-multiplier row when
+    the multipliers come from the law's log sampler (else None).  Scale-free
+    draws of a law with a log sampler are rescaled by the row maximum
+    (exactly neutral for ratios of sums) and exponentiated in place, which
+    keeps the weights representable even when raw draws overflow a double.
+    """
+    n = cfg.n
+    chunk = max(1, SUB_ELEMS // n)  # rows per sub-chunk
+    log = scale_free and y.log_sampler is not None
+    y_sampler = y.log_sampler if log else y.sampler
     local = threading.local()  # one buffer pair per worker thread and call
 
-    def block(y_gen, x_gen, rows_b: int) -> np.ndarray:
-        size = min(chunk, rows_b) * cfg.n
+    def run(blocks: list) -> np.ndarray:
+        ends = list(accumulate(rows_b for *_, rows_b in blocks))  # run row after each block
+        total = ends[-1]
+        size = min(chunk, total) * n
         bufs = getattr(local, "bufs", None)
         if bufs is None or bufs[0].size < size:
             bufs = local.bufs = (np.empty(size), np.empty(size))
-        return np.concatenate([
-            reduce(*_draw_rows(x, y, y_gen, x_gen, bufs, (min(chunk, rows_b - lo), cfg.n),
-                               scale_free))
-            for lo in range(0, rows_b, chunk)], axis=1)
+        parts = []
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            ys, xs = (buf[:(hi - lo) * n] for buf in bufs)
+            # one segment per block that holds rows of [lo, hi)
+            for (y_gen, x_gen, rows_b), end in zip(blocks, ends):
+                first, last = max(lo, end - rows_b), min(hi, end)
+                if first < last:
+                    seg = slice((first - lo) * n, (last - lo) * n)
+                    _draw(y_sampler, y_gen, ys[seg])
+                    _draw(x.sampler, x_gen, xs[seg])
+            ys, xs = ys.reshape(hi - lo, n), xs.reshape(hi - lo, n)
+            m = None
+            if log:
+                m = ys.argmax(axis=1)
+                ys -= ys[np.arange(m.size), m][:, None]
+                # exp underflows to exactly 0 below -746; skip those (most) entries
+                keep = ys > -746.0
+                np.exp(ys, out=ys, where=keep)
+                np.copyto(ys, 0.0, where=~keep)
+            parts.append(reduce(xs, ys, m))
+        return np.concatenate(parts, axis=1)
 
-    return _run_blocks(cfg, cfg.n, MIN_BLOCK_ROWS, width, block,
-                       f"{x.label} x {y.label} at n={cfg.n}")
+    return _run_blocks(cfg, n, MIN_BLOCK_ROWS, width, run,
+                       f"{x.label} x {y.label} at n={n}")
 
 
 def _ratios(den: np.ndarray, *nums: np.ndarray) -> list:
@@ -318,7 +347,8 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     normalized tail beyond ``cfg.cutoff`` (through ``LevyTail.tail_inverse``)
     and multiplies each by an independent weight draw.  A block draws its
     rows' counts, then all their jumps and weights as flat arrays, and sums
-    them per row; rows per block follow from the Poisson mean.  Jumps below the
+    them per row; rows per block follow from the Poisson mean, and a run
+    draws its blocks one after another.  Jumps below the
     cutoff are dropped without compensation, which is legitimate because the
     jump measure integrates s near zero; the discarded mass has mean total at
     most truncated_moment(1, cutoff) * (E|X|, 1), reported in the metadata.
@@ -340,7 +370,10 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
         owner = np.repeat(np.arange(counts.size), counts)
         return np.bincount(owner, xs * jumps, counts.size), np.bincount(owner, jumps, counts.size)
 
-    w1, w2 = _run_blocks(cfg, math.ceil(lam), 1, 2, block,
+    def run(blocks: list) -> np.ndarray:  # one block per draw: module docstring
+        return np.concatenate([block(*b) for b in blocks], axis=1)
+
+    w1, w2 = _run_blocks(cfg, math.ceil(lam), 1, 2, run,
                          f"{x.label} x {view.levy.label} at cutoff={eps!r}")
     bias_y = view.levy.truncated_moment(1, eps)
     abs_mean = x.abs_moment(1.0)

@@ -75,7 +75,9 @@ def _eq(name, value, expected, detail=""):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Standard JSON: a NaN or an infinity raises ValueError (exit 3 in cli)."""
+    """Standard JSON: a NaN or an infinity raises ValueError.  cli checks
+    every value before it writes, so one reaching here is a bug and ends in
+    a traceback, not in a config error's exit 3."""
     path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 

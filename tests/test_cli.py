@@ -145,6 +145,12 @@ def test_simulate_bad_law_exits_3(tmp_path):
     ("levy", "levy.u_grid", "0,1"),  # u_grid entries must be non-zero
     ("levy", "levy.h_list", "0"),
     ("levy", "levy.v_grid", ""),  # n_list and v_grid must not be empty
+    # counts that size an array; numpy raised a plain ValueError naming no key
+    ("simulate", "n", "1e19"),
+    ("simulate", "reps", "1e19"),
+    ("limit", "grid.points", "1e19"),
+    ("diagnose", "diag.points", "1e308"),
+    ("levy", "levy.draws", "1e19"),
 ])
 def test_bad_config_key_exits_3_before_output(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path, **{key: value})
@@ -405,13 +411,40 @@ def test_levy_level_past_a_double_exits_3_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_levy_prelimit_level_past_a_double_exits_3_before_output(tmp_path, capsys):
+    # a_n h = 1e200 * 1e150 overflows: levy wrote levy_convergence.json, then
+    # exited 3 on an inf in the JSON with a message that named no key
+    cfg = write_cfg(tmp_path, **{"y_law.beta": "0.01", "levy.n_list": "10,100",
+                                 "levy.h_list": "1e150", "levy.draws": "1000"})
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "levy.h_list = 1e+150 at the last levy.n_list entry 100: h = 1e+150 is too large" in err
+    assert not out.exists()
+
+
+def test_plain_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # only ParameterError and UsageError mean bad input (exit 3); a plain
+    # ValueError raised inside a command is a bug and propagates
+    from selfnorm_lab import cli
+
+    def broken(cfg, record):
+        raise ValueError("a bug, not a config error")
+
+    monkeypatch.setattr(cli, "run_simulate", broken)
+    cfg = write_cfg(tmp_path)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
 def test_levy_overflowing_norming_exits_3(tmp_path, capsys):
     # a_n = n^100 overflows a double at n = 1e4
     cfg = write_cfg(tmp_path, **{"y_law.beta": "0.01", "levy.n_list": "10000",
                                  "levy.draws": "1000"})
     out = tmp_path / "out"
     assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "norming overflows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "norming overflows" in err and "levy.n_list entry 10000" in err
     assert not out.exists()  # input is checked before --out is created
 
 

@@ -2,7 +2,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -346,6 +346,19 @@ def test_prelimit_alpha_h_rejects_overflowing_norming():
     assert y.norming(10_000) == math.inf
     with pytest.raises(ParameterError, match="norming overflows"):
         prelimit_alpha_h(y, 10_000, 1.0)
+
+
+def test_prelimit_alpha_h_rejects_level_past_a_double():
+    # a_n h = 1e10 * 1e308 and 1e200 * 1e150 are inf as Python floats, with
+    # no warning; the prelimit returned inf
+    for beta, n, h in ((0.5, 100_000, 1e308), (0.01, 100, 1e150)):
+        with pytest.raises(ParameterError, match="level a_n h .* overflows a double"):
+            prelimit_alpha_h(make_pareto_multiplier(beta), n, h)
+    # a finite level whose value overflows: n E[Y 1{Y <= a_n h}] passes a double
+    y = replace(make_pareto_multiplier(0.5), trunc_mean=lambda t: np.float64(1e308))
+    with pytest.raises(ParameterError, match="prelimit alpha_h .* is inf"):
+        prelimit_alpha_h(y, 100, 1.0)
+    assert prelimit_alpha_h(make_pareto_multiplier(0.01), 100, 1e100) < math.inf
 
 
 def test_alpha_h_validation(stable_half, view_u01):

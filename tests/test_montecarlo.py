@@ -420,14 +420,23 @@ def _block_streams(c, values_per_rep, min_rows=1):
 def _draw_chunks(x, y, c, log):
     """(multiplier rows, weight rows) per block in replication order:
     finite-n blocks hold at least 16 rows, each drawn from one generator
-    pair with one sampler call per generator.  The engines fill a block in
-    sub-chunks; equal draws pin that the sub-chunk size is not part of the
-    stream layout."""
+    pair with one sampler call per generator.  The engines group blocks
+    into runs and fill each run in sub-chunks that may start and end inside
+    a block; equal draws pin that neither the run nor the sub-chunk size is
+    part of the stream layout."""
     n = c.n
     for rows, block in _block_streams(c, n, min_rows=16):
         y_gen, x_gen = block.child(0).generator(), block.child(1).generator()
         ys = (y.log_sampler if log else y.sampler)(y_gen, rows * n)
         yield ys.reshape(rows, n), x.sampler(x_gen, rows * n).reshape(rows, n)
+
+
+def _run_count(c):
+    """Runs of whole blocks in the layout the engines document: as many
+    blocks per run as fit in SUB_ELEMS values, and at least one."""
+    rows = max(16, BLOCK_ELEMS // c.n)
+    per_run = max(1, SUB_ELEMS // (rows * c.n))
+    return -(-len(_block_streams(c, c.n, min_rows=16)) // per_run)
 
 
 def _loop_rows(x, y, c, scale_free):
@@ -449,13 +458,20 @@ def _loop_rows(x, y, c, scale_free):
 
 
 KERNEL_CASES = [  # (weight, multiplier, n, reps)
-    # one sub-chunk per block, the last block partial
+    # runs of several blocks, each run in one sub-chunk that crosses block
+    # boundaries: one run of 1638 + 1638 + 224 rows
     ("uniform01", make_pareto_multiplier(0.5), 10, 3_500),
-    ("bernoulli", make_slowly_varying_multiplier(), 1_000, 40),  # log sampler
+    # one run of 16 + 16 + 8 rows on the log sampler
+    ("bernoulli", make_slowly_varying_multiplier(), 1_000, 40),
+    # one run of 163 + 163 + 74 rows on the log sampler
     ("standard_gaussian", make_slowly_varying_multiplier(), 100, 400),
+    # 163-row blocks in runs of 4 and 3, the last block 22 rows
+    ("standard_gaussian", make_pareto_multiplier(0.5), 100, 1_000),
+    # 54-row blocks in runs of 4 and 2, the last block 30 rows
+    ("symmetric_pareto", make_pareto_multiplier(1.0), 300, 300),
     # a single partial block of 3 rows in one sub-chunk
     ("uniform01", make_finite_mean_multiplier("exponential"), BLOCK_ELEMS + 3, 3),
-    # 16-row blocks in one sub-chunk each, then a partial block of 3
+    # 16-row blocks, one per run, in one sub-chunk each, then a partial block of 3
     ("rademacher", make_pareto_multiplier(1.0), 3_000, 35),
     # 16-row blocks of 7+7+2 rows, then a partial block of 3
     ("symmetric_pareto", make_pareto_multiplier(0.5), BLOCK_ELEMS // 2 + 1, 35),
@@ -469,18 +485,21 @@ KERNEL_CASES = [  # (weight, multiplier, n, reps)
 @pytest.mark.parametrize("kind,y,n,reps", KERNEL_CASES,
                          ids=lambda v: getattr(v, "label", str(v)))
 def test_block_kernel_equals_per_replication_loop(kind, y, n, reps):
+    # at 1, 2 and 3 threads and at more threads than runs
     x = make_weight_law(kind)
-    c = cfg(n=n, reps=reps, seed=9, idx=4, threads=2)
+    c = cfg(n=n, reps=reps, seed=9, idx=4)
     ref = _loop_rows(x, y, c, scale_free=True)
-    assert np.array_equal(simulate_tn(x, y, c).values, np.sort(ref[:, 0]))
-    st = max_share_stats(x, y, c, (0.1, 0.5))
-    assert np.array_equal(st.delta_sample, np.sort(ref[:, 4]))
-    assert np.array_equal(st.r_n_sample, np.sort(ref[:, 5]))
-    assert st.a_n_eps_prob == {e: float((ref[:, 3] > 1.0 - e).mean()) for e in (0.1, 0.5)}
-    if y.log_sampler is None:  # the normed pair draws raw multipliers
-        p = simulate_normed_pair(x, y, c)
-        a_n = y.norming(n)
-        assert np.array_equal(p.w1, ref[:, 1] / a_n) and np.array_equal(p.w2, ref[:, 2] / a_n)
+    for threads in sorted({1, 2, 3, _run_count(c) + 1}):
+        c = replace(c, threads=threads)
+        assert np.array_equal(simulate_tn(x, y, c).values, np.sort(ref[:, 0]))
+        st = max_share_stats(x, y, c, (0.1, 0.5))
+        assert np.array_equal(st.delta_sample, np.sort(ref[:, 4]))
+        assert np.array_equal(st.r_n_sample, np.sort(ref[:, 5]))
+        assert st.a_n_eps_prob == {e: float((ref[:, 3] > 1.0 - e).mean()) for e in (0.1, 0.5)}
+        if y.log_sampler is None:  # the normed pair draws raw multipliers
+            p = simulate_normed_pair(x, y, c)
+            a_n = y.norming(n)
+            assert np.array_equal(p.w1, ref[:, 1] / a_n) and np.array_equal(p.w2, ref[:, 2] / a_n)
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "uniform01"])
