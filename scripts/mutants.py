@@ -170,9 +170,9 @@ MUTANTS = [
            "sum XY adds in another order than sum Y, so T_n can leave the weights' hull",
            ("tests/test_montecarlo.py::test_convex_combination_bounds_are_exact[10-bernoulli]",)),
     Mutant("threads_drop_block", PKG + "montecarlo.py",
-           "parts = list(_pool(threads).map(chunk, starts))",
-           "parts = list(_pool(threads).map(chunk, starts[:-1]))",
-           "more than one thread drops the last chunk of runs",
+           "parts = list(_pool(threads).map(fn, range(tasks)))",
+           "parts = list(_pool(threads).map(fn, range(tasks - 1)))",
+           "more than one thread drops the last task",
            ("tests/test_montecarlo.py::test_tn_deterministic_and_thread_invariant",)),
     Mutant("atoms_moment_errstate", PKG + "limit_laws.py",
            '    with np.errstate(over="ignore", invalid="ignore"):\n'
@@ -202,18 +202,23 @@ MUTANTS = [
            ("tests/test_levy_calculus.py::test_prelimits_equal_one_shot_reference"
             "[uniform01-16385]",)),
     Mutant("run_first_block_gens", PKG + "montecarlo.py",
-           "_draw(y_sampler, y_gen, ys[seg])\n"
-           "                    _draw(x.sampler, x_gen, xs[seg])",
-           "_draw(y_sampler, blocks[0][0], ys[seg])\n"
-           "                    _draw(x.sampler, blocks[0][1], xs[seg])",
-           "every segment of a run draws on from the run's first block's generators",
+           "_draw(y_sampler, y_gen, bufs[0][seg])\n"
+           "                _draw(x.sampler, x_gen, bufs[1][seg])",
+           "_draw(y_sampler, blocks[0][0], bufs[0][seg])\n"
+           "                _draw(x.sampler, blocks[0][1], bufs[1][seg])",
+           "every block of a task draws on from the task's first block's generators",
            ("tests/test_montecarlo.py::test_block_kernel_equals_per_replication_loop"
             "[standard_gaussian-pareto(beta=0.5)-100-1000]",)),
     Mutant("run_drops_short_block", PKG + "montecarlo.py",
-           "min((r + 1) * per_run, blocks)", "min((r + 1) * per_run, cfg.reps // rows)",
-           "a run drops its last, short block, so the call returns fewer replications",
+           "min((t + 1) * per_task, blocks)", "min((t + 1) * per_task, cfg.reps // rows)",
+           "a task drops its last, short block, so the call returns fewer replications",
            ("tests/test_montecarlo.py::test_block_kernel_equals_per_replication_loop"
             "[symmetric_pareto-pareto(beta=1)-300-300]",)),
+    Mutant("task_threads_cap", PKG + "montecarlo.py",
+           "per_task = max(1, min(per_task, blocks // cfg.threads))",
+           "per_task = max(1, per_task)",
+           "a small call is one task, so its other threads stay idle",
+           ("tests/test_montecarlo.py::test_small_call_gives_every_thread_a_task",)),
 ]
 
 

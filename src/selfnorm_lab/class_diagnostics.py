@@ -163,11 +163,13 @@ def atom_scan(sample: EmpiricalSample, eps: float) -> list:
 def ks_distance(sample: EmpiricalSample, cdf: Callable) -> float:
     """One-sample Kolmogorov-Smirnov distance, both one-sided gaps.
 
-    ``cdf`` must map the sorted sample to an array of the same shape; any
-    other result raises :class:`ParameterError` (see :func:`vec_eval`).
+    ``cdf`` must map the sorted sample to a finite array of the same shape;
+    any other result raises :class:`ParameterError` (see :func:`vec_eval`).
     """
     v = sample.values
     reps = len(v)
     f = vec_eval(cdf, v)
+    if not np.isfinite(f).all():
+        raise ParameterError("cdf returned a value that is not finite")
     i = np.arange(1, reps + 1)
     return float(max(np.max(i / reps - f), np.max(f - (i - 1) / reps)))

@@ -20,30 +20,32 @@ array.  Blocks are stacked in block order, so output is bit-identical for any
 thread count.  Layout 3 draws symmetric_pareto's sign and magnitude from one
 uniform.
 
-The engines hand out work in runs: as many consecutive whole blocks as fit
-in ``SUB_ELEMS`` values, and at least one.  A run is the unit of one task
-on the worker pool (and of perfbench's ``montecarlo.rep`` span); a finite-n
-run holds four blocks at n up to 1024, two or three up to 2048 and one
-above.  Runs group blocks without changing what any block draws, so they
-are not part of the layout.
+The engines hand out work in tasks: runs of consecutive whole blocks, the
+unit of work on the worker pool (and of perfbench's ``montecarlo.rep``
+span).  ``_run_blocks`` sizes them once per call: a task holds as many
+blocks as fit in ``SUB_ELEMS`` values, or more for about eight tasks per
+thread, but never so many that there are fewer tasks than threads.  Tasks
+group blocks without changing what any block draws, so they are not part
+of the layout.
 
 Engines on more than one thread share one worker pool per thread count,
 created on first use and kept for the life of the process (importing the
 module starts no thread; a forked child starts without the parent's pools).
 Several caller threads may run engines at once.
 
-The finite-n engines fill a run in sub-chunks of up to
-``max(1, SUB_ELEMS // n)`` rows in replication order, across the block
-boundaries inside the run.  Each piece of a sub-chunk that lies in one block
-takes one sampler call per generator, drawn into its slice of the buffers.
+The finite-n engines fill a task in one pass over its blocks: sub-chunks of
+up to ``max(1, SUB_ELEMS // n)`` rows in replication order, across block
+boundaries, each reduced once it is full (the last one at the end of the
+task).  Each piece of a sub-chunk that lies in one block takes one sampler
+call per generator, drawn into its slice of the buffers.
 Every built-in sampler fills its output in order, so the sub-chunk size
 bounds memory only and is not part of the layout.  Each worker thread draws
 into one pair of buffers of at most ``max(SUB_ELEMS, n)`` values that it
-reuses for the whole engine call (it grows them once if a short last run
+reuses for the whole engine call (it grows them once if a short last task
 was its first), so no sub-chunk allocates fresh draw arrays.  A sampler call
 still covers at most one block, about 2**14 values at small n; the rescale
 and the reduction cover the whole sub-chunk, about 2**16 values.  The limit
-pair draws one block at a time inside its run: its per-jump temporaries
+pair draws one block at a time inside its task: its per-jump temporaries
 grow with the rows drawn at once, and past about 200 KB glibc hands them
 back as fresh pages, so grouping its blocks made a call slower.
 
@@ -62,7 +64,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,10 +87,10 @@ BLOCK_ELEMS = 2**14
 # Rows per finite-n block at any n, so that large-n blocks share the cost
 # of deriving their two generators.
 MIN_BLOCK_ROWS = 16
-# Values per run of blocks and per finite-n draw buffer: numpy calls over
-# 2**16 doubles (512 KiB) are long enough for two threads to overlap, where
-# calls over one 2**14-value block mostly serialise on the GIL; above it one
-# thread gets slower.
+# Values per finite-n sub-chunk and draw buffer, and about the fewest a task
+# holds where its blocks allow: numpy calls over 2**16 doubles (512 KiB) are
+# long enough for two threads to overlap, where calls over one 2**14-value
+# block mostly serialise on the GIL; above it one thread gets slower.
 SUB_ELEMS = 2**16
 # Version of the stream layout described in the module docstring; it changes
 # whenever the same (seed, config) starts to produce different draws.
@@ -147,29 +148,21 @@ class PairSample:
         return _ratios(self.w2, self.w1)[0]
 
 
-def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], runs: int, width: int,
+def _run_replications(fn: Callable[[int], Sequence[np.ndarray]], tasks: int, width: int,
                       threads: int) -> np.ndarray:
-    """Evaluate fn(r) for r in range(runs) into a (width, reps) array.
+    """Evaluate fn(t) for t in range(tasks) into a (width, reps) array.
 
-    fn(r) returns ``width`` statistics, each an array with one value per
-    replication of run r; runs are joined in run order.  Threads take
-    contiguous chunks of runs and every run depends only on its index,
-    so scheduling cannot change the result.  With more than one thread the
-    chunks run on the process's persistent pool (:func:`_pool`); fn never
-    calls an engine on more than one thread, so no task submits to it.
+    fn(t) returns ``width`` statistics, each an array with one value per
+    replication of task t; tasks are joined in task order and depend only
+    on their index, so scheduling cannot change the result.  With more than
+    one thread they run on the process's persistent pool (:func:`_pool`);
+    fn never calls an engine on more than one thread, so no task submits to it.
     """
-    step = max(1, math.ceil(runs / (threads * 8)))
-
-    def chunk(lo: int) -> np.ndarray:
-        return np.concatenate([np.asarray(fn(r)).reshape(width, -1)
-                               for r in range(lo, min(lo + step, runs))], axis=1)
-
-    starts = range(0, runs, step)
     if threads <= 1:
-        parts = [chunk(lo) for lo in starts]
+        parts = [fn(t) for t in range(tasks)]
     else:
-        parts = list(_pool(threads).map(chunk, starts))
-    return np.concatenate(parts, axis=1)
+        parts = list(_pool(threads).map(fn, range(tasks)))
+    return np.concatenate([np.reshape(p, (width, -1)) for p in parts], axis=1)
 
 
 # thread count -> executor; a forked child has none of the parent's worker
@@ -192,31 +185,34 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 def _run_blocks(cfg: SimConfig, values_per_rep: int, min_rows: int, width: int,
                 body: Callable[..., Sequence[np.ndarray]], what: str) -> np.ndarray:
-    """``body(run)`` for every run of blocks of the stream layout (module
+    """``body(task)`` for every task of the stream layout's blocks (module
     docstring), as a (width, reps) array in replication order.
 
-    ``run`` lists the run's blocks in order as ``(y_gen, x_gen, rows_b)``:
+    ``task`` lists the task's blocks in order as ``(y_gen, x_gen, rows_b)``:
     the block's multiplier and weight generators and its row count,
     ``max(min_rows, BLOCK_ELEMS // values_per_rep)``, fewer in the last block.
-    A run holds as many whole blocks as fit in ``SUB_ELEMS`` values, and at
-    least one.  A non-finite value in the output (a draw that overflows a
-    double) raises ParameterError naming ``what``: the laws and the size
-    drawn.  The runs execute with numpy's floating-point warnings off, so
-    that this error is the one report of an overflow.
+    A task holds as many blocks as fit in ``SUB_ELEMS`` values, or enough
+    for about eight tasks per thread if that is more, but at most
+    ``blocks // threads`` (and at least one), so that no thread is left idle.
+    A non-finite value in the output (a draw that overflows a double) raises
+    ParameterError naming ``what``: the laws and the size drawn.  The tasks
+    execute with numpy's floating-point warnings off, so that this error is
+    the one report of an overflow.
     """
     values_per_rep = max(1, values_per_rep)
     rows = max(min_rows, BLOCK_ELEMS // values_per_rep)
     blocks = -(-cfg.reps // rows)
-    per_run = max(1, SUB_ELEMS // (rows * values_per_rep))
+    per_task = max(SUB_ELEMS // (rows * values_per_rep), -(-blocks // (cfg.threads * 8)))
+    per_task = max(1, min(per_task, blocks // cfg.threads))
     seeds = cfg.seed.block_seeds(blocks)
 
-    def run(r: int) -> Sequence[np.ndarray]:
+    def task(t: int) -> Sequence[np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return body([(seeded_generator(seeds[b, _Y_SUB]), seeded_generator(seeds[b, _X_SUB]),
                           min(rows, cfg.reps - b * rows))
-                         for b in range(r * per_run, min((r + 1) * per_run, blocks))])
+                         for b in range(t * per_task, min((t + 1) * per_task, blocks))])
 
-    out = _run_replications(run, -(-blocks // per_run), width, cfg.threads)
+    out = _run_replications(task, -(-blocks // per_task), width, cfg.threads)
     if not np.isfinite(out).all():
         raise ParameterError(f"draws of {what} hold non-finite values")
     return out
@@ -247,7 +243,7 @@ def _draw(sampler: Callable[..., np.ndarray], gen: np.random.Generator,
 def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
               reduce: Callable[..., Sequence[np.ndarray]], width: int,
               scale_free: bool) -> np.ndarray:
-    """``reduce(xs, ys, m)`` over every sub-chunk of every run, as a
+    """``reduce(xs, ys, m)`` over every sub-chunk of every task, as a
     (width, reps) array in replication order.
 
     ``xs`` and ``ys`` are the sub-chunk's weights and multipliers as
@@ -264,37 +260,36 @@ def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
     y_sampler = y.log_sampler if log else y.sampler
     local = threading.local()  # one buffer pair per worker thread and call
 
-    def run(blocks: list) -> np.ndarray:
-        ends = list(accumulate(rows_b for *_, rows_b in blocks))  # run row after each block
-        total = ends[-1]
-        size = min(chunk, total) * n
+    def task(blocks: list) -> np.ndarray:
+        left = sum(rows_b for *_, rows_b in blocks)  # rows still to draw
+        rows = min(chunk, left)  # rows per sub-chunk
         bufs = getattr(local, "bufs", None)
-        if bufs is None or bufs[0].size < size:
-            bufs = local.bufs = (np.empty(size), np.empty(size))
-        parts = []
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            ys, xs = (buf[:(hi - lo) * n] for buf in bufs)
-            # one segment per block that holds rows of [lo, hi)
-            for (y_gen, x_gen, rows_b), end in zip(blocks, ends):
-                first, last = max(lo, end - rows_b), min(hi, end)
-                if first < last:
-                    seg = slice((first - lo) * n, (last - lo) * n)
-                    _draw(y_sampler, y_gen, ys[seg])
-                    _draw(x.sampler, x_gen, xs[seg])
-            ys, xs = ys.reshape(hi - lo, n), xs.reshape(hi - lo, n)
-            m = None
-            if log:
-                m = ys.argmax(axis=1)
-                ys -= ys[np.arange(m.size), m][:, None]
-                # exp underflows to exactly 0 below -746; skip those (most) entries
-                keep = ys > -746.0
-                np.exp(ys, out=ys, where=keep)
-                np.copyto(ys, 0.0, where=~keep)
-            parts.append(reduce(xs, ys, m))
+        if bufs is None or bufs[0].size < rows * n:
+            bufs = local.bufs = (np.empty(rows * n), np.empty(rows * n))
+        parts, k = [], 0  # k: rows drawn into the current sub-chunk
+        for y_gen, x_gen, rows_b in blocks:
+            while rows_b:
+                take = min(rows_b, rows - k)
+                seg = slice(k * n, (k + take) * n)
+                _draw(y_sampler, y_gen, bufs[0][seg])
+                _draw(x.sampler, x_gen, bufs[1][seg])
+                k, rows_b, left = k + take, rows_b - take, left - take
+                if k < rows and left:
+                    continue  # the sub-chunk is neither full nor the task's last
+                ys, xs = (buf[:k * n].reshape(k, n) for buf in bufs)
+                m = None
+                if log:
+                    m = ys.argmax(axis=1)
+                    ys -= ys[np.arange(k), m][:, None]
+                    # exp underflows to exactly 0 below -746; skip those (most) entries
+                    keep = ys > -746.0
+                    np.exp(ys, out=ys, where=keep)
+                    np.copyto(ys, 0.0, where=~keep)
+                parts.append(reduce(xs, ys, m))
+                k = 0
         return np.concatenate(parts, axis=1)
 
-    return _run_blocks(cfg, n, MIN_BLOCK_ROWS, width, run,
+    return _run_blocks(cfg, n, MIN_BLOCK_ROWS, width, task,
                        f"{x.label} x {y.label} at n={n}")
 
 
@@ -347,7 +342,7 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
     normalized tail beyond ``cfg.cutoff`` (through ``LevyTail.tail_inverse``)
     and multiplies each by an independent weight draw.  A block draws its
     rows' counts, then all their jumps and weights as flat arrays, and sums
-    them per row; rows per block follow from the Poisson mean, and a run
+    them per row; rows per block follow from the Poisson mean, and a task
     draws its blocks one after another.  Jumps below the
     cutoff are dropped without compensation, which is legitimate because the
     jump measure integrates s near zero; the discarded mass has mean total at
@@ -370,10 +365,10 @@ def simulate_limit_pair(view: BivariateLevyView, cfg: SimConfig) -> PairSample:
         owner = np.repeat(np.arange(counts.size), counts)
         return np.bincount(owner, xs * jumps, counts.size), np.bincount(owner, jumps, counts.size)
 
-    def run(blocks: list) -> np.ndarray:  # one block per draw: module docstring
+    def task(blocks: list) -> np.ndarray:  # one block per draw: module docstring
         return np.concatenate([block(*b) for b in blocks], axis=1)
 
-    w1, w2 = _run_blocks(cfg, math.ceil(lam), 1, 2, run,
+    w1, w2 = _run_blocks(cfg, math.ceil(lam), 1, 2, task,
                          f"{x.label} x {view.levy.label} at cutoff={eps!r}")
     bias_y = view.levy.truncated_moment(1, eps)
     abs_mean = x.abs_moment(1.0)
@@ -444,7 +439,7 @@ def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
 
     A positive slope close to the gap of the two tail exponents flags the
     regime where the ratio escapes to infinity; bounded weights pin the
-    slope at zero.
+    slope at zero.  A median of 0 at some n raises ParameterError.
     """
     n_list = [as_int(n, "n_list entry", 1) for n in n_list]
     if len(n_list) < 2:
@@ -456,5 +451,7 @@ def divergence_probe(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
         sub = SimConfig(n=n, reps=cfg.reps, seed=cfg.seed.child(j), threads=cfg.threads)
         sample = simulate_tn(x, y, sub)
         medians[n] = float(np.median(np.abs(sample.values)))
+        if medians[n] == 0.0:
+            raise ParameterError(f"median |T_n| is 0 at n={n}, so the log-log slope is undefined")
     slope = float(np.polyfit(np.log(n_list), np.log(list(medians.values())), 1)[0])
     return DivergenceProbe(medians, slope)

@@ -263,3 +263,9 @@ def test_ks_distance_shifted_sample_saturates():
     d = ks_distance(s, lambda t: np.clip(t, 0.0, 1.0))
     assert d == pytest.approx(1.0, abs=1e-3)
 
+
+def test_ks_distance_rejects_non_finite_cdf():
+    s = _sample(np.linspace(0.0, 1.0, 100))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="not finite"):
+            ks_distance(s, lambda t, bad=bad: np.full_like(t, bad))

@@ -19,6 +19,7 @@ from selfnorm_lab.distributions import (
     make_weight_law,
 )
 from selfnorm_lab.levy_calculus import BivariateLevyView, stable_levy_tail
+from selfnorm_lab import montecarlo as mc
 from selfnorm_lab.class_diagnostics import ks_distance
 from selfnorm_lab.montecarlo import (
     BLOCK_ELEMS,
@@ -421,8 +422,8 @@ def _draw_chunks(x, y, c, log):
     """(multiplier rows, weight rows) per block in replication order:
     finite-n blocks hold at least 16 rows, each drawn from one generator
     pair with one sampler call per generator.  The engines group blocks
-    into runs and fill each run in sub-chunks that may start and end inside
-    a block; equal draws pin that neither the run nor the sub-chunk size is
+    into tasks and fill each task in sub-chunks that may start and end inside
+    a block; equal draws pin that neither the task nor the sub-chunk size is
     part of the stream layout."""
     n = c.n
     for rows, block in _block_streams(c, n, min_rows=16):
@@ -432,11 +433,14 @@ def _draw_chunks(x, y, c, log):
 
 
 def _run_count(c):
-    """Runs of whole blocks in the layout the engines document: as many
-    blocks per run as fit in SUB_ELEMS values, and at least one."""
+    """Tasks of whole blocks at c.threads under the rule the engines
+    document: as many blocks per task as fit in SUB_ELEMS values or about
+    eight tasks per thread, whichever is more, but never fewer tasks than
+    threads while blocks remain."""
     rows = max(16, BLOCK_ELEMS // c.n)
-    per_run = max(1, SUB_ELEMS // (rows * c.n))
-    return -(-len(_block_streams(c, c.n, min_rows=16)) // per_run)
+    blocks = len(_block_streams(c, c.n, min_rows=16))
+    per_task = max(SUB_ELEMS // (rows * c.n), -(-blocks // (c.threads * 8)))
+    return -(-blocks // max(1, min(per_task, blocks // c.threads)))
 
 
 def _loop_rows(x, y, c, scale_free):
@@ -458,20 +462,20 @@ def _loop_rows(x, y, c, scale_free):
 
 
 KERNEL_CASES = [  # (weight, multiplier, n, reps)
-    # runs of several blocks, each run in one sub-chunk that crosses block
-    # boundaries: one run of 1638 + 1638 + 224 rows
+    # tasks of several blocks, each task in one sub-chunk that crosses block
+    # boundaries: one task of 1638 + 1638 + 224 rows on one thread
     ("uniform01", make_pareto_multiplier(0.5), 10, 3_500),
-    # one run of 16 + 16 + 8 rows on the log sampler
+    # one task of 16 + 16 + 8 rows on the log sampler
     ("bernoulli", make_slowly_varying_multiplier(), 1_000, 40),
-    # one run of 163 + 163 + 74 rows on the log sampler
+    # one task of 163 + 163 + 74 rows on the log sampler
     ("standard_gaussian", make_slowly_varying_multiplier(), 100, 400),
-    # 163-row blocks in runs of 4 and 3, the last block 22 rows
+    # 163-row blocks in tasks of 4 and 3, the last block 22 rows
     ("standard_gaussian", make_pareto_multiplier(0.5), 100, 1_000),
-    # 54-row blocks in runs of 4 and 2, the last block 30 rows
+    # 54-row blocks in tasks of 4 and 2, the last block 30 rows
     ("symmetric_pareto", make_pareto_multiplier(1.0), 300, 300),
     # a single partial block of 3 rows in one sub-chunk
     ("uniform01", make_finite_mean_multiplier("exponential"), BLOCK_ELEMS + 3, 3),
-    # 16-row blocks, one per run, in one sub-chunk each, then a partial block of 3
+    # 16-row blocks, one per task, in one sub-chunk each, then a partial block of 3
     ("rademacher", make_pareto_multiplier(1.0), 3_000, 35),
     # 16-row blocks of 7+7+2 rows, then a partial block of 3
     ("symmetric_pareto", make_pareto_multiplier(0.5), BLOCK_ELEMS // 2 + 1, 35),
@@ -479,13 +483,16 @@ KERNEL_CASES = [  # (weight, multiplier, n, reps)
     ("bernoulli", make_slowly_varying_multiplier(), 5_000, 35),
     # one-row sub-chunks, a single partial block
     ("uniform01", make_finite_mean_multiplier("exponential"), SUB_ELEMS // 2 + 1, 3),
+    # twenty 16-row blocks in tasks of 3 on one thread, filled in 13-row
+    # sub-chunks that straddle the block boundaries inside each task
+    ("standard_gaussian", make_pareto_multiplier(0.5), 5_000, 320),
 ]
 
 
 @pytest.mark.parametrize("kind,y,n,reps", KERNEL_CASES,
                          ids=lambda v: getattr(v, "label", str(v)))
 def test_block_kernel_equals_per_replication_loop(kind, y, n, reps):
-    # at 1, 2 and 3 threads and at more threads than runs
+    # at 1, 2 and 3 threads and at more threads than one-thread tasks
     x = make_weight_law(kind)
     c = cfg(n=n, reps=reps, seed=9, idx=4)
     ref = _loop_rows(x, y, c, scale_free=True)
@@ -500,6 +507,21 @@ def test_block_kernel_equals_per_replication_loop(kind, y, n, reps):
             p = simulate_normed_pair(x, y, c)
             a_n = y.norming(n)
             assert np.array_equal(p.w1, ref[:, 1] / a_n) and np.array_equal(p.w2, ref[:, 2] / a_n)
+
+
+def test_small_call_gives_every_thread_a_task(monkeypatch):
+    # three 1638-row blocks fit in one sub-chunk's worth of values, yet two
+    # threads must not leave one of them idle
+    seen, run = [], mc._run_replications
+
+    def spy(fn, tasks, width, threads):
+        seen.append(tasks)
+        return run(fn, tasks, width, threads)
+
+    monkeypatch.setattr(mc, "_run_replications", spy)
+    simulate_tn(make_weight_law("uniform01"), make_finite_mean_multiplier("exponential"),
+                cfg(n=10, reps=4_000, threads=2))
+    assert len(seen) == 1 and seen[0] >= 2
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "uniform01"])
@@ -560,6 +582,13 @@ def test_divergence_probe_needs_two_sizes():
         with pytest.raises(ParameterError, match="two sizes"):
             divergence_probe(make_weight_law("uniform01"), make_pareto_multiplier(0.5),
                              cfg(reps=10), n_list)
+
+
+def test_divergence_probe_rejects_zero_median():
+    # log 0 would give a NaN slope with a RuntimeWarning
+    with pytest.raises(ParameterError, match="at n=10,"):
+        divergence_probe(make_weight_law("point_mass", c=0.0), make_pareto_multiplier(0.5),
+                         cfg(reps=10), (10, 100))
 
 
 def test_divergence_probe_rejects_non_integer_n():
