@@ -219,6 +219,16 @@ MUTANTS = [
            "per_task = max(1, per_task)",
            "a small call is one task, so its other threads stay idle",
            ("tests/test_montecarlo.py::test_small_call_gives_every_thread_a_task",)),
+    Mutant("v_grid_order", PKG + "levy_calculus.py",
+           "if any(b <= a for a, b in zip(v_grid, v_grid[1:])):",
+           "if False:",
+           "check_levy_convergence reports negative interval masses of an unsorted v_grid",
+           ("tests/test_levy_calculus.py::test_check_levy_convergence_rejects_unsorted_v_grid",)),
+    Mutant("half_disk_finite", PKG + "levy_calculus.py",
+           "if not math.isfinite(value):\n        raise ParameterError(f\"a half-disk moment",
+           "if False:\n        raise ParameterError(f\"a half-disk moment",
+           "levy writes an infinite second moment of a far atom and ends in a traceback",
+           ("tests/test_cli_contract.py::test_exit_contract",)),
 ]
 
 

@@ -35,7 +35,6 @@ from .levy_calculus import (
     prelimit_lambda_n,
     prelimit_pi_n,
     prelimit_truncated_first_moments,
-    prelimit_truncated_second_moments,
     second_moment_smallh_scan,
     stable_levy_tail,
     truncated_first_moments,

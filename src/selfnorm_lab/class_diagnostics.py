@@ -28,19 +28,21 @@ def tail_ratios(y: MultiplierLaw, x):
 
     x is a float or an array of floats; an array gives arrays of its shape.
     Any x below the support of Y (zero truncated variance) raises, and so
-    does an x where an input overflows a double (x * x past about 1.34e154).
+    does an x where an input or a ratio overflows a double (x * x past
+    about 1.34e154).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m2 = y.trunc_second(x)
         tail = x * x * y.survival(x)
         m1 = x * y.trunc_mean(x)
-        bad = ~np.isfinite(tail + m1 + m2)  # also an overflow of the sums below
+        ratios = tail / m2, (tail + m1) / m2, m1 / (tail + m2)
+        bad = ~np.isfinite(tail + m1 + m2 + sum(ratios))  # also a sum's overflow
+    if not np.all(m2 > 0.0):
+        raise ParameterError("x is below the support of Y (zero truncated variance)")
     if bad.any():
         first = float(np.asarray(x)[bad][0])
         raise ParameterError(f"tail ratios overflow a double at x = {first!r}")
-    if not np.all(m2 > 0.0):
-        raise ParameterError("x is below the support of Y (zero truncated variance)")
-    return tail / m2, (tail + m1) / m2, m1 / (tail + m2)
+    return ratios
 
 
 @dataclass

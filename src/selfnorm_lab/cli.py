@@ -110,15 +110,17 @@ def _config_seed(key: str, text: str) -> SeedStream:
     return SeedStream(value)
 
 
-def _config_list(parse, rule=None, nonempty=False):
-    """Parser of a comma-separated list whose entries ``parse`` reads; ``rule``
-    is an optional (test, name) pair that every entry must pass."""
+def _config_list(parse, rule=None, nonempty=False, increasing=False):
+    """Parser of a comma-separated list whose entries ``parse`` reads, each one
+    passing ``rule`` (a (test, name) pair) if given, in increasing order if set."""
     def parse_list(key, text):
         values = [parse(key, tok) for tok in text.split(",") if tok.strip()]
         if nonempty and not values:
             raise ParameterError(f"config field {key!r} must not be empty")
         if rule is not None and not all(map(rule[0], values)):
             raise ParameterError(f"config field {key!r} entries must be {rule[1]}, got {text!r}")
+        if increasing and any(b <= a for a, b in zip(values, values[1:])):
+            raise ParameterError(f"config field {key!r} must be strictly increasing, got {text!r}")
         return values
     return parse_list
 
@@ -153,7 +155,8 @@ _KEYS = {
     "diag.hi": ("1e16", _config_float),
     "diag.points": ("57", _config_count(2, _MAX_COUNT)),
     "levy.n_list": ("1000,10000,100000", _config_list(_config_count(1), nonempty=True)),
-    "levy.v_grid": ("0.25,0.5,1,2,4", _config_list(_config_float, _POSITIVE, nonempty=True)),
+    "levy.v_grid": ("0.25,0.5,1,2,4",
+                    _config_list(_config_float, _POSITIVE, nonempty=True, increasing=True)),
     "levy.u_grid": ("0.5,1,2", _config_list(_config_float, _NONZERO)),
     "levy.h_list": ("0.25,1", _config_list(_config_float, _POSITIVE)),
     "levy.draws": ("200000", _config_count(2, _MAX_COUNT)),

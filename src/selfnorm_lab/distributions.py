@@ -633,8 +633,8 @@ def make_pareto_multiplier(beta: float) -> MultiplierLaw:
     The norming sequence is the upper 1/n quantile, a_n = n**(1/beta), which
     makes n * P{Y > a_n v} = v^-beta exactly whenever a_n v >= 1.
     """
-    if not 0.0 < beta < 2.0:
-        raise ParameterError("pareto beta must lie in (0, 2)")
+    if not np.finfo(float).tiny <= beta < 2.0:  # a subnormal beta: 1 / beta overflows
+        raise ParameterError("pareto beta must be a normal double in (0, 2)")
     b = float(beta)
 
     def survival(y):

@@ -177,8 +177,8 @@ def pi_bar(view: BivariateLevyView, u: float) -> float:
     :func:`limit_view` checks.  A u so far out that u / x overflows a double
     at a node raises ParameterError.
     """
-    if math.isnan(u) or u == 0.0:
-        raise ParameterError(f"u must be a non-zero number, got {u!r}")
+    if not abs(u) >= np.finfo(float).tiny:  # NaN, 0, or subnormal: u / x has too few bits
+        raise ParameterError(f"u must be a non-zero number, and not subnormal, got {u!r}")
     tail = view.levy.tail
 
     def integrand(x):
@@ -308,27 +308,29 @@ def _check_half_disk_level(view: BivariateLevyView, h: float, k: int) -> None:
 def _half_disk(view: BivariateLevyView, h: float, j: int, k: int) -> float:
     """Integral of x^j s^k against F(dx) Lambda(ds) over the half-disk
     {(x s, s): s^2 (1 + x^2) <= h^2}, which is E[X^j m_k(h / sqrt(1 + X^2))]
-    with m_k the jump measure's ``truncated_moment(k, .)``."""
+    with m_k the jump measure's ``truncated_moment(k, .)``.  A value past a
+    double (x^2 at an atom past about 1e154) raises ParameterError."""
     m = view.levy.truncated_moment
-    return expect_weight(view.weight, lambda x: x ** j * m(k, h / np.hypot(1.0, x)))
+    with np.errstate(over="ignore"):  # checked below
+        value = expect_weight(view.weight, lambda x: x ** j * m(k, h / np.hypot(1.0, x)))
+    if not math.isfinite(value):
+        raise ParameterError(f"a half-disk moment of {view.weight.label} overflows a double")
+    return value
 
 
 def truncated_first_moments(view: BivariateLevyView, h: float):
-    """Limits of the truncated first moments of the scaled pair.
-
-    Returns (y_part, xy_part), the half-disk integrals of v and u:
-    y_part  = E[m_1(h / sqrt(1 + X^2))],
-    xy_part = E[X m_1(h / sqrt(1 + X^2))].
-    These are the limit targets of (n/a_n) E[Y 1{|(XY, Y)| <= a_n h}] and
-    (n/a_n) E[XY 1{...}].
-    """
+    """Limits (y_part, xy_part) of the truncated first moments of the scaled
+    pair, the half-disk integrals E[m_1(h / sqrt(1 + X^2))] of v and
+    E[X m_1(h / sqrt(1 + X^2))] of u; :func:`prelimit_truncated_first_moments`
+    estimates their row counterparts."""
     _check_half_disk_level(view, h, 1)
     return _half_disk(view, h, 0, 1), _half_disk(view, h, 1, 1)
 
 
 def truncated_second_moments(view: BivariateLevyView, h: float):
     """Quadratic integrals of the bivariate measure over the half-disk of
-    radius h: returns (uu, vv, uv) for the integrands u^2, v^2 and u v."""
+    radius h: returns (uu, vv, uv) for the integrands u^2, v^2 and u v.
+    They are limits only: nothing estimates their row counterparts."""
     _check_half_disk_level(view, h, 2)
     return tuple(_half_disk(view, h, j, 2) for j in (2, 0, 1))
 
@@ -349,55 +351,27 @@ def second_moment_smallh_scan(view: BivariateLevyView, k_max: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _prelimit_half_disk(x: WeightLaw, y: MultiplierLaw, n: int, h: float,
-                        stream: SeedStream, draws: int, k: int, js: Sequence[int]):
-    """Monte Carlo estimates of (n/a_n^k) E[X^j Y^k 1{|(XY,Y)| <= a_n h}]
-    for each j in ``js``, the triangular-array counterparts of
-    :func:`_half_disk` (k = 1 or 2, j = 0, 1 or 2).
-
-    The joint truncation event is Y sqrt(1+X^2) <= a_n h, so conditionally
-    on X the Y integral is the law's truncated k-th moment; only X is
-    simulated.  Returns one (value, se) pair per j; a non-finite one (n / a_n^k
-    underflows to 0 where a_n^(k - beta) overflows) raises ParameterError.
-    """
-    _check_level(h)
-    n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
-    a_n = finite_norming(y, n)
-    scale, trunc = (n / a_n, y.trunc_mean) if k == 1 else (n / (a_n * a_n), y.trunc_second)
-
-    def fill(xs, out):
-        moment = vec_eval(trunc, a_n * h / np.sqrt(1.0 + xs * xs))
-        for row, j in zip(out, js):
-            if j == 0:
-                np.multiply(scale, moment, out=row)
-            else:
-                np.multiply(scale, xs if j == 1 else xs * xs, out=row)
-                np.multiply(row, moment, out=row)
-
-    return _mc_estimates(x, stream, draws, len(js), fill,
-                         f"{x.label} under {y.label} at n={n}, h={h!r}")
-
-
 def prelimit_truncated_first_moments(x: WeightLaw, y: MultiplierLaw, n: int,
                                      h: float, stream: SeedStream,
                                      draws: int = 1_000_000):
-    """Monte Carlo estimates of the prelimit truncated first moments
-    (n/a_n) E[Y 1{|(XY,Y)| <= a_n h}] and (n/a_n) E[XY 1{...}].
-    Returns ((y_part, y_se), (xy_part, xy_se)).
-    """
-    return _prelimit_half_disk(x, y, n, h, stream, draws, 1, (0, 1))
+    """Monte Carlo estimates ((y_part, y_se), (xy_part, xy_se)) of the row
+    moments (n/a_n) E[Y 1{|(XY,Y)| <= a_n h}] and (n/a_n) E[XY 1{...}], the
+    triangular-array counterparts of :func:`truncated_first_moments`.  The
+    truncation event is Y sqrt(1+X^2) <= a_n h, so given X the Y integral is
+    the law's truncated mean and only X is simulated.  A non-finite estimate
+    (a_n h overflows a double) raises ParameterError."""
+    _check_level(h)
+    n, draws = as_int(n, "n", 1), as_int(draws, "draws", 2)
+    a_n = finite_norming(y, n)
 
+    def fill(xs, out):
+        moment = vec_eval(y.trunc_mean, a_n * h / np.sqrt(1.0 + xs * xs))
+        np.multiply(n / a_n, moment, out=out[0])
+        np.multiply(n / a_n, xs, out=out[1])
+        np.multiply(out[1], moment, out=out[1])
 
-def prelimit_truncated_second_moments(x: WeightLaw, y: MultiplierLaw, n: int,
-                                      h: float, stream: SeedStream,
-                                      draws: int = 1_000_000):
-    """Monte Carlo estimates of the prelimit quadratic moments
-    (n/a_n^2) E[(XY)^2 1{|(XY,Y)| <= a_n h}], (n/a_n^2) E[Y^2 1{...}] and
-    (n/a_n^2) E[XY^2 1{...}], the triangular-array counterparts of the
-    half-disk integrals of u^2, v^2 and u v.  Returns three (value, se)
-    pairs ordered (uu, vv, uv).
-    """
-    return _prelimit_half_disk(x, y, n, h, stream, draws, 2, (2, 0, 1))
+    return _mc_estimates(x, stream, draws, 2, fill,
+                         f"{x.label} under {y.label} at n={n}, h={h!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +405,8 @@ def check_levy_convergence(x: WeightLaw, y: MultiplierLaw, n_list: Sequence[int]
     draws = as_int(draws, "draws", 2)
     if not n_list or not len(v_grid):
         raise ParameterError("n_list and v_grid must not be empty")
+    if any(b <= a for a, b in zip(v_grid, v_grid[1:])):  # else an interval mass is negative
+        raise ParameterError(f"v_grid must be strictly increasing, got {list(map(float, v_grid))}")
     view = limit_view(x, y)
     lam_reports = []
     pi_reports = []

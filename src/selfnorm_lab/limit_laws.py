@@ -84,7 +84,7 @@ class BreimanLimit:
         b = stable_index(self.beta) + _MOMENT_MARGIN
         if not math.isfinite(self.weight.abs_moment(b)):
             raise ParameterError(
-                f"weight law needs a finite absolute moment of order {b:g}")
+                f"{self.weight.label} needs a finite absolute moment of order {b:g}")
         object.__setattr__(self, "_plan", _make_plan(self.weight, self.beta))
 
 

@@ -281,10 +281,10 @@ def _finite_n(x: WeightLaw, y: MultiplierLaw, cfg: SimConfig,
                 if log:
                     m = ys.argmax(axis=1)
                     ys -= ys[np.arange(k), m][:, None]
-                    # exp underflows to exactly 0 below -746; skip those (most) entries
-                    keep = ys > -746.0
-                    np.exp(ys, out=ys, where=keep)
-                    np.copyto(ys, 0.0, where=~keep)
+                    # exp underflows to 0 below -746: skip those (most) entries, then
+                    # fmax sets each (below -746 or NaN) to +0 and keeps exp's, all >= +0
+                    np.exp(ys, out=ys, where=ys > -746.0)
+                    np.fmax(ys, 0.0, out=ys)
                 parts.append(reduce(xs, ys, m))
                 k = 0
         return np.concatenate(parts, axis=1)

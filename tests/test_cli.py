@@ -145,6 +145,7 @@ def test_simulate_bad_law_exits_3(tmp_path):
     ("levy", "levy.u_grid", "0,1"),  # u_grid entries must be non-zero
     ("levy", "levy.h_list", "0"),
     ("levy", "levy.v_grid", ""),  # n_list and v_grid must not be empty
+    ("levy", "levy.v_grid", "4,1,2"),  # gave negative interval masses and a true verdict
     # counts that size an array; numpy raised a plain ValueError naming no key
     ("simulate", "n", "1e19"),
     ("simulate", "reps", "1e19"),

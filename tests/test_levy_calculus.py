@@ -32,7 +32,6 @@ from selfnorm_lab.levy_calculus import (
     prelimit_lambda_n,
     prelimit_pi_n,
     prelimit_truncated_first_moments,
-    prelimit_truncated_second_moments,
     second_moment_smallh_scan,
     stable_levy_tail,
     truncated_first_moments,
@@ -93,8 +92,6 @@ PRELIMIT_N_CALLS = {
                                              draws=100),
     "prelimit_truncated_first_moments": lambda n: prelimit_truncated_first_moments(
         _GAUSS, _PARETO, n, 1.0, SeedStream(3), draws=100),
-    "prelimit_truncated_second_moments": lambda n: prelimit_truncated_second_moments(
-        _GAUSS, _PARETO, n, 1.0, SeedStream(3), draws=100),
 }
 
 
@@ -111,8 +108,6 @@ PRELIMIT_DRAWS_CALLS = {
     "prelimit_pi_n": lambda d: prelimit_pi_n(_GAUSS, _PARETO, 10, 1.0, SeedStream(3),
                                              draws=d),
     "prelimit_truncated_first_moments": lambda d: prelimit_truncated_first_moments(
-        _GAUSS, _PARETO, 10, 1.0, SeedStream(3), draws=d),
-    "prelimit_truncated_second_moments": lambda d: prelimit_truncated_second_moments(
         _GAUSS, _PARETO, 10, 1.0, SeedStream(3), draws=d),
     "check_levy_convergence": lambda d: check_levy_convergence(
         _GAUSS, _PARETO, (10,), (1.0,), (1.0,), SeedStream(3), draws=d),
@@ -422,17 +417,15 @@ def test_truncated_second_moments_inequalities(view_u01):
     assert abs(uv) <= math.sqrt(uu * vv) + 1e-12
 
 
-def test_truncated_second_moments_vs_mc_prelimit(view_u01):
-    # two independent routes: one expectation over X of the limit measure vs
-    # the weight-conditional truncated second moment of the multiplier
-    x = make_weight_law("uniform01")
-    y = make_pareto_multiplier(0.5)
-    for h in (0.5, 1.0):
-        limits = truncated_second_moments(view_u01, h)
-        pres = prelimit_truncated_second_moments(x, y, 100_000, h,
-                                                 SeedStream(9, 7), draws=400_000)
-        for (lim_val, (pre_val, se)) in zip(limits, pres):
-            assert abs(lim_val - pre_val) <= 3.0 * se + 1e-4
+def test_truncated_second_moments_vs_weight_quad_oracle(view_u01):
+    # an independent route: scipy's quad over the uniform weight of
+    # x^j m_2(h / sqrt(1 + x^2)), with the stable(1/2) m_2(c) = b c^(2-b) / (2-b)
+    b = 0.5
+    for h in (2.0 ** -10, 0.5, 1.0):
+        oracle = [quad(lambda x: x ** j * b * (h / math.hypot(1.0, x)) ** (2.0 - b) / (2.0 - b),
+                       0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0] for j in (2, 0, 1)]
+        np.testing.assert_allclose(truncated_second_moments(view_u01, h), oracle,
+                                   rtol=1e-12, atol=0.0, err_msg=f"h={h}")
 
 
 def _mean_se(vals):
@@ -440,8 +433,8 @@ def _mean_se(vals):
 
 
 def _one_shot_prelimits(x, y, n, stream, draws, u, h):
-    """pi_n at u and the first and second half-disk moments at h, the
-    whole-array way: one sampler call and every formula on all draws."""
+    """pi_n at u and the first half-disk moments at h, the whole-array
+    way: one sampler call and every formula on all draws."""
     xs = x.sampler(stream, draws)
     with np.errstate(divide="ignore"):
         log_v = math.log(abs(u)) - np.log(np.abs(xs))
@@ -450,10 +443,7 @@ def _one_shot_prelimits(x, y, n, stream, draws, u, h):
     a_n = y.norming(n)
     cap = a_n * h / np.sqrt(1.0 + xs * xs)
     s1, m1 = n / a_n, y.trunc_mean(cap)
-    s2, m2 = n / (a_n * a_n), y.trunc_second(cap)
-    first = (_mean_se(s1 * m1), _mean_se(s1 * xs * m1))
-    second = (_mean_se(s2 * (xs * xs) * m2), _mean_se(s2 * m2), _mean_se(s2 * xs * m2))
-    return pi, first, second
+    return pi, (_mean_se(s1 * m1), _mean_se(s1 * xs * m1))
 
 
 _ONE_SHOT_WEIGHTS = {
@@ -473,21 +463,19 @@ def test_prelimits_equal_one_shot_reference(kind, draws):
     x, y, n = _ONE_SHOT_WEIGHTS[kind](), make_pareto_multiplier(0.5), 10_000
     for u, h in ((1.0, 0.25), (-0.5, 1.0)):
         stream = SeedStream(41, 3, (draws,))
-        pi, first, second = _one_shot_prelimits(x, y, n, stream, draws, u, h)
+        pi, first = _one_shot_prelimits(x, y, n, stream, draws, u, h)
         assert prelimit_pi_n(x, y, n, u, stream, draws=draws) == pi
         assert prelimit_truncated_first_moments(x, y, n, h, stream, draws=draws) == first
-        assert prelimit_truncated_second_moments(x, y, n, h, stream, draws=draws) == second
 
 
 def test_prelimit_overflow_raises_parameter_error():
-    # a_n = 1000^100 = 1e300: a_n^(2 - beta) overflows and n / a_n^2 is 0, so
-    # each estimate was NaN, after two RuntimeWarnings
+    # a_n = 1000^100 = 1e300, so the level a_n h overflows a double at h = 1e10
     x, y = make_weight_law("uniform01"), make_pareto_multiplier(0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match=r"prelimit of uniform01 under "
-                           r"pareto\(beta=0.01\) at n=1000, h=1.0 is not finite"):
-            prelimit_truncated_second_moments(x, y, 1000, 1.0, SeedStream(1), draws=100)
+                           r"pareto\(beta=0.01\) at n=1000, h=10000000000.0 is not finite"):
+            prelimit_truncated_first_moments(x, y, 1000, 1e10, SeedStream(1), draws=100)
 
 
 def test_truncated_moments_reject_level_past_a_double(view_u01):
@@ -670,6 +658,17 @@ def test_check_levy_convergence_rejects_bad_n(n_list):
         check_levy_convergence(make_weight_law("uniform01"),
                                make_slowly_varying_multiplier(),
                                n_list=n_list, v_grid=(0.25, 1.0), u_grid=(1.0,),
+                               stream=SeedStream(11), draws=100)
+
+
+@pytest.mark.parametrize("v_grid", [(4.0, 1.0, 2.0), (1.0, 1.0)])
+def test_check_levy_convergence_rejects_unsorted_v_grid(v_grid):
+    # on the slowly varying path (4, 1, 2) gave a negative interval mass at
+    # n = 1000 and a true verdict
+    with pytest.raises(ParameterError, match="v_grid must be strictly increasing"):
+        check_levy_convergence(make_weight_law("uniform01"),
+                               make_slowly_varying_multiplier(),
+                               n_list=(1000,), v_grid=v_grid, u_grid=(1.0,),
                                stream=SeedStream(11), draws=100)
 
 
