@@ -12,10 +12,13 @@ own ``pythonpath`` setting cleared (``-o pythonpath=``):
 
 Before any mutant runs, the tests of all entries run once on an unchanged
 copy and must pass, so a failure under a mutant is the mutant's doing.  A
-mutant is killed when its tests do not all pass and survives when they do.
-An entry whose old text does not occur exactly once in its file is stale
-and an error.  The exit code is 0 when every mutant is killed and 1
-otherwise.
+mutant is killed when pytest exits 1 (its tests ran and one failed) or runs
+past TIMEOUT_S, and survives when it exits 0.  Any other exit (2 to 5:
+interrupted, internal error, usage error, no tests collected) is an ERROR:
+the tests did not run, so a mutant that breaks an import or an entry with a
+stale test id cannot count as killed.  An entry whose old text does not
+occur exactly once in its file is stale and an error.  The exit code is 0
+when every mutant is killed and 1 otherwise.
 
 To add a mutant, append a ``Mutant`` to ``MUTANTS``: a short name, the
 file, an old text that occurs once in it (take in a neighbouring line when
@@ -225,10 +228,14 @@ MUTANTS = [
            "check_levy_convergence reports negative interval masses of an unsorted v_grid",
            ("tests/test_levy_calculus.py::test_check_levy_convergence_rejects_unsorted_v_grid",)),
     Mutant("half_disk_finite", PKG + "levy_calculus.py",
-           "if not math.isfinite(value):\n        raise ParameterError(f\"a half-disk moment",
-           "if False:\n        raise ParameterError(f\"a half-disk moment",
+           "if not math.isfinite(value):\n        raise QuadratureError(f\"a half-disk moment",
+           "if False:\n        raise QuadratureError(f\"a half-disk moment",
            "levy writes an infinite second moment of a far atom and ends in a traceback",
            ("tests/test_cli_contract.py::test_exit_contract",)),
+    Mutant("half_disk_blames_h", PKG + "levy_calculus.py",
+           'raise QuadratureError(f"a half-disk moment', 'raise ParameterError(f"a half-disk moment',
+           "levy blames levy.h_list for a far atom whose x^2 overflows at every h",
+           ("tests/test_cli.py::test_levy_far_atom_blames_the_weight_not_the_level",)),
 ]
 
 
@@ -283,20 +290,24 @@ def main() -> int:
             return 1
         print(f"baseline  {len(tests)} test ids pass on the unchanged copy "
               f"({time.perf_counter() - start:.1f} s)")
-        survivors = []
+        killed = 0
         for i, m in enumerate(MUTANTS):
             tree = Path(tmp) / f"m{i}"
             _copy_tree(tree)
             path = tree / m.file
             path.write_text(path.read_text().replace(m.old, m.new))
             start = time.perf_counter()
-            killed = _pytest(tree, m.tests)[0] != 0
-            if not killed:
-                survivors.append(m.name)
-            print(f"{'killed' if killed else 'SURVIVED':9s} {m.name} "
-                  f"({time.perf_counter() - start:.1f} s): {m.breaks}")
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
-    return 1 if survivors else 0
+            code, output = _pytest(tree, m.tests)
+            verdict = {0: "SURVIVED", 1: "killed", -1: "killed"}.get(code, "ERROR")
+            note = ""
+            if verdict == "ERROR":  # the tests did not run
+                print(output, file=sys.stderr)
+                note = f", pytest exit {code}"
+            killed += verdict == "killed"
+            print(f"{verdict:9s} {m.name} ({time.perf_counter() - start:.1f} s{note}): "
+                  f"{m.breaks}")
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

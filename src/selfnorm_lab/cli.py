@@ -42,13 +42,9 @@ from .distributions import (
 from .scenarios import _write_json
 
 
-class UsageError(Exception):
-    """Command line usage problem (mapped to exit code 3)."""
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep the exit-code contract away from argparse
-        raise UsageError(message)
+    def error(self, message):  # a usage error is bad input: exit 3, not argparse's 2
+        raise ParameterError(message)
 
 
 def parse_config_file(path: Path) -> dict:
@@ -100,16 +96,6 @@ def _config_float(key: str, text: str) -> float:
     return value
 
 
-def _config_seed(key: str, text: str) -> SeedStream:
-    """The master stream of a seed in [0, 2**64); anything else raises
-    ParameterError naming the key, which ``--seed`` also sets."""
-    value = _config_int(key, text)
-    if not 0 <= value < 2**64:
-        raise ParameterError(f"config field {key!r} (or --seed) must be in [0, 2**64), "
-                             f"got {text!r}")
-    return SeedStream(value)
-
-
 def _config_list(parse, rule=None, nonempty=False, increasing=False):
     """Parser of a comma-separated list whose entries ``parse`` reads, each one
     passing ``rule`` (a (test, name) pair) if given, in increasing order if set."""
@@ -137,7 +123,7 @@ _KEYS = {
     "scenario": ("custom", _text),
     "n": ("10000", _config_count(1, _MAX_COUNT)),
     "reps": ("20000", _config_count(1, _MAX_COUNT)),
-    "seed": ("20260808", _config_seed),
+    "seed": ("20260808", lambda key, text: SeedStream(_config_count(0, 2**64 - 1)(key, text))),
     "outputs": ("out", _text),
     "x_law.kind": ("uniform01", _text),
     "y_law.kind": ("pareto", _text),
@@ -305,6 +291,7 @@ def run_levy(cfg: dict, record: dict) -> int:
             scan = lc.second_moment_smallh_scan(view, k_max=cfg["levy.kmax"])
             payload["smallh_scan"] = {format(h, ".10g"): list(v) for h, v in scan.items()}
     except QuadratureError as exc:  # near E|X|^beta = inf a limit integral misses its budget
+        # (or a half-disk moment of an atom past about 1e154 overflows, at every h)
         raise ParameterError(f"x_law.kind = {cfg['x_law.kind']}: a limit integral of "
                              f"{x.label} under {y.label} failed: {exc}") from exc
     out = _outdir(cfg)  # only once the input has passed its checks
@@ -364,7 +351,7 @@ def main(argv=None) -> int:
         run = {"simulate": run_simulate, "limit": run_limit, "diagnose": run_diagnose,
                "levy": run_levy}[args.command]
         return run(cfg, record)
-    except (ParameterError, UsageError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

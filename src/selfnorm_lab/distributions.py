@@ -314,30 +314,15 @@ def finite_norming(y: MultiplierLaw, n: int) -> float:
 # Quadrature: graded Gauss-Legendre cells
 # ---------------------------------------------------------------------------
 
-# 16-point Gauss-Legendre cells, graded geometrically toward the ends of a
-# piece, serve quad and the grid rule of limit_laws (the head and tail tables).
+# 16-point Gauss-Legendre cells on [0, 1], graded geometrically toward the
+# ends of a piece: quad starts each piece as the cells of _PIECE_EDGES, and
+# the grid rule of limit_laws builds its node tables from the same cells.
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
 _RATIO = 0.125          # geometric grading ratio
 _LEVELS = 4             # graded cells toward each end of a finite piece
-_NEAR_LEVELS = 2        # tail levels folded in s
-_FAR_LEVELS = 10        # tail levels folded in w
-
-
-def _cells(edges: np.ndarray):
-    """Gauss-Legendre nodes and weights of the cells between ``edges``."""
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + width * _GL_T).ravel(), (width * _GL_W).ravel()
-
-
 _grade = 0.5 * _RATIO ** np.arange(_LEVELS, -1, -1)
 _PIECE_EDGES = np.concatenate([[0.0], _grade, 1.0 - _grade[-2::-1], [1.0]])
-_PIECE_T, _PIECE_W = _cells(_PIECE_EDGES)
-_HEAD_T, _HEAD_W = _cells(np.concatenate([[0.0], _grade, [1.0]]))
-_NEAR_T, _NEAR_W = _cells(_RATIO ** np.arange(_NEAR_LEVELS, -1, -1.0))
-_FAR_T, _FAR_W = _cells(_RATIO ** np.arange(_FAR_LEVELS, -1, -1.0))
-_FAR_W = _FAR_W / (_FAR_T * _FAR_T)   # dw = c1^b dt / t^2
-_FAR_T = 1.0 / _FAR_T                 # nodes as w / c1^b
 
 # The lower-order rule embedded in the 16 nodes is the interpolatory rule on
 # all of them but the 4th and 11th, exact to degree 13.  _NULL_W is the 16-node
@@ -523,11 +508,6 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
         tail = np.asarray(half_tail(x))
         return np.subtract(1.0, tail, out=tail, where=x >= 1.0)[()]
 
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        tail = np.asarray(half_tail(x))
-        return np.subtract(1.0, tail, out=tail, where=x <= -1.0)[()]
-
     def sampler(source, count, out=None):
         # one uniform U per draw: the sign is - for U < 1/2, and the
         # magnitude's uniform, 1 - 2U there and 2 - 2U above, lies in (0, 1]
@@ -543,7 +523,7 @@ def _symmetric_pareto_weight(gamma: float) -> WeightLaw:
     return WeightLaw(
         label=f"symmetric_pareto({gamma:g})",
         cdf=cdf,
-        sf=sf,
+        sf=lambda x: cdf(np.negative(x)),  # P{X > x} = P{X <= -x}: symmetric, no atoms
         sampler=sampler,
         abs_moment=lambda b: _pareto_moment(gamma, b),
         pdf=lambda x: np.where(np.abs(x) >= 1.0,

@@ -21,6 +21,7 @@ import numpy as np
 from .distributions import (
     MultiplierLaw,
     ParameterError,
+    QuadratureError,
     SeedStream,
     WeightLaw,
     as_int,
@@ -309,12 +310,13 @@ def _half_disk(view: BivariateLevyView, h: float, j: int, k: int) -> float:
     """Integral of x^j s^k against F(dx) Lambda(ds) over the half-disk
     {(x s, s): s^2 (1 + x^2) <= h^2}, which is E[X^j m_k(h / sqrt(1 + X^2))]
     with m_k the jump measure's ``truncated_moment(k, .)``.  A value past a
-    double (x^2 at an atom past about 1e154) raises ParameterError."""
+    double (x^2 at an atom past about 1e154, at every h) raises
+    QuadratureError: the weight law, not h, is at fault."""
     m = view.levy.truncated_moment
     with np.errstate(over="ignore"):  # checked below
         value = expect_weight(view.weight, lambda x: x ** j * m(k, h / np.hypot(1.0, x)))
     if not math.isfinite(value):
-        raise ParameterError(f"a half-disk moment of {view.weight.label} overflows a double")
+        raise QuadratureError(f"a half-disk moment of {view.weight.label} overflows a double")
     return value
 
 

@@ -12,9 +12,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import (_FAR_LEVELS, _FAR_T, _FAR_W, _HEAD_T, _HEAD_W, _NEAR_LEVELS,
-                            _NEAR_T, _NEAR_W, _PIECE_T, _PIECE_W, _RATIO, ParameterError,
-                            QuadratureError, WeightLaw, as_int, stable_index)
+from .distributions import (_GL_T, _GL_W, _PIECE_EDGES, _RATIO, ParameterError,
+                            QuadratureError, WeightLaw, _grade, as_int, stable_index)
 
 # BreimanLimit checks the weight law's absolute moment at this order above beta.
 _MOMENT_MARGIN = 0.05
@@ -94,7 +93,7 @@ class BreimanLimit:
 # integrands sf(x + w^(1/b)) and cdf(x - w^(1/b)).  They are split where
 # x -/+ w^(1/b) crosses an atom, a density break or a support edge.  A
 # piece with no mass inside is a constant times its w-length.  Every other
-# finite piece gets the graded cells of distributions (_PIECE_T), toward
+# finite piece gets quad's graded cells of _PIECE_EDGES (_PIECE_T), toward
 # both ends (a break, or a singularity of the density's continuation just
 # past one).  An infinite piece from s0 gets a head up to
 # c = 2 max(s0, |x|, 1), graded toward s0, and a tail folded onto t in
@@ -112,6 +111,22 @@ class BreimanLimit:
 # glibc's malloc as fresh pages (80 page faults per 224 KiB array, 1 at
 # 192 KiB), which made every elementwise pass over it about 4x slower.
 _CHUNK = 64
+_NEAR_LEVELS = 2        # tail levels folded in s
+_FAR_LEVELS = 10        # tail levels folded in w
+
+
+def _cells(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights of the cells between ``edges``."""
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * _GL_T).ravel(), (width * _GL_W).ravel()
+
+
+_PIECE_T, _PIECE_W = _cells(_PIECE_EDGES)
+_HEAD_T, _HEAD_W = _cells(np.concatenate([[0.0], _grade, [1.0]]))
+_NEAR_T, _NEAR_W = _cells(_RATIO ** np.arange(_NEAR_LEVELS, -1, -1.0))
+_FAR_T, _FAR_W = _cells(_RATIO ** np.arange(_FAR_LEVELS, -1, -1.0))
+_FAR_W = _FAR_W / (_FAR_T * _FAR_T)   # dw = c1^b dt / t^2
+_FAR_T = 1.0 / _FAR_T                 # nodes as w / c1^b
 _HEAD_END = _HEAD_T.size
 _NEAR_END = _HEAD_END + _NEAR_T.size
 _NODES = _NEAR_END + _FAR_T.size

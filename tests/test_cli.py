@@ -412,6 +412,19 @@ def test_levy_level_past_a_double_exits_3_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_levy_far_atom_blames_the_weight_not_the_level(tmp_path, capsys):
+    # x^2 of an atom at 1e160 overflows a double at every h; levy blamed
+    # levy.h_list = 0.25 for it
+    cfg = write_cfg(tmp_path, **{"x_law.kind": "bernoulli", "x_law.x0": "1e160"},
+                    **_LEVY_SMALL)
+    out = tmp_path / "out"
+    assert main(["levy", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "x_law.kind = bernoulli" in err and "a half-disk moment" in err
+    assert "levy.h_list" not in err
+    assert not out.exists()
+
+
 def test_levy_prelimit_level_past_a_double_exits_3_before_output(tmp_path, capsys):
     # a_n h = 1e200 * 1e150 overflows: levy wrote levy_convergence.json, then
     # exited 3 on an inf in the JSON with a message that named no key
@@ -425,8 +438,9 @@ def test_levy_prelimit_level_past_a_double_exits_3_before_output(tmp_path, capsy
 
 
 def test_plain_value_error_is_not_a_config_error(tmp_path, monkeypatch):
-    # only ParameterError and UsageError mean bad input (exit 3); a plain
-    # ValueError raised inside a command is a bug and propagates
+    # only ParameterError, which the parser's usage errors raise too, means
+    # bad input (exit 3); a plain ValueError raised inside a command is a
+    # bug and propagates
     from selfnorm_lab import cli
 
     def broken(cfg, record):
@@ -524,10 +538,20 @@ def test_levy_empty_list_exits_3(tmp_path, capsys, key):
     assert not out.exists()
 
 
-def test_reproduce_unknown_suite_exits_3(tmp_path):
-    rc = main(["reproduce", "S9", "--out", str(tmp_path / "o"), "--seed", "1"])
-    assert rc == 3
-    assert not (tmp_path / "o").exists()
+@pytest.mark.parametrize("argv", [
+    [],
+    ["simulate", "--threads", "abc"],
+    ["reproduce", "S9", "--seed", "1"],
+], ids=["no_subcommand", "threads_abc", "unknown_suite"])
+def test_usage_errors_exit_3_with_one_message(tmp_path, capsys, argv):
+    # argparse's own error path prints the usage text and exits 2, the I/O code
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_run_suite_rejects_unknown_suite(tmp_path):
